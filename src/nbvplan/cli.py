@@ -6,29 +6,30 @@
   nbv summarize <run_dir> [<run_dir> ...] [--out summary.csv]
   nbv bench --mesh <path> [--candidates 800 --stride 4 --out <dir>]
 
-Any config-file key can be overridden by the flag of the same name.
-Set NBV_LOG=INFO (or DEBUG) for progress output and debug dumps.
+Any config-file key can be overridden by the flag of the same name.  Bad
+input (a missing or malformed file, an invalid value, a mesh the first view
+does not see) prints `error: ...` and exits with status 1.
+
+NBV_LOG is read here and nowhere else: it sets the log level (WARNING by
+default, 1 means INFO).  At INFO and above the run logs its progress, and
+`harness.run` writes voxel and ellipsoid dumps next to records.csv.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import logging
 import os
 import sys
 import time
 
-import numpy as np
-
-from .config import RunConfig, load_config_file, make_config
+from .config import FIELD_PARSERS, RunConfig, load_config_file, make_config
 from .harness import run, summarize, write_summary
 from .mesh import load_mesh
 from .oracle import oracle_evaluate
-from .planner import initialize, run_iteration
+from .planner import candidate_views, initialize, run_iteration
 from .projection import evaluate_all
-from .views import SamplingConfig, assign_partitions, sample_candidates, sampling_radius
 
 
 def _setup_logging() -> None:
@@ -41,41 +42,25 @@ def _setup_logging() -> None:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
-    for f in dataclasses.fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.name == "mesh":
-            parser.add_argument(flag, dest=f.name, help="mesh file (ASCII OBJ or PLY)")
-        elif f.type == "int":
-            parser.add_argument(flag, dest=f.name, type=int)
-        elif f.type == "float":
-            parser.add_argument(flag, dest=f.name, type=float)
-        elif f.type == "float | None":
-            parser.add_argument(flag, dest=f.name, type=float)
-        else:
-            parser.add_argument(flag, dest=f.name)
+    for name, parse in FIELD_PARSERS.items():
+        help_text = "mesh file (ASCII OBJ or PLY)" if name == "mesh" else None
+        parser.add_argument(
+            "--" + name.replace("_", "-"), dest=name, type=parse, default=argparse.SUPPRESS,
+            help=help_text,
+        )
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else None
-    overrides = {
-        f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)
-    }
-    return make_config(file_values, overrides)
+    config = make_config(file_values, {k: v for k, v in vars(args).items() if k in FIELD_PARSERS})
+    if not config.mesh:
+        raise ValueError("--mesh is required")
+    return config
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if not config.mesh:
-        print("error: --mesh is required", file=sys.stderr)
-        return 2
-    try:
-        records, _ = run(config)
-    except FileNotFoundError as exc:
-        print(f"error: mesh not found: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    records, _ = run(config)
     final = records[-1].coverage if records else 0.0
     total = sum(r.compute_time_s for r in records)
     print(
@@ -86,11 +71,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
-    try:
-        summary = summarize(args.run_dirs)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    summary = summarize(args.run_dirs)
     write_summary(args.out, summary)
     last = summary[-1]
     print(
@@ -103,22 +84,12 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     """Paired projection-vs-oracle timing on one mid-scan scene."""
     config = _config_from_args(args)
-    if not config.mesh:
-        print("error: --mesh is required", file=sys.stderr)
-        return 2
-    mesh = load_mesh(config.mesh)
-    state = initialize(mesh, config)
+    state = initialize(load_mesh(config.mesh), config)
     for _ in range(2):  # a couple of steps so the scene is genuinely mid-scan
         run_iteration(state)
 
     intr = config.intrinsics()
-    radius = sampling_radius(state.grid.bbox, config.d_c)
-    center = 0.5 * (state.grid.bbox[0] + state.grid.bbox[1])
-    sampling = SamplingConfig(
-        mode=config.mode, alpha=config.alpha, n_views=config.candidates,
-        working_distance=config.d_c,
-    )
-    candidates = assign_partitions(sample_candidates(sampling, center, radius), config.beta)
+    candidates = candidate_views(state)
 
     t0 = time.perf_counter()
     evaluate_all(candidates, state.e_o, state.e_f, intr)
@@ -179,7 +150,11 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

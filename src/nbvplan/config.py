@@ -7,7 +7,7 @@ become dashes); unknown keys are errors.
 
 from __future__ import annotations
 
-import dataclasses
+import typing
 from dataclasses import dataclass
 
 from .geometry import CameraIntrinsics
@@ -89,19 +89,15 @@ class RunConfig:
         )
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+def _optional_float(raw: str) -> float | None:
+    return None if raw.lower() in ("none", "") else float(raw)
 
 
-def _parse_value(key: str, raw: str):
-    ftype = _FIELD_TYPES[key]
-    raw = raw.strip()
-    if ftype in ("int",):
-        return int(raw)
-    if ftype in ("float",):
-        return float(raw)
-    if ftype in ("float | None",):
-        return None if raw.lower() in ("none", "") else float(raw)
-    return raw
+_PARSERS = {int: int, float: float, float | None: _optional_float, str: str}
+
+# One parser per RunConfig field, from its resolved type; shared by config
+# files and CLI flags.  A field of a type without a parser fails at import.
+FIELD_PARSERS = {name: _PARSERS[t] for name, t in typing.get_type_hints(RunConfig).items()}
 
 
 def load_config_file(path: str) -> dict:
@@ -115,20 +111,16 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _FIELD_TYPES:
+            if key not in FIELD_PARSERS:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = _parse_value(key, val)
+            values[key] = FIELD_PARSERS[key](val)
     return values
 
 
 def make_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
     """Defaults, then config file values, then CLI overrides."""
-    merged = {}
-    if file_values:
-        merged.update(file_values)
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(merged) - set(_FIELD_TYPES)
+    merged = {**(file_values or {}), **(overrides or {})}
+    unknown = set(merged) - set(FIELD_PARSERS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return RunConfig(**merged)

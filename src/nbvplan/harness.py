@@ -2,9 +2,10 @@
 
 Metrics follow the two-number protocol: point-cloud coverage (fraction of
 10,000 area-uniform model samples with an acquired point within 5 mm) and
-per-iteration compute time covering scene-representation update and
-viewpoint selection, excluding synthetic rendering, which a real camera
-would not incur.
+per-iteration compute time.  Compute time covers the whole iteration
+(viewpoint selection, turning the depth frame into points, and the
+scene-representation update) except the synthetic `render_depth` call,
+which a real camera would not incur.
 
 records.csv schema (fixed):
   iteration,coverage,compute_time_s,pos_x,pos_y,pos_z,partition,
@@ -100,12 +101,20 @@ def _record_for(state: PlannerState, model_points: np.ndarray, iteration: int) -
 
 
 def run(config: RunConfig) -> tuple[list[IterationRecord], PlannerState]:
-    """Execute the full loop; writes records.csv and final.ply under config.out."""
-    verbose = os.environ.get("NBV_LOG", "").upper() in ("DEBUG", "INFO", "1")
+    """Execute the full loop; writes records.csv and final.ply under config.out.
+
+    When the `nbvplan` logger is enabled for INFO, each iteration also
+    writes voxels_<iteration>.ply and appends to ellipsoids.txt, which the
+    run starts empty.
+    """
+    dumps = log.isEnabledFor(logging.INFO)
     mesh = load_mesh(config.mesh)
     model_points = sample_surface_points(mesh, config.coverage_samples, seed=config.seed)
 
     os.makedirs(config.out, exist_ok=True)
+    ellipsoids_path = os.path.join(config.out, "ellipsoids.txt")
+    if dumps:
+        open(ellipsoids_path, "w").close()
     state = initialize(mesh, config)
     records: list[IterationRecord] = []
     while not should_terminate(state):
@@ -117,12 +126,9 @@ def run(config: RunConfig) -> tuple[list[IterationRecord], PlannerState]:
             rec.iteration, rec.coverage, rec.compute_time_s, rec.partition,
             rec.n_eo, rec.n_ef,
         )
-        if verbose:
+        if dumps:
             state.grid.dump_ply(os.path.join(config.out, f"voxels_{state.iteration:02d}.ply"))
-            dump_ellipsoids(
-                os.path.join(config.out, "ellipsoids.txt"), state.iteration,
-                state.e_o + state.e_f,
-            )
+            dump_ellipsoids(ellipsoids_path, state.iteration, state.e_o + state.e_f)
 
     write_records(os.path.join(config.out, "records.csv"), records)
     save_ply_points(os.path.join(config.out, "final.ply"), state.acquired_points)
@@ -145,39 +151,33 @@ def read_records(path: str) -> list[dict]:
 def summarize(run_dirs: list[str], target_iterations: int = 10) -> list[dict]:
     """Per-iteration mean/std of coverage and compute time across runs.
 
-    Shorter runs are padded by duplicating their last record, so every run
-    contributes to all `target_iterations` rows.
+    There are max(`target_iterations`, longest run) rows; shorter runs are
+    padded by duplicating their last record, so every run contributes to
+    every row.
     """
     if not run_dirs:
         raise ValueError("summarize requires at least one run directory")
-    per_run = []
+    per_run = []  # (iterations, 2) arrays of coverage, compute time
     for d in run_dirs:
         rows = read_records(os.path.join(d, "records.csv"))
         if not rows:
             raise ValueError(f"{d}: empty records.csv")
-        cov = [float(r["coverage"]) for r in rows]
-        ct = [float(r["compute_time_s"]) for r in rows]
-        n = max(target_iterations, len(cov))
-        cov = cov + [cov[-1]] * (n - len(cov))
-        ct = ct + [ct[-1]] * (n - len(ct))
-        per_run.append((cov, ct))
+        per_run.append(np.array([[float(r["coverage"]), float(r["compute_time_s"])] for r in rows]))
 
-    n_iters = max(len(c) for c, _ in per_run)
-    out = []
-    for i in range(n_iters):
-        covs = np.array([c[i] if i < len(c) else c[-1] for c, _ in per_run])
-        cts = np.array([t[i] if i < len(t) else t[-1] for _, t in per_run])
-        out.append(
-            {
-                "iteration": i + 1,
-                "mean_coverage": float(covs.mean()),
-                "std_coverage": float(covs.std()),
-                "mean_compute_time_s": float(cts.mean()),
-                "std_compute_time_s": float(cts.std()),
-                "n_runs": len(per_run),
-            }
-        )
-    return out
+    n_iters = max(target_iterations, *(len(r) for r in per_run))
+    padded = np.stack([np.pad(r, ((0, n_iters - len(r)), (0, 0)), mode="edge") for r in per_run])
+    mean, std = padded.mean(axis=0), padded.std(axis=0)
+    return [
+        {
+            "iteration": i + 1,
+            "mean_coverage": float(mean[i, 0]),
+            "std_coverage": float(std[i, 0]),
+            "mean_compute_time_s": float(mean[i, 1]),
+            "std_compute_time_s": float(std[i, 1]),
+            "n_runs": len(per_run),
+        }
+        for i in range(n_iters)
+    ]
 
 
 def write_summary(path: str, summary: list[dict]) -> None:

@@ -184,7 +184,7 @@ def _load_ply(path: str) -> TriangleMesh:
 def load_mesh(path: str) -> TriangleMesh:
     """Load an ASCII OBJ or PLY triangle mesh; polygons are fan-triangulated."""
     if not os.path.exists(path):
-        raise FileNotFoundError(path)
+        raise FileNotFoundError(f"mesh not found: {path}")
     ext = os.path.splitext(path)[1].lower()
     if ext == ".obj":
         mesh = _load_obj(path)

@@ -51,13 +51,7 @@ class PartitionLedger:
 
 @dataclass
 class IterationTiming:
-    selection_s: float = 0.0   # candidate sampling + scoring + argmax
-    update_s: float = 0.0      # integration + bbox + frontier + refit
-    render_s: float = 0.0      # simulator overhead, excluded from compute time
-
-    @property
-    def compute_s(self) -> float:
-        return self.selection_s + self.update_s
+    compute_s: float  # the whole iteration except the synthetic render
 
 
 @dataclass
@@ -135,16 +129,19 @@ def should_terminate(state: PlannerState) -> bool:
 # ---- observation plumbing ---------------------------------------------------
 
 
-def _observe(state: PlannerState, pose: Pose, frame_seed: int) -> Observation | None:
-    """Render from `pose`, accumulate P_f, and build the ray observation."""
+def _observe(state: PlannerState, pose: Pose, frame_seed: int) -> tuple[Observation | None, float]:
+    """Render from `pose`, accumulate P_f, and build the ray observation.
+
+    Also returns the seconds spent in `render_depth`, which compute time
+    excludes.
+    """
     cfg = state.config
     t0 = time.perf_counter()
     frame = render_depth(
         state.mesh, pose, cfg.intrinsics(), noise_sigma=cfg.noise_sigma, noise_seed=frame_seed
     )
+    render_s = time.perf_counter() - t0
     points = frame_to_points(frame)
-    if state.timings:
-        state.timings[-1].render_s += time.perf_counter() - t0
 
     lo, hi = state.grid.span
     if len(points):
@@ -154,13 +151,13 @@ def _observe(state: PlannerState, pose: Pose, frame_seed: int) -> Observation | 
         cropped = points
     if len(cropped) == 0:
         log.warning("all-miss observation at iteration %d", state.iteration)
-        return None
+        return None, render_s
     state.point_chunks.append(cropped)
 
     deduped = preprocess_points(
         cropped, lo, hi, spacing=cfg.resolution / 2.0, align_origin=state.grid.origin
     )
-    return Observation(points=deduped, sensor_origin=pose.translation)
+    return Observation(points=deduped, sensor_origin=pose.translation), render_s
 
 
 def _integrate_and_refit(state: PlannerState, obs: Observation | None, view_dir: np.ndarray, first: bool) -> None:
@@ -200,11 +197,26 @@ def initialize(mesh: TriangleMesh, config: RunConfig) -> PlannerState:
     )
     pose = look_at(position, np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
-    obs = _observe(state, pose, frame_seed=config.seed)
+    obs, _ = _observe(state, pose, frame_seed=config.seed)
     if obs is None:
-        raise RuntimeError("initial observation saw nothing: empty first observation")
+        raise ValueError("initial observation saw nothing: is the mesh inside the first view?")
     _integrate_and_refit(state, obs, pose.optical_axis, first=True)
     return state
+
+
+def candidate_views(state: PlannerState) -> list[CandidateView]:
+    """Sector-tagged candidates on the sampling sphere around the current bbox."""
+    cfg = state.config
+    if state.grid.bbox is None:
+        raise RuntimeError("planner state not initialized")
+    bmin, bmax = state.grid.bbox
+    sampling = SamplingConfig(
+        mode=cfg.mode, alpha=cfg.alpha, n_views=cfg.candidates, working_distance=cfg.d_c
+    )
+    candidates = sample_candidates(
+        sampling, 0.5 * (bmin + bmax), sampling_radius(state.grid.bbox, cfg.d_c)
+    )
+    return assign_partitions(candidates, cfg.beta)
 
 
 def _score_candidates(state: PlannerState, candidates: list[CandidateView]) -> None:
@@ -226,19 +238,8 @@ def _score_candidates(state: PlannerState, candidates: list[CandidateView]) -> N
 def run_iteration(state: PlannerState) -> CandidateView:
     """One NBV step: sample, score, select, observe, update, refit."""
     cfg = state.config
-    timing = IterationTiming()
-    state.timings.append(timing)
-
     t0 = time.perf_counter()
-    if state.grid.bbox is None:
-        raise RuntimeError("planner state not initialized")
-    radius = sampling_radius(state.grid.bbox, cfg.d_c)
-    center = 0.5 * (state.grid.bbox[0] + state.grid.bbox[1])
-    sampling = SamplingConfig(
-        mode=cfg.mode, alpha=cfg.alpha, n_views=cfg.candidates, working_distance=cfg.d_c
-    )
-    candidates = sample_candidates(sampling, center, radius)
-    assign_partitions(candidates, cfg.beta)
+    candidates = candidate_views(state)
     _score_candidates(state, candidates)
     try:
         chosen = select_next_view(candidates, state.ledger, iteration=state.iteration)
@@ -246,13 +247,10 @@ def run_iteration(state: PlannerState) -> CandidateView:
         log.warning("partition constraint infeasible; widening to all sectors")
         state.ledger.scanned = set(range(cfg.beta))
         chosen = select_next_view(candidates, state.ledger, iteration=state.iteration)
-    timing.selection_s = time.perf_counter() - t0
 
-    obs = _observe(state, chosen.pose, frame_seed=cfg.seed + state.iteration + 1)
-
-    t0 = time.perf_counter()
+    obs, render_s = _observe(state, chosen.pose, frame_seed=cfg.seed + state.iteration + 1)
     _integrate_and_refit(state, obs, chosen.pose.optical_axis, first=False)
-    timing.update_s = time.perf_counter() - t0
+    state.timings.append(IterationTiming(compute_s=time.perf_counter() - t0 - render_s))
 
     state.history.append(chosen)
     state.iteration += 1

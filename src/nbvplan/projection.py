@@ -16,7 +16,7 @@ centers at or behind the principal plane contribute zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +51,6 @@ class ViewScore:
     f_value: float
     frontier_mass: float
     occupied_mass: float
-    per_ellipsoid: list[tuple[str, int, float, float]] = field(default_factory=list)
-    # entries: (kind, cluster_index, clipped_area, weight)
 
 
 def rank_ellipsoids(ellipsoids: list[Ellipsoid], pose: Pose) -> list[RankedEllipsoid]:
@@ -254,21 +252,14 @@ def evaluate_view(
     ranked = rank_ellipsoids(list(occupied) + list(frontier), view.pose)
     f_mass = 0.0
     o_mass = 0.0
-    detail = []
     for r in ranked:
         proj = project_ellipsoid(r.ellipsoid, view.pose, intrinsics)
         lhat = weighted_mass(proj, r.weight)
-        detail.append((r.ellipsoid.kind, r.ellipsoid.cluster_index, proj.clipped_area, r.weight))
         if r.ellipsoid.kind == "frontier":
             f_mass += lhat
         else:
             o_mass += lhat
-    score = ViewScore(
-        f_value=f_mass - o_mass,
-        frontier_mass=f_mass,
-        occupied_mass=o_mass,
-        per_ellipsoid=detail,
-    )
+    score = ViewScore(f_value=f_mass - o_mass, frontier_mass=f_mass, occupied_mass=o_mass)
     view.score = score.f_value
     return score
 

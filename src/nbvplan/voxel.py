@@ -58,12 +58,6 @@ class Observation:
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         self.sensor_origin = np.asarray(self.sensor_origin, dtype=float).reshape(3)
 
-    def validate_range(self, max_range: float) -> None:
-        if len(self.points):
-            d = np.linalg.norm(self.points - self.sensor_origin, axis=1)
-            if d.max() > max_range + 1e-9:
-                raise ValueError("observation contains points beyond max_range")
-
 
 def preprocess_points(
     points: np.ndarray,
@@ -328,7 +322,6 @@ class _BatchWalk:
             self.tdelta = np.where(deltas != 0.0, res / np.abs(deltas), np.inf)
         self.t1 = t1
         self.grid = grid
-        self.t_entry = t0.copy()
 
     def flat(self) -> np.ndarray:
         return self.grid.flat_index(self.ijk)
@@ -339,7 +332,6 @@ class _BatchWalk:
         rows = np.arange(len(self.ijk))
         t_cross = self.tmax[rows, axis]
         done = t_cross > self.t1
-        self.t_entry = np.where(done, self.t_entry, t_cross)
         self.ijk[rows, axis] += np.where(done, 0, self.step[rows, axis])
         self.tmax[rows, axis] += np.where(done, 0.0, self.tdelta[rows, axis])
         inb = np.all((self.ijk >= 0) & (self.ijk < self.grid.dims), axis=1)

@@ -1,0 +1,51 @@
+import argparse
+import dataclasses
+
+from nbvplan import cli
+from nbvplan.config import RunConfig, load_config_file, make_config
+
+# A valid, non-default value of the field's own type for every RunConfig field.
+NON_DEFAULT = dict(
+    mesh="part.obj", mode="hemisphere", resolution=0.02, t_max=2, beta=3, alpha=5,
+    candidates=50, d_c=0.3, gamma=0.05, iterations=4, seed=11, evaluator="oracle",
+    out="elsewhere", width=320, height=240, fx=300.0, fy=310.0, max_range=3.0,
+    noise_sigma=0.001, workspace_half=0.5, stride=8, coverage_threshold=0.004,
+    coverage_samples=500, initial_radius=0.6, initial_polar_deg=45.0,
+    initial_azimuth_deg=30.0, mvee_tol=1e-4,
+)
+
+
+def _assert_non_default(config: RunConfig) -> None:
+    for name, value in NON_DEFAULT.items():
+        got = getattr(config, name)
+        assert got == value and type(got) is type(value), (name, got)
+
+
+def test_non_default_values_cover_every_field():
+    assert set(NON_DEFAULT) == {f.name for f in dataclasses.fields(RunConfig)}
+    defaults = RunConfig()
+    assert all(getattr(defaults, name) != value for name, value in NON_DEFAULT.items())
+
+
+def test_config_file_values_keep_field_types(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}  # note\n" for k, v in NON_DEFAULT.items()))
+    _assert_non_default(make_config(load_config_file(str(path))))
+    path.write_text("gamma = none\n")
+    assert make_config(load_config_file(str(path))).gamma is None
+
+
+def test_cli_flags_keep_field_types():
+    parser = argparse.ArgumentParser()
+    cli._add_config_flags(parser)
+    argv = [arg for k, v in NON_DEFAULT.items() for arg in ("--" + k.replace("_", "-"), str(v))]
+    _assert_non_default(cli._config_from_args(parser.parse_args(argv)))
+
+
+def test_flag_none_resets_a_config_file_value(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("gamma = 0.1\n")
+    parser = argparse.ArgumentParser()
+    cli._add_config_flags(parser)
+    args = parser.parse_args(["--config", str(path), "--mesh", "m.obj", "--gamma", "none"])
+    assert cli._config_from_args(args).gamma is None
