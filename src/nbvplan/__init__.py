@@ -34,16 +34,7 @@ from .planner import (
     select_next_view,
     should_terminate,
 )
-from .projection import (
-    ProjectedEllipse,
-    RankedEllipsoid,
-    ViewScore,
-    evaluate_all,
-    evaluate_view,
-    project_ellipsoid,
-    rank_ellipsoids,
-    weighted_mass,
-)
+from .projection import depth_weights, evaluate_all, project
 from .render import frame_to_points, project_points, render_depth
 from .shapes import BUILTIN_SHAPES, make_shape
 from .views import (

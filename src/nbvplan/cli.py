@@ -10,9 +10,11 @@ Any config-file key can be overridden by the flag of the same name.  Bad
 input (a missing or malformed file, an invalid value, a mesh the first view
 does not see) prints `error: ...` and exits with status 1.
 
-NBV_LOG is read here and nowhere else: it sets the log level (WARNING by
-default, 1 means INFO).  At INFO and above the run logs its progress, and
-`harness.run` writes voxel and ellipsoid dumps next to records.csv.
+NBV_LOG is read here and nowhere else: it sets the log level.  It takes
+DEBUG, INFO, WARNING, ERROR or CRITICAL in any case, or 1 for INFO; unset or
+empty means WARNING, and any other value is an error.  At INFO and above the
+run logs its progress, and `harness.run` writes voxel and ellipsoid dumps
+next to records.csv.
 """
 
 from __future__ import annotations
@@ -32,11 +34,21 @@ from .planner import candidate_views, initialize, run_iteration
 from .projection import evaluate_all
 
 
+LOG_LEVELS = {
+    "1": logging.INFO,
+    "DEBUG": logging.DEBUG,
+    "INFO": logging.INFO,
+    "WARNING": logging.WARNING,
+    "ERROR": logging.ERROR,
+    "CRITICAL": logging.CRITICAL,
+}
+
+
 def _setup_logging() -> None:
-    level_name = os.environ.get("NBV_LOG", "WARNING").upper()
-    if level_name == "1":
-        level_name = "INFO"
-    level = getattr(logging, level_name, logging.WARNING)
+    value = os.environ.get("NBV_LOG") or "WARNING"
+    level = LOG_LEVELS.get(value.upper())
+    if level is None:
+        raise ValueError(f"NBV_LOG={value} is not a log level")
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -132,7 +144,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = argparse.ArgumentParser(prog="nbv", description="projection-based NBV planner")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -151,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        _setup_logging()
         return args.func(args)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from nbvplan.cli import main
+from nbvplan.cli import _setup_logging, main
 from nbvplan.config import RunConfig
 from nbvplan.harness import run, summarize
 from nbvplan.mesh import save_obj
@@ -87,3 +87,30 @@ def test_debug_dumps_restart_with_each_run(mesh_dir, tmp_path, caplog):
     assert (tmp_path / "voxels_01.ply").exists()
     run(config)
     assert dump.read_text().splitlines() == lines
+
+
+@pytest.mark.parametrize(
+    "value, level",
+    [
+        ("1", logging.INFO), ("info", logging.INFO), ("Debug", logging.DEBUG),
+        ("WARNING", logging.WARNING), ("error", logging.ERROR), ("CRITICAL", logging.CRITICAL),
+        ("", logging.WARNING), (None, logging.WARNING),
+    ],
+)
+def test_nbv_log_sets_the_level(value, level, monkeypatch):
+    if value is None:
+        monkeypatch.delenv("NBV_LOG", raising=False)
+    else:
+        monkeypatch.setenv("NBV_LOG", value)
+    seen = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: seen.append(kwargs["level"]))
+    _setup_logging()
+    assert seen == [level]
+
+
+@pytest.mark.parametrize("value", ["verbose", "2", "basic_format"])
+def test_nbv_log_rejects_other_values(value, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("NBV_LOG", value)
+    assert main(["summarize", str(tmp_path), "--out", str(tmp_path / "summary.csv")]) == 1
+    assert capsys.readouterr().err == f"error: NBV_LOG={value} is not a log level\n"
+    assert not (tmp_path / "summary.csv").exists()
