@@ -3,7 +3,9 @@
 A candidate is scored by casting one ray per stride-th pixel through the
 voxel grid and counting the unique Frontier and Occupied voxels some ray
 reaches before being blocked.  The first Occupied voxel on a ray is itself
-visible and terminates the ray; Frontier voxels do not block.
+visible and terminates the ray; Frontier voxels do not block.  All pixel
+rays are walked at once by `traverse_rays`, and a ray reaches its voxels up
+to and including its first Occupied one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, Pose
 from .views import CandidateView
-from .voxel import VoxelGrid, VoxelState, _BatchWalk
+from .voxel import VoxelGrid, VoxelState, first_hits, traverse_rays
 
 
 @dataclass
@@ -42,35 +44,18 @@ def oracle_evaluate(
     if stride < 1:
         raise ValueError("stride must be >= 1")
     dirs = _pixel_ray_dirs(intrinsics, view.pose, stride)
-    origin = view.pose.translation
-    n_rays = len(dirs)
-    # Segments of length max_range; the batch walker clips them to the grid.
-    starts = np.broadcast_to(origin, dirs.shape).astype(float)
-    deltas = dirs * intrinsics.max_range
-
-    walk = _BatchWalk(grid, starts, deltas, t_end=np.ones(n_rays))
-    occ = int(VoxelState.OCCUPIED)
-    frontier = int(VoxelState.FRONTIER)
-    seen_frontier = np.zeros(grid.n_voxels, dtype=bool)
-    seen_occupied = np.zeros(grid.n_voxels, dtype=bool)
-
-    while walk.alive.any():
-        live = walk.alive
-        flat = walk.flat()[live]
-        st = grid.states[flat]
-        seen_frontier[flat[st == frontier]] = True
-        hit = st == occ
-        seen_occupied[flat[hit]] = True
-        # blocked rays stop here
-        dead = np.zeros(len(starts), dtype=bool)
-        dead[np.nonzero(live)[0]] = hit
-        walk.alive &= ~dead
-        walk.advance()
+    # Segments of length max_range, clipped to the grid by the traversal.
+    starts = np.broadcast_to(view.pose.translation, dirs.shape)
+    reached = np.zeros(grid.n_voxels, dtype=bool)
+    occupied = grid.states == int(VoxelState.OCCUPIED)
+    for _, flat, valid in traverse_rays(grid, starts, dirs * intrinsics.max_range, 1.0):
+        last = first_hits(valid & occupied[flat])
+        reached[flat[valid & (np.arange(flat.shape[1]) <= last)]] = True
 
     return OracleScore(
-        visible_frontier=int(seen_frontier.sum()),
-        visible_occupied=int(seen_occupied.sum()),
-        rays_cast=n_rays,
+        visible_frontier=int(np.count_nonzero(reached & (grid.states == int(VoxelState.FRONTIER)))),
+        visible_occupied=int(np.count_nonzero(reached & occupied)),
+        rays_cast=len(dirs),
     )
 
 

@@ -15,6 +15,13 @@ never shrink.  Rule 2 is inert until the bounding box exists, so the first
 observation is integrated, the box initialized, and the same observation
 integrated once more (integration is idempotent).
 
+Rule 1 runs first and rules 2-3 never write or clear Occupied, so the result
+does not depend on the order in which rays or their voxels are visited: a
+voxel ends Empty if some ray crosses it before that ray's first Occupied
+voxel; otherwise it ends Unknown if it was None, its centre lies in the box
+and some ray crosses it behind that ray's first Occupied voxel; otherwise it
+keeps its state.  All rays of an observation are walked at once as arrays.
+
 Storage is a dense state array indexed x + y*nx + z*nx*ny; the grid grows by
 copy when the bounding box outruns its span.
 """
@@ -77,7 +84,8 @@ def preprocess_points(
     if len(pts) == 0:
         return pts
     cells = np.floor((pts - align_origin) / spacing).astype(np.int64)
-    _, first = np.unique(cells, axis=0, return_index=True)
+    cells -= cells.min(axis=0)
+    _, first = np.unique(np.ravel_multi_index(cells.T, cells.max(axis=0) + 1), return_index=True)
     return pts[np.sort(first)]
 
 
@@ -281,139 +289,144 @@ def traverse_ray(grid: VoxelGrid, start: np.ndarray, end: np.ndarray) -> np.ndar
     return np.array(out, dtype=np.int64)
 
 
-class _BatchWalk:
-    """Vectorized Amanatides-Woo stepping over many segments at once.
+# Rays per traverse_rays block: keeps its padded (rays, voxels) arrays small.
+_RAY_BLOCK = 1024
 
-    Matches traverse_ray voxel-for-voxel; used by observation integration and
-    the ray-casting oracle where per-ray Python loops would dominate runtime.
+
+def traverse_rays(grid: VoxelGrid, starts: np.ndarray, deltas: np.ndarray, t_end: float):
+    """Voxels pierced by many segments start + t*delta, t in [0, t_end], as arrays.
+
+    Yields one (rays, flat, valid) triple per block of up to _RAY_BLOCK rays
+    that meet the grid; rays that miss it are left out.  `rays` indexes the
+    input, row r of `flat` holds the flat indices of the voxels ray rays[r]
+    pierces, in the order traverse_ray visits them, and `valid` marks the
+    real entries, a prefix of each row.
+
+    Each axis's boundary-crossing times are the same sequential float sum
+    tmax += tdelta that traverse_ray steps through; a stable sort merges the
+    three axes so that equal times fall to the lower axis, as np.argmin does.
+    A ray ends before its first crossing past t_end or out of the grid.
     """
+    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
+    deltas = np.asarray(deltas, dtype=float).reshape(-1, 3)
+    lo, hi = grid.span
+    res = grid.resolution
+    dims = grid.dims
 
-    def __init__(self, grid: VoxelGrid, starts: np.ndarray, deltas: np.ndarray, t_end: np.ndarray):
-        n = len(starts)
-        lo, hi = grid.span
-        res = grid.resolution
+    t0 = np.zeros(len(starts))
+    t1 = np.full(len(starts), float(t_end))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for axis in range(3):
+            d = deltas[:, axis]
+            s = starts[:, axis]
+            ta = (lo[axis] - s) / d
+            tb = (hi[axis] - s) / d
+            zero = d == 0.0
+            inside = (s >= lo[axis]) & (s <= hi[axis])
+            t0 = np.maximum(t0, np.where(zero, np.where(inside, -np.inf, np.inf), np.minimum(ta, tb)))
+            t1 = np.minimum(t1, np.where(zero, np.where(inside, np.inf, -np.inf), np.maximum(ta, tb)))
+    live = np.nonzero(t0 <= t1)[0]
+    s, d, t0, t1 = starts[live], deltas[live], t0[live], t1[live]
+    ijk = np.clip(np.floor((s + t0[:, None] * d - grid.origin) / res).astype(np.int64), 0, dims - 1)
+    step = np.sign(d).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        boundary = grid.origin + (ijk + (step > 0)) * res
+        tmax = np.where(step != 0, (boundary - s) / d, np.inf)
+        tdelta = np.where(step != 0, res / np.abs(d), np.inf)
+        # Crossings per axis, the last of them leaving the grid; those past
+        # t1 (two steps of slack for rounding) are never summed.
+        n_cross = np.where(step > 0, dims - ijk, ijk + 1) * (step != 0)
+        n_sum = np.minimum(n_cross, np.nan_to_num(np.floor((t1[:, None] - tmax) / tdelta), nan=-2) + 2)
+    moves_of = step * np.array([1, dims[0], dims[0] * dims[1]])
 
-        t0 = np.zeros(n)
-        t1 = t_end.astype(float).copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for axis in range(3):
-                d = deltas[:, axis]
-                s = starts[:, axis]
-                ta = (lo[axis] - s) / d
-                tb = (hi[axis] - s) / d
-                lo_t = np.minimum(ta, tb)
-                hi_t = np.maximum(ta, tb)
-                zero = d == 0.0
-                inside = (s >= lo[axis]) & (s <= hi[axis])
-                lo_t = np.where(zero, np.where(inside, -np.inf, np.inf), lo_t)
-                hi_t = np.where(zero, np.where(inside, np.inf, -np.inf), hi_t)
-                t0 = np.maximum(t0, lo_t)
-                t1 = np.minimum(t1, hi_t)
+    for b in range(0, len(live), _RAY_BLOCK):
+        blk = slice(b, b + _RAY_BLOCK)
+        rows = np.arange(len(live[blk]))
+        times, exit_t = [], np.full((len(rows), 3), np.inf)
+        for axis in range(3):
+            n = n_cross[blk, axis]
+            acc = np.broadcast_to(tdelta[blk, axis, None], (len(rows), max(int(n_sum[blk, axis].max()), 1))).copy()
+            acc[:, 0] = tmax[blk, axis]
+            times.append(np.add.accumulate(acc, axis=1))
+            summed = (n > 0) & (n <= acc.shape[1])
+            exit_t[summed, axis] = times[axis][rows[summed], n[summed] - 1]
+        # A ray stops before its first crossing past t1 or out of the grid.
+        # Crossings at the exit time are taken on lower axes only (argmin's
+        # tie order); an axis's crossing times strictly increase.
+        first_exit = np.argmin(exit_t, axis=1)
+        t_exit = exit_t[rows, first_exit]
+        n_taken = 0
+        for axis in range(3):
+            limit = np.where(axis < first_exit, t_exit, np.nextafter(t_exit, -np.inf))
+            keep = times[axis] <= np.minimum(limit, t1[blk])[:, None]
+            kept = keep.sum(axis=1)
+            n_taken = n_taken + kept
+            times[axis] = np.where(keep, times[axis], np.inf)[:, : kept.max()]
+        axes = np.repeat(np.arange(3), [t.shape[1] for t in times])
+        order = np.argsort(np.concatenate(times, axis=1), axis=1, kind="stable")[:, : n_taken.max()]
+        taken = np.arange(order.shape[1]) < n_taken[:, None]
+        moves = np.where(taken, moves_of[blk].take(axes.take(order) + 3 * rows[:, None]), 0)
 
-        self.alive = t0 <= t1
-        entry = starts + t0[:, None] * deltas
-        self.ijk = np.clip(
-            np.floor((entry - grid.origin) / res).astype(np.int64), 0, grid.dims - 1
-        )
-        self.step = np.sign(deltas).astype(np.int64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            boundary = grid.origin + (self.ijk + (self.step > 0)) * res
-            self.tmax = np.where(deltas != 0.0, (boundary - starts) / deltas, np.inf)
-            self.tdelta = np.where(deltas != 0.0, res / np.abs(deltas), np.inf)
-        self.t1 = t1
-        self.grid = grid
+        flat = np.empty((len(rows), 1 + order.shape[1]), dtype=np.int64)
+        flat[:, 0] = grid.flat_index(ijk[blk])
+        np.cumsum(moves, axis=1, out=flat[:, 1:])
+        flat[:, 1:] += flat[:, :1]
+        yield live[blk], flat, np.concatenate([np.ones((len(rows), 1), dtype=bool), taken], axis=1)
 
-    def flat(self) -> np.ndarray:
-        return self.grid.flat_index(self.ijk)
 
-    def advance(self) -> None:
-        """Step every live ray to its next voxel; kills rays leaving grid/segment."""
-        axis = np.argmin(self.tmax, axis=1)
-        rows = np.arange(len(self.ijk))
-        t_cross = self.tmax[rows, axis]
-        done = t_cross > self.t1
-        self.ijk[rows, axis] += np.where(done, 0, self.step[rows, axis])
-        self.tmax[rows, axis] += np.where(done, 0.0, self.tdelta[rows, axis])
-        inb = np.all((self.ijk >= 0) & (self.ijk < self.grid.dims), axis=1)
-        self.alive &= ~done & inb
+def first_hits(hit: np.ndarray) -> np.ndarray:
+    """Column of each row's first True as an (N, 1) array; the row width if none."""
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), hit.shape[1])[:, None]
 
 
 # ---- observation integration ---------------------------------------------
 
 
 def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
-    """Apply update rules 1-3 for one observation; returns state-change counts.
+    """Apply update rules 1-3 for one observation; returns net state changes.
 
-    Rule 2 (occlusion Unknowns) marks only inside the current bounding box
-    and is skipped entirely while no box is set.
+    Rule 1 runs first, then all rays are walked to the grid exit at once.  A
+    voxel crossed before some ray's first Occupied voxel becomes Empty;
+    otherwise a None voxel crossed behind one becomes Unknown if its centre
+    lies in the bounding box (never while no box is set).
+
+    Counts: `to_occupied` voxels newly Occupied, `to_empty` voxels that end
+    Empty and were not Empty, `to_unknown` None voxels that became Unknown.
+    A voxel shadowed by one ray and crossed in front of its surface by
+    another counts once, as `to_empty`.
     """
     if len(obs.points) == 0:
         raise ValueError("integrate_observation requires a nonempty observation")
-    counts = {"to_occupied": 0, "to_empty": 0, "to_unknown": 0}
     occ = int(VoxelState.OCCUPIED)
+    empty = int(VoxelState.EMPTY)
 
     # Rule 1: point evidence wins from any state.
     ijk = grid.voxel_of(obs.points)
     ok = grid.in_bounds(ijk)
-    flat = grid.flat_index(ijk[ok])
-    flat = np.unique(flat)
-    counts["to_occupied"] = int(np.count_nonzero(grid.states[flat] != occ))
+    flat = np.unique(grid.flat_index(ijk[ok]))
+    counts = {"to_occupied": int(np.count_nonzero(grid.states[flat] != occ)), "to_empty": 0, "to_unknown": 0}
     grid.states[flat] = occ
-
-    targets = obs.points[ok]
-    if len(targets) == 0:
-        return counts
 
     # Rays from the sensor through each point, extended to the grid exit so
     # occlusion shadows behind the surface get marked.
-    starts = np.broadcast_to(obs.sensor_origin, targets.shape).astype(float)
-    deltas = targets - obs.sensor_origin
-    lengths = np.linalg.norm(deltas, axis=1)
-    keep = lengths > 1e-12
-    starts, deltas = starts[keep], deltas[keep]
-    walk = _BatchWalk(grid, starts, deltas, t_end=np.full(len(starts), np.inf))
+    deltas = obs.points[ok] - obs.sensor_origin
+    deltas = deltas[np.linalg.norm(deltas, axis=1) > 1e-12]
+    starts = np.broadcast_to(obs.sensor_origin, deltas.shape)
+    occupied = grid.states == occ
+    in_front = np.zeros(grid.n_voxels, dtype=bool)
+    behind = np.zeros(grid.n_voxels, dtype=bool)
+    for _, flat, valid in traverse_rays(grid, starts, deltas, np.inf):
+        first = first_hits(valid & occupied[flat])
+        col = np.arange(flat.shape[1])
+        in_front[flat[valid & (col < first)]] = True
+        behind[flat[valid & (col > first)]] = True
 
     if grid.bbox is not None:
-        bmin, bmax = grid.bbox
-    else:
-        bmin = bmax = None
-    empty = int(VoxelState.EMPTY)
-    unknown = int(VoxelState.UNKNOWN)
-    none = int(VoxelState.NONE)
-
-    behind = np.zeros(len(starts), dtype=bool)  # past the first Occupied voxel
-    while walk.alive.any():
-        live = walk.alive
-        flat_idx = walk.flat()[live]
-        st = grid.states[flat_idx]
-        is_occ = st == occ
-
-        phase0 = ~behind[live]
-        mark_empty = np.unique(flat_idx[phase0 & ~is_occ])
-
-        if bmin is not None:
-            phase1 = behind[live] & (st == none)
-            cand = np.unique(flat_idx[phase1])
-            if len(cand):
-                centers = grid.voxel_centers(grid.unflat(cand))
-                inside = np.all((centers >= bmin) & (centers <= bmax), axis=1)
-                mark_unknown = cand[inside]
-                if len(mark_unknown):
-                    counts["to_unknown"] += int(
-                        np.count_nonzero(grid.states[mark_unknown] == none)
-                    )
-                    grid.states[mark_unknown] = unknown
-
-        if len(mark_empty):
-            # Empty wins over same-step Unknown marks: written last.
-            counts["to_empty"] += int(np.count_nonzero(grid.states[mark_empty] != empty))
-            grid.states[mark_empty] = empty
-
-        hit_now = np.zeros(len(starts), dtype=bool)
-        hit_now[np.nonzero(live)[0]] = is_occ
-        behind |= hit_now
-        walk.advance()
-
+        unknown = behind & ~in_front & (grid.states == int(VoxelState.NONE)) & grid.bbox_mask()
+        counts["to_unknown"] = int(np.count_nonzero(unknown))
+        grid.states[unknown] = int(VoxelState.UNKNOWN)
+    counts["to_empty"] = int(np.count_nonzero(in_front & (grid.states != empty)))
+    grid.states[in_front] = empty
     return counts
 
 

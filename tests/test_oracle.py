@@ -99,24 +99,18 @@ def line_of_sight_visible(grid, origin, max_range, probes="all"):
 def pixel_visible_sets(grid, view, intr, stride=1):
     """The oracle's visibility sets (not just counts), for set comparisons."""
     from nbvplan.oracle import _pixel_ray_dirs
-    from nbvplan.voxel import _BatchWalk
+    from nbvplan.voxel import first_hits, traverse_rays
 
     dirs = _pixel_ray_dirs(intr, view.pose, stride)
-    starts = np.broadcast_to(view.pose.translation, dirs.shape).astype(float)
-    walk = _BatchWalk(grid, starts, dirs * intr.max_range, t_end=np.ones(len(dirs)))
+    starts = np.broadcast_to(view.pose.translation, dirs.shape)
     seen_f = np.zeros(grid.n_voxels, bool)
     seen_o = np.zeros(grid.n_voxels, bool)
-    while walk.alive.any():
-        live = walk.alive
-        flat = walk.flat()[live]
-        st = grid.states[flat]
-        seen_f[flat[st == int(VoxelState.FRONTIER)]] = True
-        hit = st == int(VoxelState.OCCUPIED)
-        seen_o[flat[hit]] = True
-        dead = np.zeros(len(starts), bool)
-        dead[np.nonzero(live)[0]] = hit
-        walk.alive &= ~dead
-        walk.advance()
+    for _, flat, valid in traverse_rays(grid, starts, dirs * intr.max_range, 1.0):
+        st = np.where(valid, grid.states[flat], int(VoxelState.NONE))
+        first = first_hits(st == int(VoxelState.OCCUPIED))
+        cols = np.arange(flat.shape[1])
+        seen_f[flat[(cols < first) & (st == int(VoxelState.FRONTIER))]] = True
+        seen_o[flat[cols == first]] = True
     return set(np.nonzero(seen_f)[0].tolist()), set(np.nonzero(seen_o)[0].tolist())
 
 

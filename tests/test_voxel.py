@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,11 @@ from nbvplan.voxel import (
     Observation,
     VoxelGrid,
     VoxelState,
-    _BatchWalk,
+    _RAY_BLOCK,
     integrate_observation,
     preprocess_points,
     traverse_ray,
+    traverse_rays,
     update_bbox,
     update_frontier,
 )
@@ -122,21 +125,58 @@ def test_traverse_ordered_no_duplicates():
         assert np.all(np.diff(proj) > 0)
 
 
-def test_batch_walk_matches_scalar():
-    grid = unit_grid(9, resolution=0.61)
+def traversed_paths(grid, starts, deltas, t_end):
+    """traverse_rays output as one list of voxel tuples per input ray."""
+    paths = [[] for _ in range(len(starts))]
+    for rays, flat, valid in traverse_rays(grid, starts, deltas, t_end):
+        for ray, row, ok in zip(rays, flat, valid):
+            assert ok.all() or not ok[np.argmin(ok):].any()  # valid is a prefix
+            paths[ray] = [tuple(v) for v in grid.unflat(row[ok])]
+    return paths
+
+
+def test_traverse_rays_matches_scalar():
+    """Voxel-for-voxel equal to traverse_ray: random segments, axis-parallel
+    rays, starts on voxel boundaries, corner-to-corner segments, t_end=inf,
+    more rays than one block."""
+    grid = VoxelGrid(origin=np.array([-0.3, 0.2, 0.0]), resolution=0.61, dims=(9, 7, 8))
+    lo, hi = grid.span
     rng = np.random.default_rng(3)
-    starts = rng.uniform(-2, 8, (50, 3))
-    ends = rng.uniform(-2, 8, (50, 3))
-    walk = _BatchWalk(grid, starts, ends - starts, t_end=np.ones(50))
-    batch_paths = [[] for _ in range(50)]
-    while walk.alive.any():
-        flats = walk.flat()
-        for i in np.nonzero(walk.alive)[0]:
-            batch_paths[i].append(tuple(grid.unflat([flats[i]])[0]))
-        walk.advance()
-    for i in range(50):
-        scalar = [tuple(v) for v in traverse_ray(grid, starts[i], ends[i])]
-        assert batch_paths[i] == scalar
+    n = 2 * _RAY_BLOCK
+    starts = rng.uniform(lo - 2.0, hi + 2.0, (n, 3))
+    ends = rng.uniform(lo - 2.0, hi + 2.0, (n, 3))
+    axis_parallel = np.arange(n) % 4 == 1
+    for i in np.nonzero(axis_parallel)[0]:
+        others = np.arange(3) != rng.integers(3)
+        ends[i, others] = starts[i, others]
+    on_boundary = np.arange(n) % 4 >= 2  # 3: ends on voxel corners too, so crossings tie
+    starts[on_boundary] = grid.origin + np.round((starts[on_boundary] - grid.origin) / 0.61) * 0.61
+    on_corner = np.arange(n) % 4 == 3
+    ends[on_corner] = grid.origin + np.round((ends[on_corner] - grid.origin) / 0.61) * 0.61
+    deltas = ends - starts
+    ok = np.any(deltas != 0, axis=1)
+    starts, ends, deltas = starts[ok], ends[ok], deltas[ok]
+
+    scalar = [[tuple(v) for v in traverse_ray(grid, s, e)] for s, e in zip(starts, ends)]
+    assert traversed_paths(grid, starts, deltas, 1.0) == scalar
+
+    # With t_end=inf a ray runs to the grid exit; segments long enough to
+    # pass it give the same voxels as the finite segment.
+    long_ends = starts + 10.0 * np.linalg.norm(hi - lo) * deltas / np.linalg.norm(deltas, axis=1)[:, None]
+    scalar = [[tuple(v) for v in traverse_ray(grid, s, e)] for s, e in zip(starts, long_ends)]
+    assert traversed_paths(grid, starts, long_ends - starts, np.inf) == scalar
+    assert sum(len(p) > 0 for p in scalar) > _RAY_BLOCK
+
+
+def test_traverse_rays_miss_with_zero_component_is_silent():
+    grid = unit_grid(4)
+    starts = np.array([[10.0, 1.5, 1.5], [-1.0, 1.5, 1.5]])
+    deltas = np.array([[0.0, 1.0, 0.0], [6.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paths = traversed_paths(grid, starts, deltas, 1.0)
+    assert paths[0] == []
+    assert paths[1] == [tuple(v) for v in traverse_ray(grid, starts[1], starts[1] + deltas[1])]
 
 
 # ---- integrate_observation --------------------------------------------------
@@ -181,6 +221,22 @@ def test_integrate_idempotent():
     assert counts["to_occupied"] == 0
     assert counts["to_empty"] == 0
     assert counts["to_unknown"] == 0
+
+
+def test_integrate_counts_net_changes():
+    """Ray B crosses voxels of ray A's shadow in front of its own surface.
+    They end Empty and count once, as to_empty, never as to_unknown."""
+    grid = VoxelGrid(origin=np.zeros(3), resolution=1.0, dims=(10, 10, 1))
+    grid.set_bbox(*grid.span)
+    sensor = np.array([0.5, 0.5, 0.5])
+    surface_a = np.array([2.9, 1.1, 0.5])  # voxel (2, 1, 0); shadow from (3, 1, 0)
+    surface_b = np.array([8.5, 0.5 + 8 * 0.17, 0.5])  # voxel (8, 1, 0)
+    counts = integrate_observation(grid, Observation(points=[surface_a, surface_b], sensor_origin=sensor))
+
+    assert grid.states[grid.flat_index([[3, 1, 0]])[0]] == VoxelState.EMPTY
+    tally = grid.state_counts()
+    assert counts == {"to_occupied": 2, "to_empty": tally["empty"], "to_unknown": tally["unknown"]}
+    assert (tally["empty"], tally["unknown"]) == (9, 5)
 
 
 def test_integrate_requires_points():
@@ -426,6 +482,23 @@ def test_preprocess_crop_and_dedup():
     out = preprocess_points(pts, np.zeros(3), np.ones(3), spacing=0.05, align_origin=np.zeros(3))
     assert len(out) == 2
     np.testing.assert_allclose(out[0], [0.5, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_preprocess_matches_row_unique(seed):
+    """The flat-key dedup keeps the same points, in the same order, as a
+    row-wise unique over the integer cells."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.3, 1.1, (4000, 3))
+    pts[-500:] = pts[:500]  # exact duplicates
+    box_min, box_max = np.array([-1.0, -1.2, -0.9]), np.array([1.0, 0.8, 1.05])
+    origin, spacing = np.array([-1.02, -1.25, -0.95]), 0.05 * (seed + 1)
+    out = preprocess_points(pts, box_min, box_max, spacing=spacing, align_origin=origin)
+
+    cropped = pts[np.all((pts >= box_min) & (pts <= box_max), axis=1)]
+    cells = np.floor((cropped - origin) / spacing).astype(np.int64)
+    _, first = np.unique(cells, axis=0, return_index=True)
+    np.testing.assert_array_equal(out, cropped[np.sort(first)])
 
 
 def test_grid_growth_preserves_states():
