@@ -51,6 +51,7 @@ from .voxel import (
     integrate_observation,
     preprocess_points,
     traverse_ray,
+    traverse_rays,
     update_bbox,
     update_frontier,
 )
