@@ -49,6 +49,7 @@ from .voxel import (
     VoxelGrid,
     VoxelState,
     integrate_observation,
+    mark_occupied,
     preprocess_points,
     traverse_ray,
     traverse_rays,

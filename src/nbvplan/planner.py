@@ -27,7 +27,15 @@ from .oracle import oracle_evaluate
 from .projection import evaluate_all
 from .render import frame_to_points, render_depth
 from .views import CandidateView, SamplingConfig, assign_partitions, sample_candidates, sampling_radius
-from .voxel import Observation, VoxelGrid, integrate_observation, preprocess_points, update_bbox, update_frontier
+from .voxel import (
+    Observation,
+    VoxelGrid,
+    integrate_observation,
+    mark_occupied,
+    preprocess_points,
+    update_bbox,
+    update_frontier,
+)
 
 log = logging.getLogger("nbvplan")
 
@@ -163,14 +171,15 @@ def _observe(state: PlannerState, pose: Pose, frame_seed: int) -> tuple[Observat
 def _integrate_and_refit(state: PlannerState, obs: Observation | None, view_dir: np.ndarray, first: bool) -> None:
     cfg = state.config
     if obs is not None:
-        integrate_observation(state.grid, obs)
         if first:
             # Rule 2 is inert until the box exists: initialize it from the
-            # occupied cells, then rerun the (idempotent) integration so the
-            # occlusion shadow gets marked inside the new box.
+            # frame's Occupied cells, so the one integration pass also marks
+            # the occlusion shadow inside the new box.
+            mark_occupied(state.grid, obs.points)
             update_bbox(state.grid, view_dir, first_frame=True, gamma=cfg.gamma_value)
             integrate_observation(state.grid, obs)
         else:
+            integrate_observation(state.grid, obs)
             update_bbox(state.grid, view_dir, first_frame=False, gamma=cfg.gamma_value)
         update_frontier(state.grid)
     if state.grid.bbox is not None:

@@ -11,9 +11,9 @@ in its 26-neighborhood).  Update rules per observation:
 
 Occupied is never demoted.  Unknown/Frontier voxels may later be observed
 directly and flip to Empty or Occupied; without that the frontier could
-never shrink.  Rule 2 is inert until the bounding box exists, so the first
-observation is integrated, the box initialized, and the same observation
-integrated once more (integration is idempotent).
+never shrink.  Rule 2 is inert until the bounding box exists, so for the
+first observation rule 1 is applied alone, the box is initialized from those
+Occupied cells, and then the observation is integrated once.
 
 Rule 1 runs first and rules 2-3 never write or clear Occupied, so the result
 does not depend on the order in which rays or their voxels are visited: a
@@ -382,6 +382,20 @@ def first_hits(hit: np.ndarray) -> np.ndarray:
 # ---- observation integration ---------------------------------------------
 
 
+def mark_occupied(grid: VoxelGrid, points: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rule 1: point evidence wins from any state.
+
+    Returns the mask of points inside the grid and the count of voxels that
+    newly became Occupied.
+    """
+    ijk = grid.voxel_of(points)
+    ok = grid.in_bounds(ijk)
+    flat = np.unique(grid.flat_index(ijk[ok]))
+    to_occupied = int(np.count_nonzero(grid.states[flat] != int(VoxelState.OCCUPIED)))
+    grid.states[flat] = int(VoxelState.OCCUPIED)
+    return ok, to_occupied
+
+
 def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
     """Apply update rules 1-3 for one observation; returns net state changes.
 
@@ -400,12 +414,8 @@ def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
     occ = int(VoxelState.OCCUPIED)
     empty = int(VoxelState.EMPTY)
 
-    # Rule 1: point evidence wins from any state.
-    ijk = grid.voxel_of(obs.points)
-    ok = grid.in_bounds(ijk)
-    flat = np.unique(grid.flat_index(ijk[ok]))
-    counts = {"to_occupied": int(np.count_nonzero(grid.states[flat] != occ)), "to_empty": 0, "to_unknown": 0}
-    grid.states[flat] = occ
+    ok, to_occupied = mark_occupied(grid, obs.points)
+    counts = {"to_occupied": to_occupied, "to_empty": 0, "to_unknown": 0}
 
     # Rays from the sensor through each point, extended to the grid exit so
     # occlusion shadows behind the surface get marked.

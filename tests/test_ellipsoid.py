@@ -1,6 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
+from test_mvee_pinned import INPUTS as PINNED_INPUTS
+from test_mvee_pinned import TOL as PINNED_TOL
 
+from nbvplan import ellipsoid
 from nbvplan.ellipsoid import (
     Ellipsoid,
     InfeasibleModelError,
@@ -258,3 +263,57 @@ def test_refit_containment_sweep():
     assert sum(e.member_count for e in e_o) == len(
         grid.indices_in_state(VoxelState.OCCUPIED)
     )
+
+
+# ---- MVEE solver convergence ------------------------------------------------
+
+
+@pytest.fixture
+def solver_runs(monkeypatch):
+    """Records (points, tol, u, steps) of every solver call made by fit_mvee."""
+    runs = []
+    real = ellipsoid._todd_yildirim
+
+    def recording(points, tol):
+        u, steps = real(points, tol)
+        runs.append((points, tol, u, steps))
+        return u, steps
+
+    monkeypatch.setattr(ellipsoid, "_todd_yildirim", recording)
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INPUTS))
+def test_mvee_converges_with_certificate(name, solver_runs):
+    """The capped Khachiyan loop stopped at its cap on each of these inputs."""
+    build, inflation = PINNED_INPUTS[name]
+    fit_mvee(build(), tol=PINNED_TOL, inflation_radius=inflation)
+    [(points, tol, u, steps)] = solver_runs
+    assert steps < ellipsoid.MVEE_MAX_ITER
+    n, d = points.shape
+    eps = d * tol / (d + 1)
+    q = np.column_stack([points, np.ones(n)])
+    m = np.einsum("ij,jk,ik->i", q, np.linalg.inv(q.T * u @ q), q)
+    assert np.all(u >= 0) and u.sum() == pytest.approx(1.0, abs=1e-12)
+    assert m.max() <= (1 + eps) * (d + 1) * (1 + 1e-9)
+    assert m[u > 0].min() >= (1 - eps) * (d + 1) * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INPUTS))
+def test_mvee_capped_still_contains(name, monkeypatch, caplog):
+    monkeypatch.setattr(ellipsoid, "MVEE_MAX_ITER", 3)
+    build, inflation = PINNED_INPUTS[name]
+    pts = build()
+    with caplog.at_level(logging.WARNING, logger="nbvplan"):
+        ell = fit_mvee(pts, tol=PINNED_TOL, inflation_radius=inflation)
+    assert ell.form(pts).max() <= 1.0 + PINNED_TOL
+    assert any("3-step cap" in r.getMessage() for r in caplog.records)
+
+
+def test_mvee_logs_each_fit_at_debug(caplog):
+    pts = np.random.default_rng(4).normal(size=(60, 3))
+    with caplog.at_level(logging.DEBUG, logger="nbvplan"):
+        fit_mvee(pts)
+    [record] = [r for r in caplog.records if r.getMessage().startswith("fit_mvee:")]
+    assert record.levelno == logging.DEBUG
+    assert "60 points" in record.getMessage() and "steps" in record.getMessage()

@@ -12,6 +12,7 @@ from nbvplan.voxel import (
     VoxelState,
     _RAY_BLOCK,
     integrate_observation,
+    mark_occupied,
     preprocess_points,
     traverse_ray,
     traverse_rays,
@@ -237,6 +238,40 @@ def test_integrate_counts_net_changes():
     tally = grid.state_counts()
     assert counts == {"to_occupied": 2, "to_empty": tally["empty"], "to_unknown": tally["unknown"]}
     assert (tally["empty"], tally["unknown"]) == (9, 5)
+
+
+def test_mark_occupied_is_rule_one_alone():
+    grid = unit_grid()
+    pts = np.array([[1.5, 1.5, 1.5], [1.7, 1.2, 1.9], [6.5, 2.5, 0.5], [9.5, 0.5, 0.5]])
+    ok, to_occupied = mark_occupied(grid, pts)
+    np.testing.assert_array_equal(ok, [True, True, True, False])
+    assert to_occupied == 2
+    assert grid.state_counts(within_bbox=False) == {
+        "none": 8**3 - 2, "empty": 0, "occupied": 2, "unknown": 0, "frontier": 0,
+    }
+    assert mark_occupied(grid, pts)[1] == 0
+
+
+def test_first_frame_integrated_once(monkeypatch):
+    """initialize walks the first frame's rays in one integration pass."""
+    from nbvplan import planner
+    from nbvplan.config import RunConfig
+    from nbvplan.shapes import make_shape
+
+    calls = []
+    real = planner.integrate_observation
+
+    def counting(grid, obs):
+        calls.append(real(grid, obs))
+        return calls[-1]
+
+    monkeypatch.setattr(planner, "integrate_observation", counting)
+    config = RunConfig(width=160, height=120, fx=145.0, fy=145.0, candidates=16, t_max=1, seed=7)
+    state = planner.initialize(make_shape("u_prism"), config)
+    assert len(calls) == 1
+    assert calls[0]["to_occupied"] == 0  # marked before the box was sized
+    assert calls[0]["to_unknown"] > 0
+    assert state.grid.state_counts()["frontier"] > 0
 
 
 def test_integrate_requires_points():
