@@ -20,10 +20,10 @@ from .ellipsoid import (
     refit_all,
     select_components,
 )
-from .geometry import CameraIntrinsics, DepthFrame, Pose, look_at
+from .geometry import CameraIntrinsics, DepthFrame, Pose, look_at, look_at_many
 from .harness import coverage, run, summarize
 from .mesh import EmptyMeshError, MeshFormatError, TriangleMesh, load_mesh, sample_surface_points, save_obj, save_ply_points
-from .oracle import OracleScore, oracle_evaluate, oracle_rank
+from .oracle import OracleScore, oracle_evaluate, oracle_rank, rank_agreement
 from .planner import (
     InfeasiblePartitionError,
     PartitionLedger,

@@ -6,6 +6,10 @@
   nbv summarize <run_dir> [<run_dir> ...] [--out summary.csv]
   nbv bench --mesh <path> [--candidates 800 --stride 4 --out <dir>]
 
+`nbv bench` times projection scoring against the ray-casting oracle on the
+same candidates and reports how well the two agree: the Spearman rho of F
+against the oracle's visible frontier, and the top-1 regret.
+
 Any config-file key can be overridden by the flag of the same name.  Bad
 input (a missing or malformed file, an invalid value, a mesh the first view
 does not see) prints `error: ...` and exits with status 1.
@@ -29,7 +33,7 @@ import time
 from .config import FIELD_PARSERS, RunConfig, load_config_file, make_config
 from .harness import run, summarize, write_summary
 from .mesh import load_mesh
-from .oracle import oracle_evaluate
+from .oracle import oracle_evaluate, rank_agreement
 from .planner import candidate_views, initialize, run_iteration
 from .projection import evaluate_all
 
@@ -94,7 +98,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Paired projection-vs-oracle timing on one mid-scan scene."""
+    """Paired projection-vs-oracle timing and rank agreement on one mid-scan scene."""
     config = _config_from_args(args)
     state = initialize(load_mesh(config.mesh), config)
     for _ in range(2):  # a couple of steps so the scene is genuinely mid-scan
@@ -104,7 +108,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     candidates = candidate_views(state)
 
     t0 = time.perf_counter()
-    evaluate_all(candidates, state.e_o, state.e_f, intr)
+    scores = evaluate_all(candidates, state.e_o, state.e_f, intr)
     t_proj = time.perf_counter() - t0
 
     os.makedirs(config.out, exist_ok=True)
@@ -118,6 +122,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows.append(
             {
                 "candidate": i,
+                "projection_score": float(scores[i]),
                 "visible_frontier": score.visible_frontier,
                 "visible_occupied": score.visible_occupied,
                 "eval_time_s": f"{dt:.6f}",
@@ -132,13 +137,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     counts = state.grid.state_counts()
     active = counts["occupied"] + counts["unknown"] + counts["frontier"] + counts["empty"]
     speedup = t_oracle / t_proj if t_proj > 0 else float("inf")
+    rho, regret = rank_agreement(scores, [r["visible_frontier"] for r in rows])
     print(
         f"{len(candidates)} candidates, {active} active voxels, "
         f"{len(state.e_o) + len(state.e_f)} ellipsoids (stride {config.stride})"
     )
     print(
         f"projection {t_proj:.3f}s  oracle {t_oracle:.3f}s  "
-        f"speedup x{speedup:.1f} -> {bench_path}"
+        f"speedup x{speedup:.1f}  spearman {rho:.3f}  top-1 regret {regret:.3f} "
+        f"-> {bench_path}"
     )
     return 0
 

@@ -4,6 +4,14 @@ Coordinate conventions (OpenCV style): camera +x right, +y down, +z forward.
 Pixel (row r, col c) has continuous image coordinates (u, v) = (c, r), so the
 principal point (cx, cy) lies exactly on the pixel with those indices when
 they are integers.  Poses are camera-to-world transforms.
+
+`look_at_many` builds the rotations of a whole batch of views in one array
+pass and checks them once, as an (N,3,3) stack, against the same test a
+single `Pose` applies: every entry of R^T R - I within `ORTHONORMAL_TOL` and
+det R within 1e-6 of +1.  `look_at` is its one-row case.  Every dot product
+and norm is a stacked (N,1,3) @ (N,3,1) matmul, which reduces each row
+exactly as `np.dot` does one vector, so a batched pose is bit-identical to
+the pose the same view gets on its own.
 """
 
 from __future__ import annotations
@@ -68,10 +76,7 @@ class Pose:
         object.__setattr__(self, "translation", t)
         if r.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
-        if not np.allclose(r.T @ r, np.eye(3), atol=ORTHONORMAL_TOL):
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > 1e-6:
-            raise ValueError("rotation must have determinant +1")
+        _check_rotations(r[None])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -104,33 +109,64 @@ class Pose:
         return intrinsics.matrix @ rt
 
 
-def look_at(position: np.ndarray, target: np.ndarray, up: np.ndarray) -> Pose:
-    """Camera pose at `position` with +z aimed at `target`.
+def _check_rotations(rotations: np.ndarray) -> None:
+    """Raise unless every (3,3) matrix of the stack is a proper rotation."""
+    gram = rotations.transpose(0, 2, 1) @ rotations
+    if not (np.abs(gram - np.eye(3)) <= ORTHONORMAL_TOL).all():
+        raise ValueError("rotation is not orthonormal")
+    if not (np.abs(np.linalg.det(rotations) - 1.0) <= 1e-6).all():
+        raise ValueError("rotation must have determinant +1")
+
+
+def _checked_pose(rotation: np.ndarray, translation: np.ndarray) -> Pose:
+    """A `Pose` around a rotation `_check_rotations` has already accepted."""
+    pose = object.__new__(Pose)
+    object.__setattr__(pose, "rotation", rotation)
+    object.__setattr__(pose, "translation", translation)
+    return pose
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (N,3) stacks (either may be one broadcast row)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def look_at_many(positions: np.ndarray, target: np.ndarray, up: np.ndarray) -> list[Pose]:
+    """Camera poses at each row of `positions` (N,3), all aimed at `target`.
 
     Roll is pinned so the in-image up direction is the projection of `up`
-    onto the image plane; when the view is parallel to `up` the world x axis
-    is used instead.
+    onto the image plane; when a view is parallel to `up` the world x axis
+    is used instead.  The rotations are checked once as a stack, so each
+    `Pose` is built without checking its row again.
     """
-    position = np.asarray(position, dtype=float).reshape(3)
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     target = np.asarray(target, dtype=float).reshape(3)
     up = np.asarray(up, dtype=float).reshape(3)
 
-    forward = target - position
-    norm = np.linalg.norm(forward)
-    if norm == 0.0:
+    forward = target - positions
+    norm = np.sqrt(_dots(forward, forward))
+    if (norm == 0.0).any():
         raise ValueError("camera position coincides with the look-at target")
-    z = forward / norm
+    z = forward / norm[:, None]
 
-    up_proj = up - np.dot(up, z) * z
-    if np.linalg.norm(up_proj) < 1e-8:
+    up_proj = up - _dots(up, z)[:, None] * z
+    parallel = np.sqrt(_dots(up_proj, up_proj)) < 1e-8
+    if parallel.any():
         fallback = np.array([1.0, 0.0, 0.0])
-        up_proj = fallback - np.dot(fallback, z) * z
-    up_proj /= np.linalg.norm(up_proj)
+        zp = z[parallel]
+        up_proj[parallel] = fallback - _dots(fallback, zp)[:, None] * zp
+    up_proj /= np.sqrt(_dots(up_proj, up_proj))[:, None]
 
     y = -up_proj            # camera +y points down in the image
     x = np.cross(y, z)
-    rotation = np.column_stack([x, y, z])
-    return Pose(rotation=rotation, translation=position)
+    rotations = np.stack([x, y, z], axis=2)
+    _check_rotations(rotations)
+    return [_checked_pose(r, t) for r, t in zip(rotations, positions)]
+
+
+def look_at(position: np.ndarray, target: np.ndarray, up: np.ndarray) -> Pose:
+    """Camera pose at `position` with +z aimed at `target` (see `look_at_many`)."""
+    return look_at_many(np.asarray(position, dtype=float).reshape(1, 3), target, up)[0]
 
 
 @dataclass

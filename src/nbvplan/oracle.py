@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import spearmanr
 
 from .geometry import CameraIntrinsics, Pose
 from .views import CandidateView
@@ -73,3 +74,19 @@ def oracle_rank(
         range(len(scored)), key=lambda i: (-scored[i][1].visible_frontier, i)
     )
     return [scored[i] for i in order]
+
+
+def rank_agreement(scores: np.ndarray, visible_frontier: np.ndarray) -> tuple[float, float]:
+    """(Spearman rho of F vs the oracle's visible frontier, top-1 regret).
+
+    The regret is the share of the best view's visible frontier that the
+    view with the highest F misses.  Rho is NaN when either side is constant.
+    """
+    scores = np.asarray(scores, dtype=float)
+    frontier = np.asarray(visible_frontier, dtype=float)
+    rho = float("nan")
+    if np.ptp(scores) > 0 and np.ptp(frontier) > 0:
+        rho = float(spearmanr(scores, frontier).statistic)
+    best = frontier.max()
+    regret = float((best - frontier[np.argmax(scores)]) / best) if best > 0 else 0.0
+    return rho, regret

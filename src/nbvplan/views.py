@@ -5,6 +5,12 @@ the bounding-box center, with per-parallel counts proportional to
 circumference (largest-remainder rounding) and all optical axes aimed at the
 center.  The sphere radius is the camera working distance plus half the
 bounding-box diagonal, so it tracks the box as the scan grows.
+
+Every view's ring, azimuth, polar angle and position is computed in one array
+pass, and `geometry.look_at_many` builds and checks all the rotations at
+once; `assign_partitions` bins every azimuth with one array floor.  The
+result is still one `CandidateView` per view, identical bit for bit to a
+view built on its own.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, look_at
+from .geometry import Pose, look_at_many
 
 # Polar extents measured from the up axis; the hemisphere cap stays clear of
 # the pole singularity and of grazing views near the equator.
@@ -101,26 +107,22 @@ def sample_candidates(
     counts = _parallel_counts(polars, config.n_views)
     basis = _up_basis(config.up_axis)
 
-    views: list[CandidateView] = []
-    for ring, (polar, count) in enumerate(zip(polars, counts)):
-        if count == 0:
-            continue
-        phase = (ring * _GOLDEN_ANGLE) % (2.0 * np.pi)
-        for k in range(count):
-            azimuth = (phase + 2.0 * np.pi * k / count) % (2.0 * np.pi)
-            local = np.array(
-                [
-                    np.sin(polar) * np.cos(azimuth),
-                    np.sin(polar) * np.sin(azimuth),
-                    np.cos(polar),
-                ]
-            )
-            position = center + radius * (basis @ local)
-            pose = look_at(position, center, config.up_axis)
-            views.append(
-                CandidateView(pose=pose, radius=radius, polar=polar, azimuth=azimuth)
-            )
-    return views
+    ring = np.repeat(np.arange(config.alpha), counts)
+    count = counts[ring]
+    k = np.arange(len(ring)) - np.repeat(np.cumsum(counts) - counts, counts)
+    phase = (ring * _GOLDEN_ANGLE) % (2.0 * np.pi)
+    azimuth = (phase + 2.0 * np.pi * k / count) % (2.0 * np.pi)
+    polar = polars[ring]
+    local = np.stack(
+        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)],
+        axis=1,
+    )
+    positions = center + radius * (basis @ local[:, :, None])[:, :, 0]
+    poses = look_at_many(positions, center, config.up_axis)
+    return [
+        CandidateView(pose=pose, radius=radius, polar=p, azimuth=a)
+        for pose, p, a in zip(poses, polar.tolist(), azimuth.tolist())
+    ]
 
 
 def assign_partitions(views: list[CandidateView], beta: int) -> list[CandidateView]:
@@ -128,6 +130,8 @@ def assign_partitions(views: list[CandidateView], beta: int) -> list[CandidateVi
     if beta < 1:
         raise ValueError("beta must be >= 1")
     width = 2.0 * np.pi / beta
-    for v in views:
-        v.partition_index = min(int(v.azimuth // width), beta - 1)
+    azimuth = np.array([v.azimuth for v in views], dtype=float)
+    sector = np.minimum(azimuth // width, beta - 1).astype(int)
+    for v, index in zip(views, sector.tolist()):
+        v.partition_index = index
     return views

@@ -5,11 +5,13 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 from nbvplan.cli import _setup_logging, main
 from nbvplan.config import RunConfig
 from nbvplan.harness import run, summarize
 from nbvplan.mesh import save_obj
+from nbvplan.oracle import rank_agreement
 from nbvplan.shapes import make_shape
 
 TINY = [
@@ -53,6 +55,32 @@ def test_bench_writes_one_row_per_candidate(mesh_dir, tmp_path, capsys):
     rows = _rows(tmp_path / "benchmark.csv")
     assert [int(r["candidate"]) for r in rows] == list(range(16))
     assert "speedup" in capsys.readouterr().out
+
+
+def test_bench_reports_rank_agreement(mesh_dir, tmp_path, capsys):
+    mesh = str(mesh_dir / "torus.obj")
+    argv = ["bench", "--mesh", mesh, "--out", str(tmp_path)] + TINY + ["--stride", "8"]
+    assert main(argv) == 0
+    rows = _rows(tmp_path / "benchmark.csv")
+    f = np.array([float(r["projection_score"]) for r in rows])
+    seen = np.array([int(r["visible_frontier"]) for r in rows])
+    assert np.ptp(f) > 0 and np.ptp(seen) > 0
+    rho = spearmanr(f, seen).statistic
+    regret = (seen.max() - seen[np.argmax(f)]) / seen.max()
+    out = capsys.readouterr().out
+    assert f"spearman {rho:.3f}" in out
+    assert f"top-1 regret {regret:.3f}" in out
+
+
+def test_rank_agreement_edge_cases():
+    # perfect order, then the top-scoring view seeing half of the best
+    assert rank_agreement([3.0, 1.0, 2.0], [30, 10, 20]) == (1.0, 0.0)
+    rho, regret = rank_agreement([3.0, 1.0, 2.0], [10, 5, 20])
+    assert rho == pytest.approx(0.5) and regret == pytest.approx(0.5)
+    # a constant side has no rank correlation; nothing visible has no regret
+    rho, regret = rank_agreement([1.0, 2.0, 3.0], [0, 0, 0])
+    assert np.isnan(rho) and regret == 0.0
+    assert np.isnan(rank_agreement([1.0, 1.0], [4, 2])[0])
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])

@@ -1,0 +1,56 @@
+import numpy as np
+import pytest
+
+import scalar_reference as ref
+from nbvplan.geometry import Pose, look_at, look_at_many
+
+
+def test_pose_rejects_off_diagonal_stretch_within_rtol():
+    # |R^T R - I| reaches 8e-6 on the diagonal: far past the 1e-9 tolerance,
+    # though within a relative 1e-5 of the identity's ones
+    stretched = np.diag([1.0 + 4e-6, 1.0 - 4e-6, 1.0])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Pose(rotation=stretched, translation=np.zeros(3))
+
+
+def test_pose_accepts_rounding_level_error():
+    q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(3, 3)))
+    q *= np.sign(np.linalg.det(q))
+    Pose(rotation=q, translation=np.ones(3))
+
+
+def test_pose_rejects_reflection_and_nan():
+    with pytest.raises(ValueError, match="determinant"):
+        Pose(rotation=np.diag([1.0, 1.0, -1.0]), translation=np.zeros(3))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Pose(rotation=np.full((3, 3), np.nan), translation=np.zeros(3))
+
+
+def test_look_at_many_checks_the_whole_stack():
+    positions = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        look_at_many(positions, np.zeros(3), [0, 0, 1])
+    with pytest.raises(ValueError, match="coincides"):
+        look_at_many(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), np.zeros(3), [0, 0, 1])
+
+
+@pytest.mark.parametrize("up", [[0.0, 0.0, 1.0], [0.3, -0.2, 0.9]])
+def test_look_at_many_matches_scalar_bit_for_bit(up):
+    rng = np.random.default_rng(8)
+    target = np.array([0.1, -0.05, 0.2])
+    up = np.asarray(up) / np.linalg.norm(up)
+    positions = target + rng.normal(scale=0.6, size=(50, 3))
+    positions[7] = target + 0.8 * up   # parallel to up: the x-axis fallback
+    positions[9] = target - 0.5 * up   # antiparallel
+    poses = look_at_many(positions, target, up)
+    for pose, position in zip(poses, positions):
+        expected = ref.look_at(position, target, up)
+        assert np.array_equal(pose.rotation, expected.rotation)
+        assert np.array_equal(pose.translation, expected.translation)
+        single = look_at(position, target, up)
+        assert np.array_equal(single.rotation, expected.rotation)
+    # looking straight down `up`, image up is world x projected onto the image
+    for k in (7, 9):
+        z = poses[k].optical_axis
+        image_up = np.array([1.0, 0.0, 0.0]) - z[0] * z
+        np.testing.assert_allclose(-poses[k].rotation[:, 1], image_up / np.linalg.norm(image_up))

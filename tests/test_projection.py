@@ -5,14 +5,9 @@ import pytest
 
 from nbvplan.ellipsoid import Ellipsoid
 from nbvplan.geometry import CameraIntrinsics, Pose, look_at
-from nbvplan.projection import (
-    clipped_ellipse_area,
-    depth_weights,
-    evaluate_all,
-    project,
-    rasterized_ellipse_area,
-)
+from nbvplan.projection import ELLIPSE_SEGMENTS, _border_area, depth_weights, evaluate_all, project
 from nbvplan.views import CandidateView
+from scalar_reference import clipped_ellipse_area, rasterized_ellipse_area
 
 
 def sphere_ell(center, radius, kind="frontier", index=0):
@@ -306,14 +301,98 @@ def test_clipped_area_matches_raster_high_res():
     assert checked >= 6
 
 
-def test_clip_spanning_both_edges_is_silent(intrinsics):
-    # axis-aligned ellipse wider than the image: edges parallel to the
-    # left/right clip lines used to produce inf * 0
-    center, axes = (320.0, 240.0), (1000.0, 100.0)
+def border_area(center, axes, orientation, intrinsics):
+    """Batched clip of one ellipse, failing on any numpy warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        area = clipped_ellipse_area(center, axes, 0.0, intrinsics)
+        return _border_area(
+            np.array([center], dtype=float), np.array([axes], dtype=float),
+            np.array([orientation], dtype=float), intrinsics,
+        )[0]
+
+
+def polygon_area(axes):
+    """Area of the whole 256-gon inscribed in an ellipse."""
+    return 0.5 * ELLIPSE_SEGMENTS * axes[0] * axes[1] * np.sin(2.0 * np.pi / ELLIPSE_SEGMENTS)
+
+
+def test_clip_spanning_both_edges_is_silent(intrinsics):
+    # axis-aligned ellipse wider than the image: its edges parallel to an
+    # image side must not produce inf * 0 or 0 / 0
+    center, axes = (320.0, 240.0), (1000.0, 100.0)
+    area = border_area(center, axes, 0.0, intrinsics)
+    assert area == pytest.approx(clipped_ellipse_area(center, axes, 0.0, intrinsics), rel=1e-9)
     conic = np.diag([1.0 / axes[0] ** 2, 1.0 / axes[1] ** 2, -1.0])
     shift = np.array([[1.0, 0.0, -center[0]], [0.0, 1.0, -center[1]], [0.0, 0.0, 1.0]])
     raster = rasterized_ellipse_area(shift.T @ conic @ shift, intrinsics)
     assert area == pytest.approx(raster, rel=0.01)
+
+
+def test_batched_clip_matches_scalar_reference(intrinsics):
+    rng = np.random.default_rng(21)
+    k = 600
+    center = np.column_stack([rng.uniform(-250, 890, k), rng.uniform(-250, 730, k)])
+    major = rng.uniform(3.0, 800.0, k)
+    axes = np.column_stack([major, major * rng.uniform(0.02, 1.0, k)])
+    orientation = rng.uniform(-np.pi / 2, np.pi / 2, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _border_area(center, axes, orientation, intrinsics)
+    want = np.array([
+        clipped_ellipse_area(c, a, o, intrinsics) for c, a, o in zip(center, axes, orientation)
+    ])
+    crossing = (want > 0) & (want < polygon_area(axes.T) * (1 - 1e-9))
+    assert crossing.sum() > 300
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize(
+    "center, axes, orientation, expected",
+    [
+        ((320.0, 240.0), (2000.0, 1500.0), 0.4, 640.0 * 480.0),  # contains the image
+        ((320.0, 240.0), (1000.0, 100.0), 0.0, None),            # spans left and right
+        ((300.0, 240.0), (60.0, 900.0), 0.1, None),              # spans top and bottom
+        ((639.5, 479.5), (50.0, 30.0), 0.3, None),               # cuts one corner
+        ((-10.0, -8.0), (25.0, 20.0), -0.7, None),               # cuts the opposite corner
+        ((400.0, 400.0), (60.0, 79.5), 0.0, polygon_area((60.0, 79.5))),  # top vertex on y = H-0.5
+    ],
+)
+def test_batched_clip_special_cases(center, axes, orientation, expected, intrinsics):
+    area = border_area(center, axes, orientation, intrinsics)
+    assert area == pytest.approx(clipped_ellipse_area(center, axes, orientation, intrinsics), rel=1e-9)
+    if expected is not None:
+        assert area == pytest.approx(expected, rel=1e-12)
+
+
+def test_batched_clip_vertex_on_side_counted_once(intrinsics):
+    # vertex 10 of the 256-gon lies exactly on x = W-0.5, its neighbours on
+    # either side, so the side's chord starts at that vertex
+    axes = (100.0, 70.0)
+    t = np.linspace(0.0, 2.0 * np.pi, ELLIPSE_SEGMENTS, endpoint=False)
+    offset = axes[0] * np.cos(t[10])
+    center = (intrinsics.width - 0.5 - offset, 200.0)
+    assert center[0] + offset == intrinsics.width - 0.5
+    area = border_area(center, axes, 0.0, intrinsics)
+    assert area == pytest.approx(clipped_ellipse_area(center, axes, 0.0, intrinsics), rel=1e-9)
+    nudged = border_area((center[0] + 1e-9, center[1]), axes, 0.0, intrinsics)
+    assert nudged == pytest.approx(area, rel=1e-9)
+
+
+# ---- depth-rank discontinuity ------------------------------------------------
+
+
+def test_depth_rank_swap_flips_sign(axis_view, intrinsics):
+    # Two equal spheres side by side whose centres lie 0.1 mm apart in depth.
+    # Moving the frontier one 0.2 mm toward the camera swaps their weights
+    # 1 and 0.5, and F jumps from about -A/2 to +A/2 for an area change of
+    # about 4e-4 relative: the centre-depth rank is discontinuous.
+    occ = sphere_ell([-0.1, 0.0, 1.0], 0.05, "occupied")
+    area = project_one(occ, axis_view.pose, intrinsics)[4]
+    scores = []
+    for z in (1.0001, 0.9999):
+        fr = sphere_ell([0.1, 0.0, z], 0.05, "frontier")
+        _, weights = weights_of([occ], [fr], axis_view.pose, intrinsics)
+        scores.append(evaluate_all([axis_view], [occ], [fr], intrinsics)[0])
+        assert list(weights) == ([1.0, 0.5] if z > 1.0 else [0.5, 1.0])
+    assert scores[0] == pytest.approx(-0.5 * area, rel=1e-3)
+    assert scores[1] == pytest.approx(0.5 * area, rel=1e-3)

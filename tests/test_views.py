@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as ref
 from nbvplan.views import (
     CandidateView,
     SamplingConfig,
@@ -149,3 +150,29 @@ def test_hemisphere_stays_above_cap():
     for v in views:
         assert np.deg2rad(15) - 1e-12 <= v.polar <= np.deg2rad(85) + 1e-12
         assert v.position[2] > 0
+
+
+@pytest.mark.parametrize("mode", ["hemisphere", "full_sphere"])
+@pytest.mark.parametrize(
+    "alpha, n, up",
+    [
+        (1, 4, [0.0, 0.0, 1.0]),
+        (3, 37, [0.0, 0.0, 1.0]),
+        (8, 800, [0.0, 0.0, 1.0]),
+        (11, 900, [0.0, 0.0, 1.0]),
+        (5, 123, [0.2, -0.4, 0.9]),
+        (8, 800, [1.0, 0.0, 0.05]),
+    ],
+)
+def test_sampling_matches_scalar_bit_for_bit(mode, alpha, n, up):
+    cfg = SamplingConfig(mode=mode, alpha=alpha, n_views=n, up_axis=np.array(up))
+    center = np.array([0.03, -0.11, 0.27])
+    got = assign_partitions(sample_candidates(cfg, center, 0.83), 4)
+    want = ref.assign_partitions(ref.sample_candidates(cfg, center, 0.83), 4)
+    assert len(got) == len(want) == n
+    assert np.array_equal([v.position for v in got], [v.position for v in want])
+    assert np.array_equal([v.pose.rotation for v in got], [v.pose.rotation for v in want])
+    assert [v.azimuth for v in got] == [v.azimuth for v in want]
+    assert [v.polar for v in got] == [v.polar for v in want]
+    assert [v.partition_index for v in got] == [v.partition_index for v in want]
+    assert all(v.radius == 0.83 for v in got)
