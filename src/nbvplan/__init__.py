@@ -51,7 +51,6 @@ from .voxel import (
     integrate_observation,
     mark_occupied,
     preprocess_points,
-    traverse_ray,
     traverse_rays,
     update_bbox,
     update_frontier,

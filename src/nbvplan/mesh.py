@@ -241,68 +241,3 @@ def sample_surface_points(mesh: TriangleMesh, count: int, seed: int) -> np.ndarr
         + w1[:, None] * corners[:, 1]
         + w2[:, None] * corners[:, 2]
     )
-
-
-def point_to_mesh_distance(points: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
-    """Exact point-to-triangle distances, minimized over all faces.
-
-    O(N*F); intended for validation on small inputs.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    corners = mesh.triangle_corners()
-    best = np.full(len(points), np.inf)
-    for a, b, c in corners:
-        best = np.minimum(best, _point_triangle_distance(points, a, b, c))
-    return best
-
-
-def _point_triangle_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Distance from each point in p (N,3) to triangle (a,b,c)."""
-    ab = b - a
-    ac = c - a
-    ap = p - a
-    d1 = ap @ ab
-    d2 = ap @ ac
-    bp = p - b
-    d3 = bp @ ab
-    d4 = bp @ ac
-    cp = p - c
-    d5 = cp @ ab
-    d6 = cp @ ac
-
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-
-    denom = va + vb + vc
-    # Clamped barycentric projection onto the triangle, region by region.
-    result = np.empty(len(p))
-    result.fill(np.nan)
-
-    # vertex regions
-    m = (d1 <= 0) & (d2 <= 0)
-    result[m] = np.linalg.norm(p[m] - a, axis=1)
-    m2 = (d3 >= 0) & (d4 <= d3) & np.isnan(result)
-    result[m2] = np.linalg.norm(p[m2] - b, axis=1)
-    m3 = (d6 >= 0) & (d5 <= d6) & np.isnan(result)
-    result[m3] = np.linalg.norm(p[m3] - c, axis=1)
-
-    # edge regions
-    m4 = (vc <= 0) & (d1 >= 0) & (d3 <= 0) & np.isnan(result)
-    t = np.where(d1 - d3 != 0, d1 / np.where(m4, d1 - d3, 1.0), 0.0)
-    result[m4] = np.linalg.norm(p[m4] - (a + np.outer(t[m4], ab)), axis=1)
-    m5 = (vb <= 0) & (d2 >= 0) & (d6 <= 0) & np.isnan(result)
-    t = np.where(d2 - d6 != 0, d2 / np.where(m5, d2 - d6, 1.0), 0.0)
-    result[m5] = np.linalg.norm(p[m5] - (a + np.outer(t[m5], ac)), axis=1)
-    m6 = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0) & np.isnan(result)
-    t = np.where((d4 - d3) + (d5 - d6) != 0, (d4 - d3) / np.where(m6, (d4 - d3) + (d5 - d6), 1.0), 0.0)
-    result[m6] = np.linalg.norm(p[m6] - (b + np.outer(t[m6], c - b)), axis=1)
-
-    # interior
-    mi = np.isnan(result)
-    if mi.any():
-        v = vb[mi] / denom[mi]
-        w = vc[mi] / denom[mi]
-        proj = a + np.outer(v, ab) + np.outer(w, ac)
-        result[mi] = np.linalg.norm(p[mi] - proj, axis=1)
-    return result

@@ -5,11 +5,17 @@ voxel grid and counting the unique Frontier and Occupied voxels some ray
 reaches before being blocked.  The first Occupied voxel on a ray is itself
 visible and terminates the ray; Frontier voxels do not block.  All pixel
 rays are walked at once by `traverse_rays`, and a ray reaches its voxels up
-to and including its first Occupied one.
+to and including its first Occupied one, within `max_range`.
+
+Only voxels inside the box of the Frontier and Occupied cells can count or
+block, so each ray is walked from its start only until it leaves that box
+padded by one voxel, and a ray that misses the padded box is not walked.
+The counts are those of walking every ray to `max_range` or the grid exit.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +23,9 @@ from scipy.stats import spearmanr
 
 from .geometry import CameraIntrinsics, Pose
 from .views import CandidateView
-from .voxel import VoxelGrid, VoxelState, first_hits, traverse_rays
+from .voxel import VoxelGrid, VoxelState, cells_bbox, first_hits, ray_box_range, traverse_rays
+
+log = logging.getLogger("nbvplan")
 
 
 @dataclass
@@ -45,16 +53,32 @@ def oracle_evaluate(
     if stride < 1:
         raise ValueError("stride must be >= 1")
     dirs = _pixel_ray_dirs(intrinsics, view.pose, stride)
-    # Segments of length max_range, clipped to the grid by the traversal.
-    starts = np.broadcast_to(view.pose.translation, dirs.shape)
-    reached = np.zeros(grid.n_voxels, dtype=bool)
+    frontier = grid.states == int(VoxelState.FRONTIER)
     occupied = grid.states == int(VoxelState.OCCUPIED)
-    for _, flat, valid in traverse_rays(grid, starts, dirs * intrinsics.max_range, 1.0):
+    cells = np.flatnonzero(frontier | occupied)
+    if len(cells) == 0:
+        log.debug("oracle_evaluate: %d rays cast, 0 walked, 0 voxel visits", len(dirs))
+        return OracleScore(visible_frontier=0, visible_occupied=0, rays_cast=len(dirs))
+
+    # Segments of length max_range, cut where they leave the padded box of
+    # the cells that can count; the traversal also clips them to the grid.
+    bmin, bmax = cells_bbox(grid, cells)
+    starts = np.broadcast_to(view.pose.translation, dirs.shape)
+    deltas = dirs * intrinsics.max_range
+    t_in, t_out = ray_box_range(starts, deltas, bmin - grid.resolution, bmax + grid.resolution)
+    t_end = np.minimum(t_out, 1.0)
+    walk = np.flatnonzero(np.maximum(t_in, 0.0) <= t_end)
+    reached = np.zeros(grid.n_voxels, dtype=bool)
+    walked = visits = 0
+    for _, flat, valid in traverse_rays(grid, starts[walk], deltas[walk], t_end[walk]):
         last = first_hits(valid & occupied[flat])
         reached[flat[valid & (np.arange(flat.shape[1]) <= last)]] = True
+        walked += len(flat)
+        visits += int(np.count_nonzero(valid))
+    log.debug("oracle_evaluate: %d rays cast, %d walked, %d voxel visits", len(dirs), walked, visits)
 
     return OracleScore(
-        visible_frontier=int(np.count_nonzero(reached & (grid.states == int(VoxelState.FRONTIER)))),
+        visible_frontier=int(np.count_nonzero(reached & frontier)),
         visible_occupied=int(np.count_nonzero(reached & occupied)),
         rays_cast=len(dirs),
     )

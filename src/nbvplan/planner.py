@@ -48,13 +48,11 @@ class InfeasiblePartitionError(RuntimeError):
 class PartitionLedger:
     beta: int
     scanned: set[int] = field(default_factory=set)
-    visit_order: list[tuple[int, int]] = field(default_factory=list)  # (iteration, partition)
 
-    def mark(self, partition: int, iteration: int) -> None:
+    def mark(self, partition: int) -> None:
         if not (0 <= partition < self.beta):
             raise ValueError("partition out of range")
         self.scanned.add(partition)
-        self.visit_order.append((iteration, partition))
 
 
 @dataclass
@@ -106,6 +104,7 @@ def select_next_view(
 
     Ties break toward the lower candidate index.  Raises
     InfeasiblePartitionError when no candidate sits in an admissible sector.
+    `iteration` is unused; callers that pass it keep working.
     """
     if not scored:
         raise ValueError("select_next_view requires scored candidates")
@@ -123,7 +122,7 @@ def select_next_view(
             f"no candidate in admissible partitions {sorted(allowed)}"
         )
     winner = scored[best]
-    ledger.mark(winner.partition_index, iteration)
+    ledger.mark(winner.partition_index)
     return winner
 
 

@@ -20,7 +20,10 @@ does not depend on the order in which rays or their voxels are visited: a
 voxel ends Empty if some ray crosses it before that ray's first Occupied
 voxel; otherwise it ends Unknown if it was None, its centre lies in the box
 and some ray crosses it behind that ray's first Occupied voxel; otherwise it
-keeps its state.  All rays of an observation are walked at once as arrays.
+keeps its state.  All rays of an observation are walked at once as arrays,
+each only as far as it can change that result: to its own point's voxel or
+out of the bounding box padded by one voxel, whichever comes later, and to
+the grid exit only if it has met no Occupied voxel by then.
 
 Storage is a dense state array indexed x + y*nx + z*nx*ny; the grid grows by
 copy when the bounding box outruns its span.
@@ -28,10 +31,13 @@ copy when the bounding box outruns its span.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
+
+log = logging.getLogger("nbvplan")
 
 
 class VoxelState(IntEnum):
@@ -40,18 +46,6 @@ class VoxelState(IntEnum):
     OCCUPIED = 2
     UNKNOWN = 3
     FRONTIER = 4
-
-
-_NEIGHBOR_OFFSETS = np.array(
-    [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        if (dx, dy, dz) != (0, 0, 0)
-    ],
-    dtype=np.int64,
-)  # 26-connectivity
 
 
 @dataclass
@@ -222,99 +216,19 @@ class VoxelGrid:
 # ---- ray traversal --------------------------------------------------------
 
 
-def _clip_segment(grid: VoxelGrid, start: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
-    """Slab-clip the param range of start + t*delta against the grid span.
-
-    Returns (t0, t1) with t0 > t1 when the segment misses the grid entirely.
-    """
-    lo, hi = grid.span
-    t0, t1 = 0.0, 1.0
-    for axis in range(3):
-        d = delta[axis]
-        s = start[axis]
-        if d == 0.0:
-            if s < lo[axis] or s > hi[axis]:
-                return 1.0, 0.0
-        else:
-            ta = (lo[axis] - s) / d
-            tb = (hi[axis] - s) / d
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
-    return t0, t1
-
-
-def traverse_ray(grid: VoxelGrid, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Voxels pierced by the segment, ordered by entry distance (Amanatides-Woo).
-
-    Returns an (N, 3) integer array, clipped to the grid; empty when the
-    segment misses the grid.
-    """
-    start = np.asarray(start, dtype=float).reshape(3)
-    end = np.asarray(end, dtype=float).reshape(3)
-    delta = end - start
-    if not delta.any():
-        raise ValueError("traverse_ray requires start != end")
-
-    t0, t1 = _clip_segment(grid, start, delta)
-    if t0 > t1:
-        return np.empty((0, 3), dtype=np.int64)
-
-    entry = start + t0 * delta
-    ijk = np.clip(
-        np.floor((entry - grid.origin) / grid.resolution).astype(np.int64),
-        0,
-        grid.dims - 1,
-    )
-    step = np.sign(delta).astype(np.int64)
-    tmax = np.full(3, np.inf)
-    tdelta = np.full(3, np.inf)
-    for axis in range(3):
-        if delta[axis] != 0.0:
-            boundary = grid.origin[axis] + (ijk[axis] + (step[axis] > 0)) * grid.resolution
-            tmax[axis] = (boundary - start[axis]) / delta[axis]
-            tdelta[axis] = grid.resolution / abs(delta[axis])
-
-    out = []
-    while True:
-        out.append(ijk.copy())
-        axis = int(np.argmin(tmax))
-        if tmax[axis] > t1:
-            break
-        ijk[axis] += step[axis]
-        if ijk[axis] < 0 or ijk[axis] >= grid.dims[axis]:
-            break
-        tmax[axis] += tdelta[axis]
-    return np.array(out, dtype=np.int64)
-
-
 # Rays per traverse_rays block: keeps its padded (rays, voxels) arrays small.
 _RAY_BLOCK = 1024
 
 
-def traverse_rays(grid: VoxelGrid, starts: np.ndarray, deltas: np.ndarray, t_end: float):
-    """Voxels pierced by many segments start + t*delta, t in [0, t_end], as arrays.
+def ray_box_range(starts: np.ndarray, deltas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Parameter range (t_in, t_out) of each line start + t*delta inside the box [lo, hi].
 
-    Yields one (rays, flat, valid) triple per block of up to _RAY_BLOCK rays
-    that meet the grid; rays that miss it are left out.  `rays` indexes the
-    input, row r of `flat` holds the flat indices of the voxels ray rays[r]
-    pierces, in the order traverse_ray visits them, and `valid` marks the
-    real entries, a prefix of each row.
-
-    Each axis's boundary-crossing times are the same sequential float sum
-    tmax += tdelta that traverse_ray steps through; a stable sort merges the
-    three axes so that equal times fall to the lower axis, as np.argmin does.
-    A ray ends before its first crossing past t_end or out of the grid.
+    t_in > t_out when the line misses the box.  An axis the line runs
+    parallel to bounds nothing if the start lies in that slab, and empties
+    the range if it does not.
     """
-    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
-    deltas = np.asarray(deltas, dtype=float).reshape(-1, 3)
-    lo, hi = grid.span
-    res = grid.resolution
-    dims = grid.dims
-
-    t0 = np.zeros(len(starts))
-    t1 = np.full(len(starts), float(t_end))
+    t_in = np.full(len(starts), -np.inf)
+    t_out = np.full(len(starts), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for axis in range(3):
             d = deltas[:, axis]
@@ -323,8 +237,37 @@ def traverse_rays(grid: VoxelGrid, starts: np.ndarray, deltas: np.ndarray, t_end
             tb = (hi[axis] - s) / d
             zero = d == 0.0
             inside = (s >= lo[axis]) & (s <= hi[axis])
-            t0 = np.maximum(t0, np.where(zero, np.where(inside, -np.inf, np.inf), np.minimum(ta, tb)))
-            t1 = np.minimum(t1, np.where(zero, np.where(inside, np.inf, -np.inf), np.maximum(ta, tb)))
+            t_in = np.maximum(t_in, np.where(zero, np.where(inside, -np.inf, np.inf), np.minimum(ta, tb)))
+            t_out = np.minimum(t_out, np.where(zero, np.where(inside, np.inf, -np.inf), np.maximum(ta, tb)))
+    return t_in, t_out
+
+
+def traverse_rays(grid: VoxelGrid, starts: np.ndarray, deltas: np.ndarray, t_end: float | np.ndarray):
+    """Voxels pierced by many segments start + t*delta, t in [0, t_end], as arrays.
+
+    `t_end` is one float for every ray or an (N,) array, one per ray.
+    Yields one (rays, flat, valid) triple per block of up to _RAY_BLOCK rays
+    that meet the grid; rays that miss it are left out.  `rays` indexes the
+    input, row r of `flat` holds the flat indices of the voxels ray rays[r]
+    pierces, in the order of an Amanatides-Woo walk, and `valid` marks the
+    real entries, a prefix of each row.
+
+    Each axis's boundary-crossing times are the sequential float sum
+    tmax += tdelta of the scalar Amanatides-Woo walk, started where the ray
+    enters the grid whatever `t_end` is; a stable sort merges the three axes
+    so that equal times fall to the lower axis, as np.argmin does.  A ray
+    ends before its first crossing past t_end or out of the grid, so a
+    shorter t_end yields a prefix of the same voxels.
+    """
+    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
+    deltas = np.asarray(deltas, dtype=float).reshape(-1, 3)
+    lo, hi = grid.span
+    res = grid.resolution
+    dims = grid.dims
+
+    t0, t1 = ray_box_range(starts, deltas, lo, hi)
+    t0 = np.maximum(t0, 0.0)
+    t1 = np.minimum(t1, t_end)
     live = np.nonzero(t0 <= t1)[0]
     s, d, t0, t1 = starts[live], deltas[live], t0[live], t1[live]
     ijk = np.clip(np.floor((s + t0[:, None] * d - grid.origin) / res).astype(np.int64), 0, dims - 1)
@@ -399,10 +342,17 @@ def mark_occupied(grid: VoxelGrid, points: np.ndarray) -> tuple[np.ndarray, int]
 def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
     """Apply update rules 1-3 for one observation; returns net state changes.
 
-    Rule 1 runs first, then all rays are walked to the grid exit at once.  A
-    voxel crossed before some ray's first Occupied voxel becomes Empty;
-    otherwise a None voxel crossed behind one becomes Unknown if its centre
-    lies in the bounding box (never while no box is set).
+    Rule 1 runs first, then all rays are walked at once.  A voxel crossed
+    before some ray's first Occupied voxel becomes Empty; otherwise a None
+    voxel crossed behind one becomes Unknown if its centre lies in the
+    bounding box (never while no box is set).
+
+    A ray is walked only as far as it can change the result: past its own
+    point's voxel, which is Occupied, and past the bounding box padded by one
+    voxel, outside which rule 2 writes nothing.  A ray that has met no
+    Occupied voxel by then, which happens when it passes its point's voxel by
+    an edge or a corner, is walked again to the grid exit.  The states are
+    those of walking every ray to the grid exit.
 
     Counts: `to_occupied` voxels newly Occupied, `to_empty` voxels that end
     Empty and were not Empty, `to_unknown` None voxels that became Unknown.
@@ -417,19 +367,32 @@ def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
     ok, to_occupied = mark_occupied(grid, obs.points)
     counts = {"to_occupied": to_occupied, "to_empty": 0, "to_unknown": 0}
 
-    # Rays from the sensor through each point, extended to the grid exit so
-    # occlusion shadows behind the surface get marked.
     deltas = obs.points[ok] - obs.sensor_origin
-    deltas = deltas[np.linalg.norm(deltas, axis=1) > 1e-12]
+    norms = np.linalg.norm(deltas, axis=1)
+    deltas, norms = deltas[norms > 1e-12], norms[norms > 1e-12]
     starts = np.broadcast_to(obs.sensor_origin, deltas.shape)
+    # The point sits at t = 1; res/|d| of slack covers rounding at its voxel.
+    t_end = 1.0 + grid.resolution / norms
+    if grid.bbox is not None:
+        pad = grid.resolution
+        t_end = np.maximum(t_end, ray_box_range(starts, deltas, grid.bbox[0] - pad, grid.bbox[1] + pad)[1])
     occupied = grid.states == occ
     in_front = np.zeros(grid.n_voxels, dtype=bool)
     behind = np.zeros(grid.n_voxels, dtype=bool)
-    for _, flat, valid in traverse_rays(grid, starts, deltas, np.inf):
-        first = first_hits(valid & occupied[flat])
-        col = np.arange(flat.shape[1])
-        in_front[flat[valid & (col < first)]] = True
-        behind[flat[valid & (col > first)]] = True
+    todo, walks, visits = np.arange(len(deltas)), 0, 0
+    for bound in (t_end, np.full(len(deltas), np.inf)):
+        unblocked = [np.empty(0, dtype=np.int64)]
+        for rays, flat, valid in traverse_rays(grid, starts[todo], deltas[todo], bound[todo]):
+            hit = valid & occupied[flat]
+            first = first_hits(hit)
+            col = np.arange(flat.shape[1])
+            in_front[flat[valid & (col < first)]] = True
+            behind[flat[valid & (col > first)]] = True
+            unblocked.append(todo[rays[~hit.any(axis=1)]])
+            walks += len(rays)
+            visits += int(np.count_nonzero(valid))
+        todo = np.concatenate(unblocked)
+    log.debug("integrate_observation: %d rays cast, %d walked, %d voxel visits", len(deltas), walks, visits)
 
     if grid.bbox is not None:
         unknown = behind & ~in_front & (grid.states == int(VoxelState.NONE)) & grid.bbox_mask()
@@ -443,18 +406,18 @@ def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
 # ---- frontier and bounding box ---------------------------------------------
 
 
-def _neighbor_any(mask3: np.ndarray) -> np.ndarray:
-    """True where any 26-neighbor of a cell is set in mask3 (zero padded)."""
-    nz, ny, nx = mask3.shape
-    out = np.zeros_like(mask3)
-    for dx, dy, dz in _NEIGHBOR_OFFSETS:
-        src_z = slice(max(0, -dz), min(nz, nz - dz))
-        src_y = slice(max(0, -dy), min(ny, ny - dy))
-        src_x = slice(max(0, -dx), min(nx, nx - dx))
-        dst_z = slice(max(0, dz), min(nz, nz + dz))
-        dst_y = slice(max(0, dy), min(ny, ny + dy))
-        dst_x = slice(max(0, dx), min(nx, nx + dx))
-        out[dst_z, dst_y, dst_x] |= mask3[src_z, src_y, src_x]
+def _dilate(mask3: np.ndarray) -> np.ndarray:
+    """True where a cell or any of its 26 neighbors is set in mask3 (zero padded).
+
+    A 3x3x3 box dilation, one axis at a time.
+    """
+    out = mask3
+    for axis in range(3):
+        src = np.moveaxis(out, axis, 0)
+        out = out.copy()
+        dst = np.moveaxis(out, axis, 0)
+        dst[1:] |= src[:-1]
+        dst[:-1] |= src[1:]
     return out
 
 
@@ -469,15 +432,18 @@ def update_frontier(grid: VoxelGrid) -> np.ndarray:
     pool = (g3 == int(VoxelState.UNKNOWN)) | (g3 == int(VoxelState.FRONTIER))
     if not pool.any():
         return np.empty(0, dtype=np.int64)
-    near_empty = _neighbor_any(g3 == int(VoxelState.EMPTY))
-    near_occ = _neighbor_any(g3 == int(VoxelState.OCCUPIED))
+    # The pool holds no Empty or Occupied cell, so counting each cell as its
+    # own neighbor changes nothing.
+    near_empty = _dilate(g3 == int(VoxelState.EMPTY))
+    near_occ = _dilate(g3 == int(VoxelState.OCCUPIED))
     frontier = pool & near_empty & near_occ
     g3[pool] = int(VoxelState.UNKNOWN)
     g3[frontier] = int(VoxelState.FRONTIER)
     return np.nonzero(frontier.reshape(-1))[0]
 
 
-def _cells_bbox(grid: VoxelGrid, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cells_bbox(grid: VoxelGrid, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """World-space (min, max) corners of the box around the cells at `flat`."""
     ijk = grid.unflat(flat)
     bmin = grid.origin + ijk.min(axis=0) * grid.resolution
     bmax = grid.origin + (ijk.max(axis=0) + 1) * grid.resolution
@@ -500,7 +466,7 @@ def update_bbox(
     occ_flat = grid.indices_in_state(VoxelState.OCCUPIED)
     if len(occ_flat) == 0:
         raise ValueError("update_bbox requires at least one Occupied voxel")
-    bmin, bmax = _cells_bbox(grid, occ_flat)
+    bmin, bmax = cells_bbox(grid, occ_flat)
 
     if first_frame:
         d = np.asarray(view_direction, dtype=float).reshape(3)
@@ -519,7 +485,7 @@ def update_bbox(
     else:
         unk_flat = grid.indices_in_state(VoxelState.UNKNOWN)
         if len(unk_flat):
-            umin, umax = _cells_bbox(grid, unk_flat)
+            umin, umax = cells_bbox(grid, unk_flat)
             bmin = np.minimum(bmin, umin)
             bmax = np.maximum(bmax, umax)
         frontier_flat = grid.indices_in_state(VoxelState.FRONTIER)

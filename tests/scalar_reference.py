@@ -8,13 +8,25 @@ Sutherland-Hodgman and sums the shoelace formula, the per-pair method that
 the batched border clip in `projection.project` replaces.
 `rasterized_ellipse_area` counts the pixels inside a conic, an independent
 check on both.
+
+`traverse_ray` is the scalar Amanatides-Woo walk that `voxel.traverse_rays`
+must match voxel for voxel.  `integrate_walk_to_exit` and
+`oracle_walk_to_exit` walk every ray to the grid exit (the oracle's to
+`max_range`); the bounded walks of `integrate_observation` and
+`oracle_evaluate` must give the same states and counts.  `neighbor_any` is
+the 26-offset neighborhood test that the separable dilation in
+`update_frontier` replaces.  `point_to_mesh_distance` is the exact O(N*F)
+point-to-triangle distance used to validate sampling and rendering.
 """
 
 import numpy as np
 
 from nbvplan.geometry import CameraIntrinsics, Pose
+from nbvplan.mesh import TriangleMesh
+from nbvplan.oracle import OracleScore, _pixel_ray_dirs
 from nbvplan.projection import ELLIPSE_SEGMENTS
 from nbvplan.views import _GOLDEN_ANGLE, CandidateView, SamplingConfig, _parallel_counts, _up_basis
+from nbvplan.voxel import Observation, VoxelGrid, VoxelState, first_hits, mark_occupied, traverse_rays
 
 
 def look_at(position, target, up) -> Pose:
@@ -130,3 +142,207 @@ def rasterized_ellipse_area(conic, intrinsics: CameraIntrinsics) -> float:
     )
     sign = 1.0 if np.trace(conic[:2, :2]) > 0 else -1.0
     return float(np.count_nonzero(sign * q <= 0.0))
+
+
+# ---- voxel walks ------------------------------------------------------------
+
+
+def _clip_segment(grid: VoxelGrid, start: np.ndarray, delta: np.ndarray) -> tuple[float, float]:
+    """Slab-clip the param range of start + t*delta against the grid span.
+
+    Returns (t0, t1) with t0 > t1 when the segment misses the grid entirely.
+    """
+    lo, hi = grid.span
+    t0, t1 = 0.0, 1.0
+    for axis in range(3):
+        d = delta[axis]
+        s = start[axis]
+        if d == 0.0:
+            if s < lo[axis] or s > hi[axis]:
+                return 1.0, 0.0
+        else:
+            ta = (lo[axis] - s) / d
+            tb = (hi[axis] - s) / d
+            if ta > tb:
+                ta, tb = tb, ta
+            t0 = max(t0, ta)
+            t1 = min(t1, tb)
+    return t0, t1
+
+
+def traverse_ray(grid: VoxelGrid, start, end) -> np.ndarray:
+    """Voxels pierced by the segment, ordered by entry distance (Amanatides-Woo).
+
+    Returns an (N, 3) integer array, clipped to the grid; empty when the
+    segment misses the grid.
+    """
+    start = np.asarray(start, dtype=float).reshape(3)
+    end = np.asarray(end, dtype=float).reshape(3)
+    delta = end - start
+    if not delta.any():
+        raise ValueError("traverse_ray requires start != end")
+
+    t0, t1 = _clip_segment(grid, start, delta)
+    if t0 > t1:
+        return np.empty((0, 3), dtype=np.int64)
+
+    entry = start + t0 * delta
+    ijk = np.clip(
+        np.floor((entry - grid.origin) / grid.resolution).astype(np.int64),
+        0,
+        grid.dims - 1,
+    )
+    step = np.sign(delta).astype(np.int64)
+    tmax = np.full(3, np.inf)
+    tdelta = np.full(3, np.inf)
+    for axis in range(3):
+        if delta[axis] != 0.0:
+            boundary = grid.origin[axis] + (ijk[axis] + (step[axis] > 0)) * grid.resolution
+            tmax[axis] = (boundary - start[axis]) / delta[axis]
+            tdelta[axis] = grid.resolution / abs(delta[axis])
+
+    out = []
+    while True:
+        out.append(ijk.copy())
+        axis = int(np.argmin(tmax))
+        if tmax[axis] > t1:
+            break
+        ijk[axis] += step[axis]
+        if ijk[axis] < 0 or ijk[axis] >= grid.dims[axis]:
+            break
+        tmax[axis] += tdelta[axis]
+    return np.array(out, dtype=np.int64)
+
+
+def integrate_walk_to_exit(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
+    """`integrate_observation` with every ray walked to the grid exit."""
+    occ = int(VoxelState.OCCUPIED)
+    empty = int(VoxelState.EMPTY)
+    ok, to_occupied = mark_occupied(grid, obs.points)
+    counts = {"to_occupied": to_occupied, "to_empty": 0, "to_unknown": 0}
+    deltas = obs.points[ok] - obs.sensor_origin
+    deltas = deltas[np.linalg.norm(deltas, axis=1) > 1e-12]
+    starts = np.broadcast_to(obs.sensor_origin, deltas.shape)
+    occupied = grid.states == occ
+    in_front = np.zeros(grid.n_voxels, dtype=bool)
+    behind = np.zeros(grid.n_voxels, dtype=bool)
+    for _, flat, valid in traverse_rays(grid, starts, deltas, np.inf):
+        first = first_hits(valid & occupied[flat])
+        col = np.arange(flat.shape[1])
+        in_front[flat[valid & (col < first)]] = True
+        behind[flat[valid & (col > first)]] = True
+    if grid.bbox is not None:
+        unknown = behind & ~in_front & (grid.states == int(VoxelState.NONE)) & grid.bbox_mask()
+        counts["to_unknown"] = int(np.count_nonzero(unknown))
+        grid.states[unknown] = int(VoxelState.UNKNOWN)
+    counts["to_empty"] = int(np.count_nonzero(in_front & (grid.states != empty)))
+    grid.states[in_front] = empty
+    return counts
+
+
+def oracle_walk_to_exit(view: CandidateView, grid: VoxelGrid, intrinsics: CameraIntrinsics, stride: int) -> OracleScore:
+    """`oracle_evaluate` with every pixel ray walked to max_range or the grid exit."""
+    dirs = _pixel_ray_dirs(intrinsics, view.pose, stride)
+    starts = np.broadcast_to(view.pose.translation, dirs.shape)
+    reached = np.zeros(grid.n_voxels, dtype=bool)
+    occupied = grid.states == int(VoxelState.OCCUPIED)
+    for _, flat, valid in traverse_rays(grid, starts, dirs * intrinsics.max_range, 1.0):
+        last = first_hits(valid & occupied[flat])
+        reached[flat[valid & (np.arange(flat.shape[1]) <= last)]] = True
+    return OracleScore(
+        visible_frontier=int(np.count_nonzero(reached & (grid.states == int(VoxelState.FRONTIER)))),
+        visible_occupied=int(np.count_nonzero(reached & occupied)),
+        rays_cast=len(dirs),
+    )
+
+
+_NEIGHBOR_OFFSETS = [
+    (dx, dy, dz)
+    for dx in (-1, 0, 1)
+    for dy in (-1, 0, 1)
+    for dz in (-1, 0, 1)
+    if (dx, dy, dz) != (0, 0, 0)
+]  # 26-connectivity
+
+
+def neighbor_any(mask3: np.ndarray) -> np.ndarray:
+    """True where any 26-neighbor of a cell is set in mask3 (zero padded)."""
+    nz, ny, nx = mask3.shape
+    out = np.zeros_like(mask3)
+    for dx, dy, dz in _NEIGHBOR_OFFSETS:
+        src_z = slice(max(0, -dz), min(nz, nz - dz))
+        src_y = slice(max(0, -dy), min(ny, ny - dy))
+        src_x = slice(max(0, -dx), min(nx, nx - dx))
+        dst_z = slice(max(0, dz), min(nz, nz + dz))
+        dst_y = slice(max(0, dy), min(ny, ny + dy))
+        dst_x = slice(max(0, dx), min(nx, nx + dx))
+        out[dst_z, dst_y, dst_x] |= mask3[src_z, src_y, src_x]
+    return out
+
+
+# ---- mesh distance ----------------------------------------------------------
+
+
+def point_to_mesh_distance(points: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
+    """Exact point-to-triangle distances, minimized over all faces.
+
+    O(N*F); intended for validation on small inputs.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    corners = mesh.triangle_corners()
+    best = np.full(len(points), np.inf)
+    for a, b, c in corners:
+        best = np.minimum(best, _point_triangle_distance(points, a, b, c))
+    return best
+
+
+def _point_triangle_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Distance from each point in p (N,3) to triangle (a,b,c)."""
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    d1 = ap @ ab
+    d2 = ap @ ac
+    bp = p - b
+    d3 = bp @ ab
+    d4 = bp @ ac
+    cp = p - c
+    d5 = cp @ ab
+    d6 = cp @ ac
+
+    va = d3 * d6 - d5 * d4
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
+
+    denom = va + vb + vc
+    # Clamped barycentric projection onto the triangle, region by region.
+    result = np.empty(len(p))
+    result.fill(np.nan)
+
+    # vertex regions
+    m = (d1 <= 0) & (d2 <= 0)
+    result[m] = np.linalg.norm(p[m] - a, axis=1)
+    m2 = (d3 >= 0) & (d4 <= d3) & np.isnan(result)
+    result[m2] = np.linalg.norm(p[m2] - b, axis=1)
+    m3 = (d6 >= 0) & (d5 <= d6) & np.isnan(result)
+    result[m3] = np.linalg.norm(p[m3] - c, axis=1)
+
+    # edge regions
+    m4 = (vc <= 0) & (d1 >= 0) & (d3 <= 0) & np.isnan(result)
+    t = np.where(d1 - d3 != 0, d1 / np.where(m4, d1 - d3, 1.0), 0.0)
+    result[m4] = np.linalg.norm(p[m4] - (a + np.outer(t[m4], ab)), axis=1)
+    m5 = (vb <= 0) & (d2 >= 0) & (d6 <= 0) & np.isnan(result)
+    t = np.where(d2 - d6 != 0, d2 / np.where(m5, d2 - d6, 1.0), 0.0)
+    result[m5] = np.linalg.norm(p[m5] - (a + np.outer(t[m5], ac)), axis=1)
+    m6 = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0) & np.isnan(result)
+    t = np.where((d4 - d3) + (d5 - d6) != 0, (d4 - d3) / np.where(m6, (d4 - d3) + (d5 - d6), 1.0), 0.0)
+    result[m6] = np.linalg.norm(p[m6] - (b + np.outer(t[m6], c - b)), axis=1)
+
+    # interior
+    mi = np.isnan(result)
+    if mi.any():
+        v = vb[mi] / denom[mi]
+        w = vc[mi] / denom[mi]
+        proj = a + np.outer(v, ab) + np.outer(w, ac)
+        result[mi] = np.linalg.norm(p[mi] - proj, axis=1)
+    return result

@@ -5,12 +5,12 @@ from nbvplan.mesh import (
     EmptyMeshError,
     MeshFormatError,
     load_mesh,
-    point_to_mesh_distance,
     sample_surface_points,
     save_obj,
     save_ply_points,
 )
 from nbvplan.shapes import make_cube, make_shape, make_sphere, make_torus
+from scalar_reference import point_to_mesh_distance
 
 UNIT_CUBE_OBJ = """\
 v 0 0 0

@@ -1,10 +1,16 @@
+import logging
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbvplan.geometry import CameraIntrinsics, look_at
 from nbvplan.oracle import oracle_evaluate, oracle_rank
 from nbvplan.views import CandidateView
 from nbvplan.voxel import VoxelGrid, VoxelState
+from scalar_reference import oracle_walk_to_exit, traverse_ray
 
 
 def make_view(position, target):
@@ -59,8 +65,6 @@ def test_rays_cast_counts(small_intr):
 def line_of_sight_visible(grid, origin, max_range, probes="all"):
     """Exhaustive oracle: a voxel counts visible when a probe ray (to its
     center and/or its 8 corners) reaches it before any Occupied voxel."""
-    from nbvplan.voxel import traverse_ray
-
     occ = int(VoxelState.OCCUPIED)
     out = {}
     for state in (VoxelState.FRONTIER, VoxelState.OCCUPIED):
@@ -156,6 +160,59 @@ def test_occlusion_monotonicity(small_intr):
         grid2.states[free[:k]] = VoxelState.OCCUPIED
         blocked = oracle_evaluate(view, grid2, small_intr, stride=2).visible_frontier
         assert blocked <= base
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.sampled_from([(VoxelState.FRONTIER, VoxelState.OCCUPIED), (VoxelState.OCCUPIED,), (VoxelState.FRONTIER,), ()]),
+    camera_inside=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_bounded_oracle_matches_walk_to_exit(seed, kinds, camera_inside):
+    """Counts equal those of walking every pixel ray to max_range or the grid
+    exit: with cells in a block smaller than the grid, without Frontier
+    cells, without any cells, with the camera inside the box or outside the
+    grid, with a short max_range and with many rays missing the box."""
+    rng = np.random.default_rng(seed)
+    grid = centered_grid(int(rng.integers(4, 14)), resolution=float(rng.choice([0.07, 0.1, 0.13])))
+    lo_ijk = rng.integers(0, grid.dims)
+    hi_ijk = lo_ijk + rng.integers(1, grid.dims - lo_ijk + 1)
+    block = np.zeros(grid.dims[::-1], dtype=bool)
+    block[lo_ijk[2] : hi_ijk[2], lo_ijk[1] : hi_ijk[1], lo_ijk[0] : hi_ijk[0]] = True
+    choices = [int(VoxelState.NONE), int(VoxelState.EMPTY), int(VoxelState.UNKNOWN)] + [int(k) for k in kinds]
+    grid.grid3d()[block] = rng.choice(choices, int(block.sum()))
+
+    lo, hi = grid.span
+    if camera_inside:
+        position = rng.uniform(lo, hi)
+    else:
+        direction = rng.normal(size=3)
+        position = 0.5 * (lo + hi) + rng.uniform(1.0, 3.0) * direction / np.linalg.norm(direction)
+    target = rng.uniform(lo, hi)
+    f = float(rng.uniform(8.0, 40.0))
+    intr = CameraIntrinsics(
+        fx=f, fy=f, cx=12, cy=9, width=24, height=18, max_range=float(rng.choice([0.3, 1.0, 10.0])),
+    )
+    view = make_view(position, target)
+    stride = int(rng.integers(1, 3))
+    assert oracle_evaluate(view, grid, intr, stride) == oracle_walk_to_exit(view, grid, intr, stride)
+
+
+def test_oracle_skips_rays_that_miss_the_box(small_intr, caplog):
+    """Only rays that meet the padded box of Frontier and Occupied cells are
+    walked; the count is that of walking them all, and the walk is logged."""
+    grid = centered_grid()
+    grid.grid3d()[8, 8, 8] = VoxelState.FRONTIER
+    view = make_view([0, 0, 3.0], [0.05, 0.05, 0.05])
+    with caplog.at_level(logging.DEBUG, logger="nbvplan"):
+        score = oracle_evaluate(view, grid, small_intr, stride=2)
+    assert score == oracle_walk_to_exit(view, grid, small_intr, 2)
+    assert score.visible_frontier == 1 and score.rays_cast == 32 * 32
+    [record] = [r for r in caplog.records if r.getMessage().startswith("oracle_evaluate:")]
+    assert record.levelno == logging.DEBUG
+    match = re.fullmatch(r"oracle_evaluate: (\d+) rays cast, (\d+) walked, (\d+) voxel visits", record.getMessage())
+    cast, walked, visits = map(int, match.groups())
+    assert cast == 1024 and 0 < walked < cast and visits >= walked
 
 
 def test_oracle_rank_empty_grid_preserves_order(small_intr):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose, look_at
-from nbvplan.mesh import TriangleMesh, point_to_mesh_distance
+from nbvplan.mesh import TriangleMesh
 from nbvplan.render import frame_to_points, project_points, render_depth
 from nbvplan.shapes import make_sphere
+from scalar_reference import point_to_mesh_distance
 
 
 def sphere_at(center, radius, rings=48, segments=96):

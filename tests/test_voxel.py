@@ -1,7 +1,11 @@
+import logging
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbvplan.geometry import CameraIntrinsics, look_at
 from nbvplan.render import frame_to_points, render_depth
@@ -11,14 +15,15 @@ from nbvplan.voxel import (
     VoxelGrid,
     VoxelState,
     _RAY_BLOCK,
+    _dilate,
     integrate_observation,
     mark_occupied,
     preprocess_points,
-    traverse_ray,
     traverse_rays,
     update_bbox,
     update_frontier,
 )
+from scalar_reference import integrate_walk_to_exit, neighbor_any, traverse_ray
 
 
 def unit_grid(n=8, resolution=1.0):
@@ -160,6 +165,7 @@ def test_traverse_rays_matches_scalar():
 
     scalar = [[tuple(v) for v in traverse_ray(grid, s, e)] for s, e in zip(starts, ends)]
     assert traversed_paths(grid, starts, deltas, 1.0) == scalar
+    assert traversed_paths(grid, starts, deltas, np.ones(len(starts))) == scalar
 
     # With t_end=inf a ray runs to the grid exit; segments long enough to
     # pass it give the same voxels as the finite segment.
@@ -167,6 +173,51 @@ def test_traverse_rays_matches_scalar():
     scalar = [[tuple(v) for v in traverse_ray(grid, s, e)] for s, e in zip(starts, long_ends)]
     assert traversed_paths(grid, starts, long_ends - starts, np.inf) == scalar
     assert sum(len(p) > 0 for p in scalar) > _RAY_BLOCK
+
+
+def random_segments(rng, grid, n, lattice, axis_parallel, start=None):
+    """Segments in and around the grid, all from `start` if given; `lattice`
+    puts ends on voxel corners, edges or faces, `axis_parallel` zeroes two
+    delta components of every other segment.  Zero-length segments are
+    dropped.  Returns (starts, ends)."""
+    lo, hi = grid.span
+    starts = rng.uniform(lo - 1.0, hi + 1.0, (n, 3)) if start is None else np.tile(start, (n, 1))
+    ends = rng.uniform(lo - 1.0, hi + 1.0, (n, 3))
+    if lattice:
+        snap = rng.random((2, n, 3)) < 0.7
+        for pts, on in zip((starts, ends), snap):
+            pts[on] = (grid.origin + np.round((pts - grid.origin) / grid.resolution) * grid.resolution)[on]
+    if axis_parallel:
+        for i in range(0, n, 2):
+            others = np.arange(3) != rng.integers(3)
+            ends[i, others] = starts[i, others]
+    ok = np.any(ends != starts, axis=1)
+    return starts[ok], ends[ok]
+
+
+def random_grid(rng, max_dim=9):
+    return VoxelGrid(
+        origin=rng.uniform(-1.0, 1.0, 3),
+        resolution=float(rng.choice([0.25, 0.37, 1.0])),
+        dims=tuple(int(v) for v in rng.integers(1, max_dim, 3)),
+    )
+
+
+@given(seed=st.integers(0, 2**32 - 1), lattice=st.booleans(), axis_parallel=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_traverse_rays_per_ray_t_end(seed, lattice, axis_parallel):
+    """An (N,) t_end walks each ray as the equal scalar t_end does, and a
+    shorter t_end yields a prefix of the walk to the grid exit."""
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng)
+    starts, ends = random_segments(rng, grid, 48, lattice, axis_parallel)
+    deltas = ends - starts
+    t_end = rng.choice([0.0, 0.2, 0.5, 1.0, 3.0, np.inf], len(starts)) * rng.uniform(0.5, 1.5, len(starts))
+    paths = traversed_paths(grid, starts, deltas, t_end)
+    to_exit = traversed_paths(grid, starts, deltas, np.inf)
+    for i in range(len(starts)):
+        assert paths[i] == traversed_paths(grid, starts[i : i + 1], deltas[i : i + 1], float(t_end[i]))[0]
+        assert paths[i] == to_exit[i][: len(paths[i])]
 
 
 def test_traverse_rays_miss_with_zero_component_is_silent():
@@ -238,6 +289,62 @@ def test_integrate_counts_net_changes():
     tally = grid.state_counts()
     assert counts == {"to_occupied": 2, "to_empty": tally["empty"], "to_unknown": tally["unknown"]}
     assert (tally["empty"], tally["unknown"]) == (9, 5)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    with_bbox=st.booleans(),
+    lattice=st.booleans(),
+    axis_parallel=st.booleans(),
+    clutter=st.sampled_from([0.0, 0.1]),
+)
+@settings(max_examples=60, deadline=None)
+def test_bounded_integration_matches_walk_to_exit(seed, with_bbox, lattice, axis_parallel, clutter):
+    """States and counts equal those of walking every ray to the grid exit:
+    on empty grids and grids with earlier states, with and without a box,
+    with points outside the box, on voxel corners and edges, and along axes."""
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng, max_dim=12)
+    grid.states[:] = rng.choice(len(VoxelState), grid.n_voxels, p=[1.0 - 4 * clutter] + 4 * [clutter])
+    lo, hi = grid.span
+    if with_bbox:
+        corners = np.sort(rng.uniform(lo, hi, (2, 3)), axis=0)
+        grid.set_bbox(corners[0], corners[1])
+    reference = VoxelGrid(grid.origin, grid.resolution, tuple(grid.dims), bbox=grid.bbox)
+    reference.states[:] = grid.states
+    for sensor in rng.uniform(lo - 1.0, hi + 1.0, (3, 3)):
+        _, points = random_segments(rng, grid, 60, lattice, axis_parallel, start=sensor)
+        if len(points) == 0:
+            continue
+        obs = Observation(points=points, sensor_origin=sensor)
+        assert integrate_observation(grid, obs) == integrate_walk_to_exit(reference, obs)
+        np.testing.assert_array_equal(grid.states, reference.states)
+
+
+def test_ray_passing_its_point_by_a_corner_is_walked_to_the_exit():
+    """The ray to a point on a voxel corner can pass the point's voxel by
+    that corner and meet no Occupied voxel; it then marks Empty up to the
+    grid exit, far behind its point, as the walk to the grid exit does."""
+    grid = VoxelGrid(origin=np.array([0.0, -4.0, 0.0]), resolution=1.0, dims=(8, 10, 1))
+    grid.set_bbox(np.zeros(3), np.array([8.0, 6.0, 1.0]))
+    sensor, point = np.array([0.5, 4.5, 0.5]), np.array([1.0, 1.0, 0.5])
+    assert tuple(grid.voxel_of(point)[0]) not in set(map(tuple, traverse_ray(grid, sensor, 2 * point - sensor)))
+    reference = VoxelGrid(grid.origin, grid.resolution, tuple(grid.dims), bbox=grid.bbox)
+    obs = Observation(points=[point], sensor_origin=sensor)
+    assert integrate_observation(grid, obs) == integrate_walk_to_exit(reference, obs)
+    np.testing.assert_array_equal(grid.states, reference.states)
+    assert grid.states[grid.flat_index(grid.voxel_of([1.1, -3.5, 0.5]))[0]] == VoxelState.EMPTY
+
+
+def test_integration_logs_its_walk_at_debug(caplog):
+    grid = VoxelGrid(origin=np.zeros(3), resolution=0.5, dims=(10, 10, 10))
+    grid.set_bbox(np.full(3, 2.0), np.full(3, 3.0))
+    pts = np.array([[2.2, 2.3, 2.4], [2.6, 2.7, 2.1], [9.0, 9.0, 9.0]])  # the last is off the grid
+    with caplog.at_level(logging.DEBUG, logger="nbvplan"):
+        integrate_observation(grid, Observation(points=pts, sensor_origin=np.array([0.1, 0.2, 0.3])))
+    [record] = [r for r in caplog.records if r.getMessage().startswith("integrate_observation:")]
+    assert record.levelno == logging.DEBUG
+    assert re.fullmatch(r"integrate_observation: 2 rays cast, 2 walked, \d+ voxel visits", record.getMessage())
 
 
 def test_mark_occupied_is_rule_one_alone():
@@ -439,6 +546,17 @@ def test_frontier_matches_brute_force(seed):
     assert got == expected
     # every frontier satisfies the predicate, every unknown violates it
     assert set(grid.indices_in_state(VoxelState.FRONTIER).tolist()) == expected
+
+
+@given(
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_dilation_matches_26_offsets(shape, density, seed):
+    mask = np.random.default_rng(seed).random(shape) < density
+    np.testing.assert_array_equal(_dilate(mask), neighbor_any(mask) | mask)
 
 
 # ---- update_bbox ------------------------------------------------------------
