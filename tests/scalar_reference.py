@@ -17,14 +17,18 @@ must match voxel for voxel.  `integrate_walk_to_exit` and
 the 26-offset neighborhood test that the separable dilation in
 `update_frontier` replaces.  `point_to_mesh_distance` is the exact O(N*F)
 point-to-triangle distance used to validate sampling and rendering.
+`render_depth_loop` is the per-triangle Moller-Trumbore loop that the grouped
+array pass in `render.render_depth` replaces; its depths must be equal bit
+for bit.
 """
 
 import numpy as np
 
-from nbvplan.geometry import CameraIntrinsics, Pose
+from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose
 from nbvplan.mesh import TriangleMesh
 from nbvplan.oracle import OracleScore, _pixel_ray_dirs
 from nbvplan.projection import ELLIPSE_SEGMENTS
+from nbvplan.render import BARY_EPS, DET_EPS, T_MIN
 from nbvplan.views import _GOLDEN_ANGLE, CandidateView, SamplingConfig, _parallel_counts, _up_basis
 from nbvplan.voxel import Observation, VoxelGrid, VoxelState, first_hits, mark_occupied, traverse_rays
 
@@ -346,3 +350,90 @@ def _point_triangle_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.
         proj = a + np.outer(v, ab) + np.outer(w, ac)
         result[mi] = np.linalg.norm(p[mi] - proj, axis=1)
     return result
+
+
+# ---- rendering --------------------------------------------------------------
+
+
+def render_depth_loop(
+    mesh: TriangleMesh,
+    pose: Pose,
+    intrinsics: CameraIntrinsics,
+    noise_sigma: float = 0.0,
+    noise_seed: int = 0,
+) -> DepthFrame:
+    """One Moller-Trumbore block per triangle over its screen box.
+
+    A triangle with a vertex at or behind the camera plane is tested against
+    the whole image.
+    """
+    h, w = intrinsics.height, intrinsics.width
+    depth = np.full((h, w), np.inf)
+
+    verts_cam = pose.world_to_camera(mesh.vertices)
+    tris = mesh.triangles
+    if len(tris) == 0:
+        return DepthFrame(depths=depth, pose=pose, intrinsics=intrinsics)
+
+    cols = np.arange(w, dtype=float)
+    rows = np.arange(h, dtype=float)
+    dir_x = (cols - intrinsics.cx) / intrinsics.fx
+    dir_y = (rows - intrinsics.cy) / intrinsics.fy
+    dir_norm = np.sqrt(dir_x[None, :] ** 2 + dir_y[:, None] ** 2 + 1.0)
+
+    tri_cam = verts_cam[tris]
+    z = tri_cam[:, :, 2]
+    front = z > T_MIN
+    any_front = front.any(axis=1)
+    all_front = front.all(axis=1)
+
+    for f in np.nonzero(any_front)[0]:
+        v0, v1, v2 = tri_cam[f]
+        if all_front[f]:
+            u = intrinsics.fx * tri_cam[f, :, 0] / tri_cam[f, :, 2] + intrinsics.cx
+            v = intrinsics.fy * tri_cam[f, :, 1] / tri_cam[f, :, 2] + intrinsics.cy
+            c0 = max(int(np.floor(u.min())), 0)
+            c1 = min(int(np.ceil(u.max())) + 1, w)
+            r0 = max(int(np.floor(v.min())), 0)
+            r1 = min(int(np.ceil(v.max())) + 1, h)
+            if c0 >= c1 or r0 >= r1:
+                continue
+        else:
+            c0, c1, r0, r1 = 0, w, 0, h
+
+        dx = dir_x[c0:c1][None, :]
+        dy = dir_y[r0:r1][:, None]
+
+        e1 = v1 - v0
+        e2 = v2 - v0
+        px = dy * e2[2] - e2[1]
+        py = e2[0] - dx * e2[2]
+        pz = dx * e2[1] - dy * e2[0]
+        det = e1[0] * px + e1[1] * py + e1[2] * pz
+        inv_det = np.where(np.abs(det) > DET_EPS, 1.0 / np.where(det == 0, 1.0, det), np.nan)
+
+        tx, ty, tz = -v0[0], -v0[1], -v0[2]
+        bu = (tx * px + ty * py + tz * pz) * inv_det
+        qx = ty * e1[2] - tz * e1[1]
+        qy = tz * e1[0] - tx * e1[2]
+        qz = tx * e1[1] - ty * e1[0]
+        bv = (dx * qx + dy * qy + qz) * inv_det
+        t = (e2[0] * qx + e2[1] * qy + e2[2] * qz) * inv_det
+
+        hit = (
+            (bu >= -BARY_EPS)
+            & (bv >= -BARY_EPS)
+            & (bu + bv <= 1.0 + BARY_EPS)
+            & (t > T_MIN)
+        )
+        rng = np.where(hit, t, np.inf) * dir_norm[r0:r1, c0:c1]
+        block = depth[r0:r1, c0:c1]
+        np.minimum(block, rng, out=block)
+
+    depth[depth > intrinsics.max_range] = np.inf
+    if noise_sigma > 0.0:
+        rng_gen = np.random.default_rng(noise_seed)
+        noise = rng_gen.normal(0.0, noise_sigma, size=depth.shape)
+        finite = np.isfinite(depth)
+        depth[finite] = np.clip(depth[finite] + noise[finite], T_MIN, intrinsics.max_range)
+    return DepthFrame(depths=depth, pose=pose, intrinsics=intrinsics)

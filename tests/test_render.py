@@ -1,11 +1,24 @@
+import dataclasses
+import logging
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nbvplan import render
 from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose, look_at
 from nbvplan.mesh import TriangleMesh
 from nbvplan.render import frame_to_points, project_points, render_depth
 from nbvplan.shapes import make_sphere
-from scalar_reference import point_to_mesh_distance
+from scalar_reference import point_to_mesh_distance, render_depth_loop
+
+# Power-of-two focal lengths make a vertex at x = (c - cx) / fx * z, with z a
+# power of two, project exactly onto the pixel centre c.
+SMALL = CameraIntrinsics(fx=32.0, fy=32.0, cx=20.0, cy=15.0, width=40, height=30, max_range=2.5)
+IDENTITY = Pose(rotation=np.eye(3), translation=np.zeros(3))
 
 
 def sphere_at(center, radius, rings=48, segments=96):
@@ -140,3 +153,85 @@ def test_export_depths_sentinel_zero(intrinsics, identity_pose):
     out = frame.export_depths()
     assert out[~frame.hit_mask].max() == 0.0
     assert np.all(out[frame.hit_mask] > 0)
+
+
+def random_camera_mesh(seed: int, n_tris: int, on_centres: bool, flat: bool) -> TriangleMesh:
+    """Triangles in camera coordinates around centres spread in front of,
+    across and behind the camera plane, past the image edges and beyond
+    `SMALL.max_range`, some of them degenerate or collinear."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform([-2.0, -1.5, -1.5], [2.0, 1.5, 4.0], size=(n_tris, 1, 3))
+    sizes = rng.choice([0.01, 0.1, 0.5, 2.0], size=(n_tris, 1, 1))
+    corners = centres + sizes * rng.uniform(-1.0, 1.0, size=(n_tris, 3, 3))
+    if on_centres:
+        # corners on pixel centres (some outside the image) at z in {0.5, 1, 2}
+        z = rng.choice([0.5, 1.0, 2.0], size=(n_tris, 3))
+        c = rng.integers(-5, SMALL.width + 5, size=(n_tris, 3))
+        r = rng.integers(-5, SMALL.height + 5, size=(n_tris, 3))
+        corners = np.stack([(c - SMALL.cx) / SMALL.fx * z, (r - SMALL.cy) / SMALL.fy * z, z], axis=-1)
+    if flat:
+        # collinear corners, and corners repeated within a triangle
+        k = rng.choice([0.0, 0.5, 2.0], size=(n_tris, 1))
+        corners[::2, 2] = corners[::2, 0] + k[::2] * (corners[::2, 1] - corners[::2, 0])
+        corners[1::3, 1] = corners[1::3, 0]
+    return TriangleMesh(vertices=corners.reshape(-1, 3), triangles=np.arange(3 * n_tris).reshape(-1, 3))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_tris=st.integers(1, 40),
+    on_centres=st.booleans(),
+    flat=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("pass_pairs", [render._PASS_PAIRS, 8])
+def test_grouped_render_matches_loop(pass_pairs, seed, n_tris, on_centres, flat):
+    """Bit-identical to the per-triangle loop, also when a small pass cap
+    cuts boxes into one-row bands and splits groups across passes."""
+    mesh = random_camera_mesh(seed, n_tris, on_centres, flat)
+    with mock.patch.object(render, "_PASS_PAIRS", pass_pairs):
+        depths = render_depth(mesh, IDENTITY, SMALL).depths
+    assert np.array_equal(depths, render_depth_loop(mesh, IDENTITY, SMALL).depths)
+
+
+def test_random_meshes_reach_every_case():
+    """The meshes of the test above include triangles across and wholly
+    behind the camera plane, off-screen triangles and hits beyond
+    max_range; on these, too, the two renderers agree."""
+    hits_beyond_range = straddling = behind = off_screen = 0
+    for seed in range(20):
+        mesh = random_camera_mesh(seed, 40, on_centres=seed % 2 == 1, flat=seed % 3 == 0)
+        z = mesh.triangle_corners()[:, :, 2]
+        straddling += np.count_nonzero((z > 0).any(axis=1) & (z <= 0).any(axis=1))
+        behind += np.count_nonzero((z <= 0).all(axis=1))
+        boxes = render._screen_boxes(mesh.triangle_corners(), SMALL)
+        off_screen += np.count_nonzero((boxes[:, 0] >= boxes[:, 1]) | (boxes[:, 2] >= boxes[:, 3]))
+        far = render_depth(mesh, IDENTITY, dataclasses.replace(SMALL, max_range=100.0)).depths
+        hits_beyond_range += np.count_nonzero(np.isfinite(far) & (far > SMALL.max_range))
+        assert np.array_equal(render_depth(mesh, IDENTITY, SMALL).depths, render_depth_loop(mesh, IDENTITY, SMALL).depths)
+    assert min(hits_beyond_range, straddling, behind, off_screen) > 0
+
+
+def test_render_rejects_non_finite_vertices(intrinsics, identity_pose):
+    mesh = sphere_at([0, 0, 1.0], 0.2, rings=4, segments=8)
+    mesh.vertices[3, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        render_depth(mesh, identity_pose, intrinsics)
+
+
+def test_render_logs_its_pass_at_debug(intrinsics, identity_pose, caplog):
+    mesh = sphere_at([0, 0, 1.0], 0.2, rings=8, segments=16)
+    mesh.vertices[:8, 2] -= 2.0  # one cap behind the camera
+    with caplog.at_level(logging.DEBUG, logger="nbvplan"):
+        frame = render_depth(mesh, identity_pose, intrinsics)
+    [record] = [r for r in caplog.records if r.getMessage().startswith("render_depth:")]
+    assert record.levelno == logging.DEBUG
+    match = re.fullmatch(
+        r"render_depth: (\d+) triangles in front, (\d+) groups, (\d+) pairs tested, (\d+) hit pixels",
+        record.getMessage(),
+    )
+    in_front, groups, pairs, hits = map(int, match.groups())
+    z = mesh.triangle_corners()[:, :, 2]
+    assert in_front == np.count_nonzero((z > render.T_MIN).any(axis=1)) < mesh.n_triangles
+    assert 1 <= groups <= in_front
+    assert pairs >= hits == frame.n_hits > 0
