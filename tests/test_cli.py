@@ -2,16 +2,20 @@
 
 import csv
 import logging
+import re
+import time
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from nbvplan import cli
 from nbvplan.cli import _setup_logging, main
 from nbvplan.config import RunConfig
 from nbvplan.harness import run, summarize
 from nbvplan.mesh import save_obj
 from nbvplan.oracle import rank_agreement
+from nbvplan.projection import evaluate_all
 from nbvplan.shapes import make_shape
 
 TINY = [
@@ -57,9 +61,18 @@ def test_bench_writes_one_row_per_candidate(mesh_dir, tmp_path, capsys):
     assert "speedup" in capsys.readouterr().out
 
 
-def test_bench_reports_rank_agreement(mesh_dir, tmp_path, capsys):
+def test_bench_reports_rank_agreement(mesh_dir, tmp_path, capsys, monkeypatch):
     mesh = str(mesh_dir / "torus.obj")
     argv = ["bench", "--mesh", mesh, "--out", str(tmp_path)] + TINY + ["--stride", "8"]
+    passes = []
+
+    def timed_evaluate_all(*args, **kwargs):
+        t0 = time.perf_counter()
+        scores = evaluate_all(*args, **kwargs)
+        passes.append(time.perf_counter() - t0)
+        return scores
+
+    monkeypatch.setattr(cli, "evaluate_all", timed_evaluate_all)
     assert main(argv) == 0
     rows = _rows(tmp_path / "benchmark.csv")
     f = np.array([float(r["projection_score"]) for r in rows])
@@ -70,6 +83,11 @@ def test_bench_reports_rank_agreement(mesh_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"spearman {rho:.3f}" in out
     assert f"top-1 regret {regret:.3f}" in out
+    # projection scoring is timed over repeats, and its median is printed
+    median, repeats = re.search(r"projection (\S+)s \(median of (\d+)\)", out).groups()
+    assert int(repeats) == len(passes) >= cli.BENCH_MIN_REPEATS
+    assert sum(passes) >= cli.BENCH_MIN_SECONDS
+    assert float(median) == pytest.approx(np.median(passes), abs=2e-4)
 
 
 def test_rank_agreement_edge_cases():
