@@ -9,16 +9,17 @@ rays that provably miss; a triangle with a corner at or behind the camera
 plane has an unbounded projection and is tested against the whole image.
 
 No Python code runs per triangle.  A box taller than one pass allows is
-cut into row bands (`_bands`).  Each box is padded up to a size class
-(`_padded`), the boxes are grouped by padded shape, and each group is tested
-in broadcast passes of shape (F, H, W): per-triangle scalars are (F, 1, 1)
-and the ray-direction windows (F, 1, W) and (F, H, 1).  A pass holds at most
-`_PASS_PAIRS` (triangle, pixel) pairs, which bounds the temporaries.  Padded
-cells outside a triangle's own box get NaN rays, which never hit, and the
-hits are written with `np.minimum.at`.  Every pair runs the same float
-operations in the same order as a loop over one triangle at a time, and a
-minimum does not depend on the order of its inputs, so the image equals
-that loop's bit for bit (`tests/scalar_reference.render_depth_loop`).
+cut into row bands (`_bands`).  Each box smaller than half a pass is padded
+up to a size class (`_padded`), the boxes are grouped by padded shape, and
+each group is tested in broadcast passes of shape (F, H, W): per-triangle
+scalars are (F, 1, 1) and the ray-direction windows (F, 1, W) and
+(F, H, 1).  A pass holds at most `_PASS_PAIRS` (triangle, pixel) pairs,
+which bounds the temporaries.  Padded cells outside a triangle's own box get
+NaN rays, which never hit, and the hits are written with `np.minimum.at`.
+Every pair runs the same float operations in the same order as a loop over
+one triangle at a time, and a minimum does not depend on the order of its
+inputs, so the image equals that loop's bit for bit
+(`tests/scalar_reference.render_depth_loop`).
 """
 
 from __future__ import annotations
