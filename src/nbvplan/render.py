@@ -176,7 +176,7 @@ def render_depth(
     groups = np.split(order, np.flatnonzero(shape_changes) + 1) if len(order) else []
 
     pairs = 0
-    hit_pixels, hit_ranges = [], []
+    flat_depth = depth.reshape(-1)
     for group in groups:
         gh, gw = int(win_h[group[0]]), int(win_w[group[0]])
         rows = row0[group, None] + np.arange(gh)
@@ -192,10 +192,7 @@ def render_depth(
             pairs += hit.size
             k = np.flatnonzero(hit)
             pix = ((rows[part] * w)[:, :, None] + cols[part, None, :]).reshape(-1)[k]
-            hit_pixels.append(pix)
-            hit_ranges.append(t.reshape(-1)[k] * dir_norm[pix])
-    if hit_pixels:
-        np.minimum.at(depth.reshape(-1), np.concatenate(hit_pixels), np.concatenate(hit_ranges))
+            np.minimum.at(flat_depth, pix, t.reshape(-1)[k] * dir_norm[pix])
 
     depth[depth > intrinsics.max_range] = np.inf
     finite = np.isfinite(depth)
