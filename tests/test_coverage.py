@@ -35,8 +35,8 @@ def test_points_at_the_threshold_count(seed):
 
 def test_random_points_match_brute_force():
     rng = np.random.default_rng(7)
-    model = rng.uniform(-0.1, 0.1, size=(2000, 3))
-    acquired = rng.uniform(-0.1, 0.1, size=(3000, 3))
+    model = rng.uniform(-0.05, 0.05, size=(500, 3))
+    acquired = rng.uniform(-0.05, 0.05, size=(1000, 3))
     assert coverage(model, acquired, 0.005) == brute_force_coverage(model, acquired, 0.005)
 
 
