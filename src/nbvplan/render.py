@@ -76,10 +76,13 @@ def _screen_boxes(tri_cam: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarr
 
 def _bands(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split each box (r0, r1, c0, c1) into row bands of at most `_PASS_PAIRS`
-    pixels (one row at least).  Returns each band's box and the index of
-    the box it came from.  A band's height is a power of two, which is its
-    own size class."""
-    rows_per_band = np.left_shift(1, _octave(np.maximum(_PASS_PAIRS // (boxes[:, 3] - boxes[:, 2]), 1)))
+    pixels (one row at least).
+
+    Returns each band's box and the index of the box it came from.  A full
+    band is a power of two rows tall, which is its own size class.
+    """
+    width = boxes[:, 3] - boxes[:, 2]
+    rows_per_band = np.left_shift(1, _octave(np.maximum(_PASS_PAIRS // width, 1)))
     n_bands = -(-(boxes[:, 1] - boxes[:, 0]) // rows_per_band)
     source = np.repeat(np.arange(len(boxes)), n_bands)
     band = np.arange(len(source)) - np.repeat(np.cumsum(n_bands) - n_bands, n_bands)
