@@ -14,13 +14,14 @@ its tie-break class: a view's quality F is the weighted projected area of the
 frontier ellipsoids minus that of the occupied ones, and at equal depth
 occupied ranks before frontier, then the lower cluster index first.
 
-Projected area is pi*a*b for an ellipse whose bounding box lies inside the
-image and 0 for one whose bounding box lies outside it.  The pairs that cross
-the image border are approximated by a 256-segment polygon and cut to the
-image rectangle in one masked array pass over all of them: by Green's
-theorem, twice the area is the sum of x dy - y dx over the polygon edges
-clipped to the rectangle (Liang-Barsky, only for the edges not wholly
-inside) and over the stretch of each image side inside the polygon.  A pair
+Projected area is the exact area of the ellipse inside the image rectangle:
+pi*a*b when its bounding box lies inside the image, 0 when the box lies
+outside it, and for the pairs that cross the image border a closed form
+computed in one array pass over all of them.  The affine map that takes the
+ellipse to the unit disk takes the image to a parallelogram, and the disk's
+area inside it is a sum of circular sectors and triangles, one to three per
+parallelogram edge (`_border_area`).  The area is continuous as a
+silhouette moves across an image side or corner.  A pair
 contributes zero, but keeps its depth rank, when its center is at or behind
 the principal plane, its dual conic is singular or non-finite, or its conic
 is not a real ellipse (camera inside or tangent to the ellipsoid).
@@ -34,76 +35,44 @@ from .ellipsoid import Ellipsoid
 from .geometry import CameraIntrinsics, Pose
 from .views import CandidateView
 
-ELLIPSE_SEGMENTS = 256
-
-
-def _clipped_cross(x0, y0, x1, y1, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """x dy - y dx of each segment after Liang-Barsky clipping to the rectangle [lo, hi]."""
-    dx, dy = x1 - x0, y1 - y0
-    t0, t1 = np.zeros_like(x0), np.ones_like(x0)
-    keep = np.ones(x0.shape, dtype=bool)
-    for start, d, low, high in ((x0, dx, lo[0], hi[0]), (y0, dy, lo[1], hi[1])):
-        parallel = d == 0.0
-        keep &= ~parallel | ((start >= low) & (start <= high))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_low, t_high = (low - start) / d, (high - start) / d
-        ahead = d > 0.0
-        t0 = np.where(parallel, t0, np.maximum(t0, np.where(ahead, t_low, t_high)))
-        t1 = np.where(parallel, t1, np.minimum(t1, np.where(ahead, t_high, t_low)))
-    keep &= t0 < t1
-    a_x, a_y, b_x, b_y = x0 + t0 * dx, y0 + t0 * dy, x0 + t1 * dx, y0 + t1 * dy
-    return np.where(keep, a_x * b_y - b_x * a_y, 0.0)
-
-
-def _chord_length(pa, pb, qa, qb, level: float, low: float, high: float) -> np.ndarray:
-    """Length within [low, high] of each polygon's chord on the line a = level.
-
-    `pa`, `pb` (K,S) are the vertex coordinates across and along the line,
-    `qa`, `qb` the same rolled to each edge's far end.  The half-open test
-    counts a vertex lying exactly on the line once.
-    """
-    pair, i = np.nonzero((pa < level) != (qa < level))
-    a0, b0 = pa[pair, i], pb[pair, i]
-    hit = b0 + (level - a0) / (qa[pair, i] - a0) * (qb[pair, i] - b0)
-    first = np.full(len(pa), np.inf)
-    last = np.full(len(pa), -np.inf)
-    np.minimum.at(first, pair, hit)
-    np.maximum.at(last, pair, hit)
-    return np.maximum(np.minimum(last, high) - np.maximum(first, low), 0.0)
-
-
 def _border_area(center, axes, orientation, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Area inside the image of each ellipse's 256-gon (px^2), for (K,) ellipses.
+    """Exact area of each ellipse inside the image (px^2), for (K,) ellipses.
 
     The image spans [-0.5, width-0.5] x [-0.5, height-0.5] so that pixel
-    centers sit at integer coordinates.  Twice the area of the convex
-    polygon cut to that rectangle is the boundary sum of x dy - y dx
-    (Green's theorem): every polygon edge clipped to the rectangle, plus,
-    for each image side, its coordinate times the stretch of that side
-    inside the polygon.  The polygon runs counterclockwise, so the right
-    and top sides count positive and the left and bottom sides negative.
+    centers sit at integer coordinates.  Rotating by -orientation about the
+    ellipse center and dividing by the semi-axes maps the ellipse to the
+    unit disk and the image to a parallelogram with corners P_k, still
+    counterclockwise.  Edge P_k -> P_k+1 runs inside the disk from p1 to p2
+    (p1 = p2 where it misses), so the disk's area inside the parallelogram
+    is the sum over the edges of sector(P_k, p1) + triangle(p1, p2) +
+    sector(p2, P_k+1), where sector(u, v) = atan2(u x v, u . v) / 2 and
+    triangle(u, v) = u x v / 2.  Scaling by a*b maps it back.
     """
-    t = np.linspace(0.0, 2.0 * np.pi, ELLIPSE_SEGMENTS, endpoint=False)
+    right, top = intrinsics.width - 0.5, intrinsics.height - 0.5
+    du = np.array([-0.5, right, right, -0.5]) - center[:, :1]
+    dv = np.array([-0.5, -0.5, top, top]) - center[:, 1:]
     c, s = np.cos(orientation)[:, None], np.sin(orientation)[:, None]
-    ex, ey = axes[:, :1] * np.cos(t), axes[:, 1:] * np.sin(t)
-    px, py = center[:, :1] + c * ex - s * ey, center[:, 1:] + s * ex + c * ey
+    px, py = (c * du + s * dv) / axes[:, :1], (c * dv - s * du) / axes[:, 1:]
     qx, qy = np.roll(px, -1, axis=1), np.roll(py, -1, axis=1)
-    lo = np.array([-0.5, -0.5])
-    hi = np.array([intrinsics.width - 0.5, intrinsics.height - 0.5])
-
-    beyond = np.stack([px < lo[0], px > hi[0], py < lo[1], py > hi[1]])  # per vertex and side
-    beyond_q = np.roll(beyond, -1, axis=2)
-    whole = ~(beyond | beyond_q).any(axis=0)
-    twice = np.where(whole, px * qy - qx * py, 0.0).sum(axis=1)
-    # Only edges that are neither wholly inside nor wholly past one side need clipping.
-    pair, i = np.nonzero(~whole & ~(beyond & beyond_q).any(axis=0))
-    cut = _clipped_cross(px[pair, i], py[pair, i], qx[pair, i], qy[pair, i], lo, hi)
-    twice += np.bincount(pair, weights=cut, minlength=len(px))
-    for sign, level in ((-1.0, lo[0]), (1.0, hi[0])):
-        twice += sign * level * _chord_length(px, py, qx, qy, level, lo[1], hi[1])
-    for sign, level in ((-1.0, lo[1]), (1.0, hi[1])):
-        twice += sign * level * _chord_length(py, px, qy, qx, level, lo[0], hi[0])
-    return 0.5 * np.abs(twice)
+    ex, ey = qx - px, qy - py
+    # The edge's line meets the circle at t = foot -+ half; by Lagrange's
+    # identity the discriminant is |e|^2 - (P x e)^2, which does not cancel.
+    length2 = ex * ex + ey * ey
+    cross = px * ey - py * ex
+    foot = -(px * ex + py * ey) / length2
+    half = np.sqrt(np.maximum(length2 - cross * cross, 0.0)) / length2
+    t1, t2 = np.clip(foot - half, 0.0, 1.0), np.clip(foot + half, 0.0, 1.0)
+    ax, ay, bx, by = px + t1 * ex, py + t1 * ey, px + t2 * ex, py + t2 * ey
+    twice = (
+        np.arctan2(px * ay - py * ax, px * ax + py * ay)
+        + (ax * by - ay * bx)
+        + np.arctan2(bx * qy - by * qx, bx * qx + by * qy)
+    ).sum(axis=1)
+    # Where no edge enters the disk the sectors add up to a whole turn or to
+    # nothing; rounding them off makes an ellipse that misses the image 0.
+    missed = (t1 == t2).all(axis=1)
+    twice = np.where(missed, 2.0 * np.pi * np.round(twice / (2.0 * np.pi)), twice)
+    return np.maximum(0.5 * axes[:, 0] * axes[:, 1] * twice, 0.0)
 
 
 def project(poses: list[Pose], ellipsoids: list[Ellipsoid], intrinsics: CameraIntrinsics):

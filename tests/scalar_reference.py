@@ -2,12 +2,16 @@
 
 `look_at`, `sample_candidates` and `assign_partitions` are the per-view
 loops that `geometry.look_at_many` and the array pass in `views` replace;
-the batched results must equal them bit for bit.  `clipped_ellipse_area`
-clips one ellipse's 256-gon against the image rectangle with
-Sutherland-Hodgman and sums the shoelace formula, the per-pair method that
-the batched border clip in `projection.project` replaces.
+the batched results must equal them bit for bit.  `exact_ellipse_area`
+integrates an ellipse's horizontal chord, clipped to the image width, over
+the image rows with adaptive quadrature, breaking the integral where the
+ellipse meets an image side; the closed-form area in `projection.project`
+must equal it to 1e-9 relative.  `clipped_ellipse_area` clips the
+ellipse's inscribed 256-gon against the image rectangle with
+Sutherland-Hodgman and sums the shoelace formula, the approximation the
+closed form replaced, which bounds how far the areas moved.
 `rasterized_ellipse_area` counts the pixels inside a conic, an independent
-check on both.
+check on all of them.
 
 `traverse_ray` is the scalar Amanatides-Woo walk that `voxel.traverse_rays`
 must match voxel for voxel.  `integrate_walk_to_exit` and
@@ -23,11 +27,11 @@ for bit.
 """
 
 import numpy as np
+from scipy.integrate import quad
 
 from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose
 from nbvplan.mesh import TriangleMesh
 from nbvplan.oracle import OracleScore, _pixel_ray_dirs
-from nbvplan.projection import ELLIPSE_SEGMENTS
 from nbvplan.render import BARY_EPS, DET_EPS, T_MIN
 from nbvplan.views import _GOLDEN_ANGLE, CandidateView, SamplingConfig, _parallel_counts, _up_basis
 from nbvplan.voxel import Observation, VoxelGrid, VoxelState, first_hits, mark_occupied, traverse_rays
@@ -114,9 +118,12 @@ def _clip_polygon_axis(poly, axis: int, bound: float, keep_less: bool):
     return out
 
 
+POLYGON_SEGMENTS = 256
+
+
 def clipped_ellipse_area(center, axes, orientation, intrinsics: CameraIntrinsics) -> float:
     """Area of an ellipse's 256-gon inside [-0.5, W-0.5] x [-0.5, H-0.5] (px^2)."""
-    t = np.linspace(0.0, 2.0 * np.pi, ELLIPSE_SEGMENTS, endpoint=False)
+    t = np.linspace(0.0, 2.0 * np.pi, POLYGON_SEGMENTS, endpoint=False)
     c, s = np.cos(orientation), np.sin(orientation)
     x = axes[0] * np.cos(t)
     y = axes[1] * np.sin(t)
@@ -127,8 +134,43 @@ def clipped_ellipse_area(center, axes, orientation, intrinsics: CameraIntrinsics
     poly = _clip_polygon_axis(poly, 1, intrinsics.height - 0.5, keep_less=True)
     if len(poly) < 3:
         return 0.0
-    x, y = poly[:, 0], poly[:, 1]
+    x, y = poly[:, 0] - center[0], poly[:, 1] - center[1]  # small terms for the shoelace
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def exact_ellipse_area(center, axes, orientation, intrinsics: CameraIntrinsics) -> float:
+    """Area of an ellipse inside [-0.5, W-0.5] x [-0.5, H-0.5] (px^2), by quadrature.
+
+    In coordinates (du, dv) about the center the ellipse is
+    A du^2 + 2 B du dv + C dv^2 <= 1, so the row at offset dv holds the
+    chord du in (-B dv -+ sqrt(A - dv^2 / (a b)^2)) / A.  Its length inside
+    the image is integrated over the rows, with breakpoints where the
+    ellipse crosses the left or right side, at which the clipped length
+    has a kink.
+    """
+    a, b = axes
+    c, s = np.cos(orientation), np.sin(orientation)
+    qa, qb, qc = c * c / a**2 + s * s / b**2, c * s * (1 / a**2 - 1 / b**2), s * s / a**2 + c * c / b**2
+    left, right = -0.5 - center[0], intrinsics.width - 0.5 - center[0]
+    reach = a * b * np.sqrt(qa)  # half the ellipse's height
+    lo = max(-reach, -0.5 - center[1])
+    hi = min(reach, intrinsics.height - 0.5 - center[1])
+    if lo >= hi:
+        return 0.0
+
+    def chord(dv):
+        root = np.sqrt(max(qa - dv * dv / (a * b) ** 2, 0.0))
+        u0, u1 = (-qb * dv - root) / qa, (-qb * dv + root) / qa
+        return max(min(u1, right) - max(u0, left), 0.0)
+
+    kinks = []
+    for du in (left, right):  # qc dv^2 + 2 qb du dv + qa du^2 - 1 = 0
+        disc = (qb * du) ** 2 - qc * (qa * du * du - 1.0)
+        if disc > 0:
+            kinks += [(-qb * du - np.sqrt(disc)) / qc, (-qb * du + np.sqrt(disc)) / qc]
+    kinks = sorted(k for k in kinks if lo < k < hi)
+    area, _ = quad(chord, lo, hi, points=kinks or None, epsabs=0.0, epsrel=1e-12, limit=200)
+    return area
 
 
 def rasterized_ellipse_area(conic, intrinsics: CameraIntrinsics) -> float:

@@ -5,9 +5,14 @@ import pytest
 
 from nbvplan.ellipsoid import Ellipsoid
 from nbvplan.geometry import CameraIntrinsics, Pose, look_at
-from nbvplan.projection import ELLIPSE_SEGMENTS, _border_area, depth_weights, evaluate_all, project
+from nbvplan.projection import _border_area, depth_weights, evaluate_all, project
 from nbvplan.views import CandidateView
-from scalar_reference import clipped_ellipse_area, rasterized_ellipse_area
+from scalar_reference import (
+    POLYGON_SEGMENTS,
+    clipped_ellipse_area,
+    exact_ellipse_area,
+    rasterized_ellipse_area,
+)
 
 
 def sphere_ell(center, radius, kind="frontier", index=0):
@@ -302,7 +307,7 @@ def test_clipped_area_matches_raster_high_res():
 
 
 def border_area(center, axes, orientation, intrinsics):
-    """Batched clip of one ellipse, failing on any numpy warning."""
+    """Closed-form area of one ellipse inside the image, failing on any numpy warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return _border_area(
@@ -311,17 +316,21 @@ def border_area(center, axes, orientation, intrinsics):
         )[0]
 
 
-def polygon_area(axes):
-    """Area of the whole 256-gon inscribed in an ellipse."""
-    return 0.5 * ELLIPSE_SEGMENTS * axes[0] * axes[1] * np.sin(2.0 * np.pi / ELLIPSE_SEGMENTS)
+def random_ellipses(seed, k):
+    """(center, axes, orientation) of k ellipses, most of them crossing a 640x480 image's border."""
+    rng = np.random.default_rng(seed)
+    center = np.column_stack([rng.uniform(-250, 890, k), rng.uniform(-250, 730, k)])
+    major = rng.uniform(3.0, 800.0, k)
+    axes = np.column_stack([major, major * rng.uniform(0.02, 1.0, k)])
+    return center, axes, rng.uniform(-np.pi / 2, np.pi / 2, k)
 
 
 def test_clip_spanning_both_edges_is_silent(intrinsics):
-    # axis-aligned ellipse wider than the image: its edges parallel to an
-    # image side must not produce inf * 0 or 0 / 0
+    # axis-aligned ellipse wider than the image: its sides parallel to the
+    # ellipse's axes must not produce inf * 0 or 0 / 0
     center, axes = (320.0, 240.0), (1000.0, 100.0)
     area = border_area(center, axes, 0.0, intrinsics)
-    assert area == pytest.approx(clipped_ellipse_area(center, axes, 0.0, intrinsics), rel=1e-9)
+    assert area == pytest.approx(exact_ellipse_area(center, axes, 0.0, intrinsics), rel=1e-9)
     conic = np.diag([1.0 / axes[0] ** 2, 1.0 / axes[1] ** 2, -1.0])
     shift = np.array([[1.0, 0.0, -center[0]], [0.0, 1.0, -center[1]], [0.0, 0.0, 1.0]])
     raster = rasterized_ellipse_area(shift.T @ conic @ shift, intrinsics)
@@ -329,19 +338,14 @@ def test_clip_spanning_both_edges_is_silent(intrinsics):
 
 
 def test_batched_clip_matches_scalar_reference(intrinsics):
-    rng = np.random.default_rng(21)
-    k = 600
-    center = np.column_stack([rng.uniform(-250, 890, k), rng.uniform(-250, 730, k)])
-    major = rng.uniform(3.0, 800.0, k)
-    axes = np.column_stack([major, major * rng.uniform(0.02, 1.0, k)])
-    orientation = rng.uniform(-np.pi / 2, np.pi / 2, k)
+    center, axes, orientation = random_ellipses(21, 600)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _border_area(center, axes, orientation, intrinsics)
     want = np.array([
-        clipped_ellipse_area(c, a, o, intrinsics) for c, a, o in zip(center, axes, orientation)
+        exact_ellipse_area(c, a, o, intrinsics) for c, a, o in zip(center, axes, orientation)
     ])
-    crossing = (want > 0) & (want < polygon_area(axes.T) * (1 - 1e-9))
+    crossing = (want > 0) & (want < np.pi * axes[:, 0] * axes[:, 1] * (1 - 1e-9))
     assert crossing.sum() > 300
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
@@ -354,28 +358,88 @@ def test_batched_clip_matches_scalar_reference(intrinsics):
         ((300.0, 240.0), (60.0, 900.0), 0.1, None),              # spans top and bottom
         ((639.5, 479.5), (50.0, 30.0), 0.3, None),               # cuts one corner
         ((-10.0, -8.0), (25.0, 20.0), -0.7, None),               # cuts the opposite corner
-        ((400.0, 400.0), (60.0, 79.5), 0.0, polygon_area((60.0, 79.5))),  # top vertex on y = H-0.5
+        ((400.0, 400.0), (60.0, 79.5), 0.0, np.pi * 60.0 * 79.5),  # tangent to y = H-0.5
     ],
 )
 def test_batched_clip_special_cases(center, axes, orientation, expected, intrinsics):
     area = border_area(center, axes, orientation, intrinsics)
-    assert area == pytest.approx(clipped_ellipse_area(center, axes, orientation, intrinsics), rel=1e-9)
+    assert area == pytest.approx(exact_ellipse_area(center, axes, orientation, intrinsics), rel=1e-9)
     if expected is not None:
         assert area == pytest.approx(expected, rel=1e-12)
 
 
-def test_batched_clip_vertex_on_side_counted_once(intrinsics):
-    # vertex 10 of the 256-gon lies exactly on x = W-0.5, its neighbours on
-    # either side, so the side's chord starts at that vertex
+def test_clip_exact_halves_and_whole_image(intrinsics):
+    right, top = intrinsics.width - 0.5, intrinsics.height - 0.5
     axes = (100.0, 70.0)
-    t = np.linspace(0.0, 2.0 * np.pi, ELLIPSE_SEGMENTS, endpoint=False)
-    offset = axes[0] * np.cos(t[10])
-    center = (intrinsics.width - 0.5 - offset, 200.0)
-    assert center[0] + offset == intrinsics.width - 0.5
-    area = border_area(center, axes, 0.0, intrinsics)
-    assert area == pytest.approx(clipped_ellipse_area(center, axes, 0.0, intrinsics), rel=1e-9)
-    nudged = border_area((center[0] + 1e-9, center[1]), axes, 0.0, intrinsics)
-    assert nudged == pytest.approx(area, rel=1e-9)
+    for orientation in (0.0, 0.3, -1.1, np.pi / 2):
+        # an image side through the center leaves half the ellipse, by symmetry
+        for center in ((right, 240.0), (-0.5, 200.0), (320.0, top), (300.0, -0.5)):
+            area = border_area(center, axes, orientation, intrinsics)
+            assert area == pytest.approx(0.5 * np.pi * axes[0] * axes[1], rel=1e-12)
+        # an ellipse containing the image covers all of it
+        area = border_area((320.0, 240.0), (2000.0, 600.0), orientation, intrinsics)
+        assert area == pytest.approx(intrinsics.width * intrinsics.height, rel=1e-12)
+    # an axis-aligned ellipse centered on a corner keeps a quarter
+    area = border_area((right, top), axes, 0.0, intrinsics)
+    assert area == pytest.approx(0.25 * np.pi * axes[0] * axes[1], rel=1e-12)
+
+
+def test_exact_area_exceeds_the_256gon_by_its_deficit_at_most(intrinsics):
+    # The inscribed polygon lies inside the ellipse, so the exact area inside
+    # the image is at least the polygon's, and exceeds it by at most the
+    # polygon's deficit (1 - n/(2 pi) sin(2 pi/n)) pi a b = 1.004e-4 pi a b.
+    center, axes, orientation = random_ellipses(23, 400)
+    got = _border_area(center, axes, orientation, intrinsics)
+    polygon = np.array([
+        clipped_ellipse_area(c, a, o, intrinsics) for c, a, o in zip(center, axes, orientation)
+    ])
+    full = np.pi * axes[:, 0] * axes[:, 1]
+    deficit = 1.0 - POLYGON_SEGMENTS / (2.0 * np.pi) * np.sin(2.0 * np.pi / POLYGON_SEGMENTS)
+    assert deficit == pytest.approx(1.004e-4, rel=1e-3)
+    drift = got - polygon
+    rounding = 1e-12 * got
+    assert (drift >= -rounding).all()
+    assert (drift <= deficit * full + rounding).all()
+    assert (drift / full).max() == pytest.approx(deficit, rel=1e-6)  # an ellipse inside the image
+
+
+def test_area_is_continuous_across_a_side_and_a_corner(intrinsics):
+    # Slide an ellipse outward across the right side and across the top-right
+    # corner in 0.01 px steps.  The area never grows, and each step removes at
+    # most the step times the ellipse's widest chord.
+    axes, orientation, step = (40.0, 25.0), 0.5, 0.01
+    right, top = intrinsics.width - 0.5, intrinsics.height - 0.5
+    offsets = np.arange(-80.0, 80.0, step)
+    for start, direction in (((right, 240.0), (1.0, 0.0)), ((right, top), (0.6, 0.8))):
+        center = np.asarray(start) + np.outer(offsets, direction)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            area = _border_area(
+                center, np.tile(axes, (len(offsets), 1)), np.full(len(offsets), orientation),
+                intrinsics,
+            )
+        assert area[0] == pytest.approx(np.pi * axes[0] * axes[1], rel=1e-12)
+        assert area[-1] == 0.0
+        change = np.diff(area)
+        assert (change <= 1e-9 * area[0]).all()
+        assert (-change <= 2.0 * axes[0] * step * (1 + 1e-9)).all()
+
+
+@pytest.mark.parametrize("toward", [(0.639, 0.0), (0.639, 0.479)])
+def test_projected_area_is_exact_across_a_side_and_a_corner(toward, axis_view, intrinsics):
+    # A sphere moves out along the ray through the right side's middle, or
+    # through the top-right corner, until its silhouette leaves the image.
+    # Every pair, inside, crossing the border or outside, has the exact
+    # area, so the area does not jump where the silhouette's bounding box
+    # first touches the border.
+    spheres = [sphere_ell([*(s * np.array(toward)), 1.0], 0.05) for s in np.linspace(0.6, 1.4, 801)]
+    _, conics, centers, axes, areas = project([axis_view.pose], spheres, intrinsics)
+    want = []
+    for conic, center, ab in zip(conics[0], centers[0], axes[0]):
+        orientation = 0.5 * np.arctan2(-2.0 * conic[0, 1], conic[1, 1] - conic[0, 0])
+        want.append(exact_ellipse_area(center, ab, orientation, intrinsics))
+    np.testing.assert_allclose(areas[0], want, rtol=1e-9, atol=0)
+    assert areas[0, 0] == np.pi * axes[0, 0, 0] * axes[0, 0, 1] and areas[0, -1] == 0.0
 
 
 # ---- depth-rank discontinuity ------------------------------------------------
