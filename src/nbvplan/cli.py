@@ -10,7 +10,8 @@
 same candidates and reports how well the two agree: the Spearman rho of F
 against the oracle's visible frontier, and the top-1 regret.  One scoring
 pass takes milliseconds, so it is repeated at least 5 times and for at least
-0.2 s, and the median is reported with the repeat count.
+0.2 s, and the median is reported with the repeat count and the total time
+of the passes.
 
 Any config-file key can be overridden by the flag of the same name.  Bad
 input (a missing or malformed file, an invalid value, a mesh the first view
@@ -119,6 +120,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         scores = evaluate_all(candidates, state.e_o, state.e_f, intr)
         proj_times.append(time.perf_counter() - t0)
     t_proj = float(np.median(proj_times))
+    t_proj_total = sum(proj_times)
 
     os.makedirs(config.out, exist_ok=True)
     rows = []
@@ -152,7 +154,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"{len(state.e_o) + len(state.e_f)} ellipsoids (stride {config.stride})"
     )
     print(
-        f"projection {t_proj:.4f}s (median of {len(proj_times)})  oracle {t_oracle:.3f}s  "
+        f"projection {t_proj:.4f}s (median of {len(proj_times)}, {t_proj_total!r}s in all)  "
+        f"oracle {t_oracle:.3f}s  "
         f"speedup x{speedup:.1f}  spearman {rho:.3f}  top-1 regret {regret:.3f} "
         f"-> {bench_path}"
     )

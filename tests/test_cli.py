@@ -84,9 +84,13 @@ def test_bench_reports_rank_agreement(mesh_dir, tmp_path, capsys, monkeypatch):
     assert f"spearman {rho:.3f}" in out
     assert f"top-1 regret {regret:.3f}" in out
     # projection scoring is timed over repeats, and its median is printed
-    median, repeats = re.search(r"projection (\S+)s \(median of (\d+)\)", out).groups()
+    median, repeats, total = re.search(
+        r"projection (\S+)s \(median of (\d+), (\S+)s in all\)", out
+    ).groups()
     assert int(repeats) == len(passes) >= cli.BENCH_MIN_REPEATS
-    assert sum(passes) >= cli.BENCH_MIN_SECONDS
+    # The bench stops on its own clock, which spans each wrapped pass.
+    assert float(total) >= cli.BENCH_MIN_SECONDS
+    assert sum(passes) <= float(total)
     assert float(median) == pytest.approx(np.median(passes), abs=2e-4)
 
 
