@@ -11,6 +11,8 @@ Only voxels inside the box of the Frontier and Occupied cells can count or
 block, so each ray is walked from its start only until it leaves that box
 padded by one voxel, and a ray that misses the padded box is not walked.
 The counts are those of walking every ray to `max_range` or the grid exit.
+`oracle_scores` builds the masks and the box once per grid for a list of
+views; `oracle_evaluate` scores one view.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .geometry import CameraIntrinsics, Pose
 from .views import CandidateView
@@ -43,6 +44,54 @@ def _pixel_ray_dirs(intrinsics: CameraIntrinsics, pose: Pose, stride: int) -> np
     return dirs_cam @ pose.rotation.T
 
 
+def _targets(grid: VoxelGrid):
+    """The Frontier and Occupied masks and the padded box of their cells (None without any)."""
+    frontier = grid.states == int(VoxelState.FRONTIER)
+    occupied = grid.states == int(VoxelState.OCCUPIED)
+    cells = np.flatnonzero(frontier | occupied)
+    if len(cells) == 0:
+        return frontier, occupied, None
+    bmin, bmax = cells_bbox(grid, cells)
+    return frontier, occupied, (bmin - grid.resolution, bmax + grid.resolution)
+
+
+def oracle_scores(
+    views: list[CandidateView],
+    grid: VoxelGrid,
+    intrinsics: CameraIntrinsics,
+    stride: int = 4,
+) -> list[OracleScore]:
+    """`oracle_evaluate` of each view, with the grid's masks and box built once."""
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    frontier, occupied, box = _targets(grid)
+    scores = []
+    for view in views:
+        dirs = _pixel_ray_dirs(intrinsics, view.pose, stride)
+        reached = np.zeros(grid.n_voxels, dtype=bool)
+        walked = visits = 0
+        if box is not None:
+            # Segments of length max_range, cut where they leave the padded
+            # box; the traversal also clips them to the grid.
+            starts = np.broadcast_to(view.pose.translation, dirs.shape)
+            deltas = dirs * intrinsics.max_range
+            t_in, t_out = ray_box_range(starts, deltas, *box)
+            t_end = np.minimum(t_out, 1.0)
+            walk = np.flatnonzero(np.maximum(t_in, 0.0) <= t_end)
+            for _, flat, valid in traverse_rays(grid, starts[walk], deltas[walk], t_end[walk]):
+                last = first_hits(valid & occupied[flat])
+                reached[flat[valid & (np.arange(flat.shape[1]) <= last)]] = True
+                walked += len(flat)
+                visits += int(np.count_nonzero(valid))
+        log.debug("oracle_evaluate: %d rays cast, %d walked, %d voxel visits", len(dirs), walked, visits)
+        scores.append(OracleScore(
+            visible_frontier=int(np.count_nonzero(reached & frontier)),
+            visible_occupied=int(np.count_nonzero(reached & occupied)),
+            rays_cast=len(dirs),
+        ))
+    return scores
+
+
 def oracle_evaluate(
     view: CandidateView,
     grid: VoxelGrid,
@@ -50,38 +99,7 @@ def oracle_evaluate(
     stride: int = 4,
 ) -> OracleScore:
     """Count Frontier/Occupied voxels visible from the view through pixel rays."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    dirs = _pixel_ray_dirs(intrinsics, view.pose, stride)
-    frontier = grid.states == int(VoxelState.FRONTIER)
-    occupied = grid.states == int(VoxelState.OCCUPIED)
-    cells = np.flatnonzero(frontier | occupied)
-    if len(cells) == 0:
-        log.debug("oracle_evaluate: %d rays cast, 0 walked, 0 voxel visits", len(dirs))
-        return OracleScore(visible_frontier=0, visible_occupied=0, rays_cast=len(dirs))
-
-    # Segments of length max_range, cut where they leave the padded box of
-    # the cells that can count; the traversal also clips them to the grid.
-    bmin, bmax = cells_bbox(grid, cells)
-    starts = np.broadcast_to(view.pose.translation, dirs.shape)
-    deltas = dirs * intrinsics.max_range
-    t_in, t_out = ray_box_range(starts, deltas, bmin - grid.resolution, bmax + grid.resolution)
-    t_end = np.minimum(t_out, 1.0)
-    walk = np.flatnonzero(np.maximum(t_in, 0.0) <= t_end)
-    reached = np.zeros(grid.n_voxels, dtype=bool)
-    walked = visits = 0
-    for _, flat, valid in traverse_rays(grid, starts[walk], deltas[walk], t_end[walk]):
-        last = first_hits(valid & occupied[flat])
-        reached[flat[valid & (np.arange(flat.shape[1]) <= last)]] = True
-        walked += len(flat)
-        visits += int(np.count_nonzero(valid))
-    log.debug("oracle_evaluate: %d rays cast, %d walked, %d voxel visits", len(dirs), walked, visits)
-
-    return OracleScore(
-        visible_frontier=int(np.count_nonzero(reached & frontier)),
-        visible_occupied=int(np.count_nonzero(reached & occupied)),
-        rays_cast=len(dirs),
-    )
+    return oracle_scores([view], grid, intrinsics, stride)[0]
 
 
 def oracle_rank(
@@ -93,7 +111,7 @@ def oracle_rank(
     """Candidates ordered by visible_frontier, descending and stable."""
     if not candidates:
         raise ValueError("oracle_rank requires candidates")
-    scored = [(v, oracle_evaluate(v, grid, intrinsics, stride)) for v in candidates]
+    scored = list(zip(candidates, oracle_scores(candidates, grid, intrinsics, stride)))
     order = sorted(
         range(len(scored)), key=lambda i: (-scored[i][1].visible_frontier, i)
     )
@@ -110,6 +128,8 @@ def rank_agreement(scores: np.ndarray, visible_frontier: np.ndarray) -> tuple[fl
     frontier = np.asarray(visible_frontier, dtype=float)
     rho = float("nan")
     if np.ptp(scores) > 0 and np.ptp(frontier) > 0:
+        from scipy.stats import spearmanr  # here: importing scipy.stats doubles `import nbvplan`
+
         rho = float(spearmanr(scores, frontier).statistic)
     best = frontier.max()
     regret = float((best - frontier[np.argmax(scores)]) / best) if best > 0 else 0.0

@@ -23,7 +23,7 @@ from .config import RunConfig
 from .ellipsoid import Ellipsoid, refit_all
 from .geometry import Pose, look_at
 from .mesh import TriangleMesh
-from .oracle import oracle_evaluate
+from .oracle import oracle_scores
 from .projection import evaluate_all
 from .render import frame_to_points, render_depth
 from .views import CandidateView, SamplingConfig, assign_partitions, sample_candidates, sampling_radius
@@ -232,10 +232,9 @@ def _score_candidates(state: PlannerState, candidates: list[CandidateView]) -> N
     if cfg.evaluator == "projection":
         evaluate_all(candidates, state.e_o, state.e_f, cfg.intrinsics())
     elif cfg.evaluator == "oracle":
-        for v in candidates:
-            v.score = float(
-                oracle_evaluate(v, state.grid, cfg.intrinsics(), cfg.stride).visible_frontier
-            )
+        scores = oracle_scores(candidates, state.grid, cfg.intrinsics(), cfg.stride)
+        for v, score in zip(candidates, scores):
+            v.score = float(score.visible_frontier)
     else:  # random baseline
         rng = np.random.default_rng((cfg.seed, state.iteration))
         scores = rng.random(len(candidates))

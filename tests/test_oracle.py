@@ -1,5 +1,8 @@
 import logging
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -233,3 +236,28 @@ def test_oracle_rank_facing_cluster_first(small_intr):
     ranked = oracle_rank([away, facing], grid, small_intr, stride=2)
     assert ranked[0][0] is facing
     assert ranked[0][1].visible_frontier > 0
+
+
+def test_oracle_rank_counts_equal_per_candidate_evaluation(small_intr):
+    """oracle_rank builds the grid's masks and box once for all candidates;
+    each count is still that of scoring the candidate alone, and that of
+    walking every ray to the grid exit."""
+    rng = np.random.default_rng(8)
+    grid = centered_grid(12)
+    block = grid.grid3d()[3:9, 4:10, 2:8]
+    block[...] = rng.choice([int(s) for s in VoxelState], block.shape, p=[0.3, 0.3, 0.1, 0.2, 0.1])
+    views = [make_view(p, rng.uniform(-0.3, 0.3, 3)) for p in rng.normal(scale=1.5, size=(8, 3))]
+    ranked = oracle_rank(views, grid, small_intr, stride=3)
+    assert sorted(id(v) for v, _ in ranked) == sorted(id(v) for v in views)
+    assert sum(score.visible_frontier > 0 for _, score in ranked) >= 4
+    for view, score in ranked:
+        assert score == oracle_evaluate(view, grid, small_intr, 3)
+        assert score == oracle_walk_to_exit(view, grid, small_intr, 3)
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats is imported by rank_agreement when it runs, not by the package.
+    code = "import sys, nbvplan; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
