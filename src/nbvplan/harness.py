@@ -67,6 +67,15 @@ class IterationRecord:
         }
 
 
+def _within(model_points: np.ndarray, acquired: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask of the model samples with an acquired point within `threshold` (m)."""
+    # The nearest distance does not depend on the tree's layout; a tree built
+    # unbalanced and uncompacted is faster to build than the balanced default.
+    tree = cKDTree(acquired, balanced_tree=False, compact_nodes=False)
+    dist, _ = tree.query(model_points, k=1, distance_upper_bound=threshold * (1 + 1e-12))
+    return dist <= threshold
+
+
 def coverage(model_points: np.ndarray, acquired: np.ndarray, threshold: float = 0.005) -> float:
     """Fraction of model samples with an acquired point within `threshold` (m)."""
     if threshold <= 0:
@@ -75,17 +84,24 @@ def coverage(model_points: np.ndarray, acquired: np.ndarray, threshold: float = 
     acquired = np.asarray(acquired, dtype=float).reshape(-1, 3)
     if len(acquired) == 0 or len(model_points) == 0:
         return 0.0
-    # The nearest distance does not depend on the tree's layout; a tree built
-    # unbalanced and uncompacted is faster to build than the balanced default.
-    tree = cKDTree(acquired, balanced_tree=False, compact_nodes=False)
-    dist, _ = tree.query(model_points, k=1, distance_upper_bound=threshold * (1 + 1e-12))
-    return float(np.count_nonzero(dist <= threshold) / len(model_points))
+    return float(np.count_nonzero(_within(model_points, acquired, threshold)) / len(model_points))
 
 
-def _record_for(state: PlannerState, model_points: np.ndarray, iteration: int) -> IterationRecord:
+def _cover(covered: np.ndarray, model_points: np.ndarray, chunks: list[np.ndarray], threshold: float) -> None:
+    """Mark in `covered` the samples within `threshold` of a point of `chunks`.
+
+    Coverage only grows, so each chunk is queried by the samples not yet
+    covered alone.  The mask is the one `coverage` finds over all points.
+    """
+    for chunk in chunks:
+        open_samples = np.flatnonzero(~covered)
+        if len(open_samples) and len(chunk):
+            covered[open_samples] = _within(model_points[open_samples], chunk, threshold)
+
+
+def _record_for(state: PlannerState, cov: float, iteration: int) -> IterationRecord:
     cfg = state.config
     counts = state.grid.state_counts(within_bbox=True)
-    cov = coverage(model_points, state.acquired_points, cfg.coverage_threshold)
     chosen = state.history[-1]
     return IterationRecord(
         iteration=iteration,
@@ -118,10 +134,15 @@ def run(config: RunConfig) -> tuple[list[IterationRecord], PlannerState]:
     if dumps:
         open(ellipsoids_path, "w").close()
     state = initialize(mesh, config)
+    covered = np.zeros(len(model_points), dtype=bool)
+    n_chunks = 0
     records: list[IterationRecord] = []
     while not should_terminate(state):
         run_iteration(state)
-        rec = _record_for(state, model_points, state.iteration)
+        _cover(covered, model_points, state.point_chunks[n_chunks:], config.coverage_threshold)
+        n_chunks = len(state.point_chunks)
+        cov = float(np.count_nonzero(covered) / len(model_points))
+        rec = _record_for(state, cov, state.iteration)
         records.append(rec)
         log.info(
             "iter %d  coverage=%.4f  compute=%.3fs  partition=%d  |Eo|=%d |Ef|=%d",

@@ -1,9 +1,14 @@
-"""`harness.coverage` against a brute-force nearest-distance count."""
+"""`harness.coverage` against a brute-force nearest-distance count, and the
+coverage `harness.run` tracks frame by frame against `harness.coverage`."""
 
 import numpy as np
 import pytest
 
-from nbvplan.harness import coverage
+from nbvplan import harness
+from nbvplan.config import RunConfig
+from nbvplan.harness import coverage, read_records
+from nbvplan.mesh import load_mesh, sample_surface_points
+from nbvplan.planner import run_iteration
 
 STEP = 2.0**-8  # lattice spacing, m; sums of its multiples are exact
 
@@ -46,3 +51,29 @@ def test_empty_and_invalid_inputs():
     assert coverage(np.empty((0, 3)), pts) == 0.0
     with pytest.raises(ValueError):
         coverage(pts, pts, threshold=0.0)
+
+
+@pytest.mark.parametrize("shape", ["torus", "l_prism"])
+def test_run_coverage_equals_coverage_of_all_points(shape, mesh_dir, tmp_path, monkeypatch):
+    """`run` queries each new frame's points with the samples not yet
+    covered; every iteration's coverage equals `coverage` over every point
+    acquired so far, and records.csv holds the same digits."""
+    config = RunConfig(
+        mesh=str(mesh_dir / f"{shape}.obj"), width=160, height=120, fx=145.0, fy=145.0,
+        candidates=32, t_max=2, iterations=5, seed=3, out=str(tmp_path),
+    )
+    model = sample_surface_points(load_mesh(config.mesh), config.coverage_samples, seed=config.seed)
+    expected = []
+
+    def iterate_and_measure(state):
+        chosen = run_iteration(state)
+        expected.append(coverage(model, state.acquired_points, config.coverage_threshold))
+        return chosen
+
+    monkeypatch.setattr(harness, "run_iteration", iterate_and_measure)
+    records, _ = harness.run(config)
+    assert len(records) == 5
+    assert [r.coverage for r in records] == expected
+    assert expected[0] < expected[-1] < 1.0
+    rows = read_records(str(tmp_path / "records.csv"))
+    assert [r["coverage"] for r in rows] == [f"{c:.9f}" for c in expected]
