@@ -87,18 +87,6 @@ def coverage(model_points: np.ndarray, acquired: np.ndarray, threshold: float = 
     return float(np.count_nonzero(_within(model_points, acquired, threshold)) / len(model_points))
 
 
-def _cover(covered: np.ndarray, model_points: np.ndarray, chunks: list[np.ndarray], threshold: float) -> None:
-    """Mark in `covered` the samples within `threshold` of a point of `chunks`.
-
-    Coverage only grows, so each chunk is queried by the samples not yet
-    covered alone.  The mask is the one `coverage` finds over all points.
-    """
-    for chunk in chunks:
-        open_samples = np.flatnonzero(~covered)
-        if len(open_samples) and len(chunk):
-            covered[open_samples] = _within(model_points[open_samples], chunk, threshold)
-
-
 def _record_for(state: PlannerState, cov: float, iteration: int) -> IterationRecord:
     cfg = state.config
     counts = state.grid.state_counts(within_bbox=True)
@@ -139,7 +127,10 @@ def run(config: RunConfig) -> tuple[list[IterationRecord], PlannerState]:
     records: list[IterationRecord] = []
     while not should_terminate(state):
         run_iteration(state)
-        _cover(covered, model_points, state.point_chunks[n_chunks:], config.coverage_threshold)
+        # Coverage only grows: each new frame is queried by the open samples alone.
+        for chunk in state.point_chunks[n_chunks:]:
+            still_open = np.flatnonzero(~covered)
+            covered[still_open] = _within(model_points[still_open], chunk, config.coverage_threshold)
         n_chunks = len(state.point_chunks)
         cov = float(np.count_nonzero(covered) / len(model_points))
         rec = _record_for(state, cov, state.iteration)

@@ -44,17 +44,6 @@ def _pixel_ray_dirs(intrinsics: CameraIntrinsics, pose: Pose, stride: int) -> np
     return dirs_cam @ pose.rotation.T
 
 
-def _targets(grid: VoxelGrid):
-    """The Frontier and Occupied masks and the padded box of their cells (None without any)."""
-    frontier = grid.states == int(VoxelState.FRONTIER)
-    occupied = grid.states == int(VoxelState.OCCUPIED)
-    cells = np.flatnonzero(frontier | occupied)
-    if len(cells) == 0:
-        return frontier, occupied, None
-    bmin, bmax = cells_bbox(grid, cells)
-    return frontier, occupied, (bmin - grid.resolution, bmax + grid.resolution)
-
-
 def oracle_scores(
     views: list[CandidateView],
     grid: VoxelGrid,
@@ -64,18 +53,23 @@ def oracle_scores(
     """`oracle_evaluate` of each view, with the grid's masks and box built once."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    frontier, occupied, box = _targets(grid)
+    frontier = grid.states == int(VoxelState.FRONTIER)
+    occupied = grid.states == int(VoxelState.OCCUPIED)
+    cells = np.flatnonzero(frontier | occupied)
+    if len(cells):
+        bmin, bmax = cells_bbox(grid, cells)
     scores = []
     for view in views:
         dirs = _pixel_ray_dirs(intrinsics, view.pose, stride)
         reached = np.zeros(grid.n_voxels, dtype=bool)
         walked = visits = 0
-        if box is not None:
+        if len(cells):
             # Segments of length max_range, cut where they leave the padded
-            # box; the traversal also clips them to the grid.
+            # box of the cells that can count; the traversal also clips them
+            # to the grid.
             starts = np.broadcast_to(view.pose.translation, dirs.shape)
             deltas = dirs * intrinsics.max_range
-            t_in, t_out = ray_box_range(starts, deltas, *box)
+            t_in, t_out = ray_box_range(starts, deltas, bmin - grid.resolution, bmax + grid.resolution)
             t_end = np.minimum(t_out, 1.0)
             walk = np.flatnonzero(np.maximum(t_in, 0.0) <= t_end)
             for _, flat, valid in traverse_rays(grid, starts[walk], deltas[walk], t_end[walk]):
