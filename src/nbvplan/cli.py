@@ -120,7 +120,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         scores = evaluate_all(candidates, state.e_o, state.e_f, intr)
         proj_times.append(time.perf_counter() - t0)
     t_proj = float(np.median(proj_times))
-    t_proj_total = sum(proj_times)
 
     os.makedirs(config.out, exist_ok=True)
     rows = []
@@ -154,7 +153,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"{len(state.e_o) + len(state.e_f)} ellipsoids (stride {config.stride})"
     )
     print(
-        f"projection {t_proj:.4f}s (median of {len(proj_times)}, {t_proj_total!r}s in all)  "
+        f"projection {t_proj:.4f}s (median of {len(proj_times)}, {sum(proj_times)!r}s in all)  "
         f"oracle {t_oracle:.3f}s  "
         f"speedup x{speedup:.1f}  spearman {rho:.3f}  top-1 regret {regret:.3f} "
         f"-> {bench_path}"

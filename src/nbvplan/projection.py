@@ -21,10 +21,10 @@ computed in one array pass over all of them.  The affine map that takes the
 ellipse to the unit disk takes the image to a parallelogram, and the disk's
 area inside it is a sum of circular sectors and triangles, one to three per
 parallelogram edge (`_border_area`).  The area is continuous as a
-silhouette moves across an image side or corner.  A pair
-contributes zero, but keeps its depth rank, when its center is at or behind
-the principal plane, its dual conic is singular or non-finite, or its conic
-is not a real ellipse (camera inside or tangent to the ellipsoid).
+silhouette moves across an image side or corner.  A pair contributes zero,
+but keeps its depth rank, when its center is at or behind the principal
+plane, its dual conic is singular or non-finite, or its conic is not a real
+ellipse (camera inside or tangent to the ellipsoid).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 from .ellipsoid import Ellipsoid
 from .geometry import CameraIntrinsics, Pose
 from .views import CandidateView
+
 
 def _border_area(center, axes, orientation, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Exact area of each ellipse inside the image (px^2), for (K,) ellipses.
@@ -55,8 +56,9 @@ def _border_area(center, axes, orientation, intrinsics: CameraIntrinsics) -> np.
     px, py = (c * du + s * dv) / axes[:, :1], (c * dv - s * du) / axes[:, 1:]
     qx, qy = np.roll(px, -1, axis=1), np.roll(py, -1, axis=1)
     ex, ey = qx - px, qy - py
-    # The edge's line meets the circle at t = foot -+ half; by Lagrange's
-    # identity the discriminant is |e|^2 - (P x e)^2, which does not cancel.
+    # The edge's line meets the circle at t = foot -+ half.  By Lagrange's
+    # identity the discriminant (P.e)^2 - |e|^2 (|P|^2 - 1) is
+    # |e|^2 - (P x e)^2, which keeps its digits when |P| is large.
     length2 = ex * ex + ey * ey
     cross = px * ey - py * ex
     foot = -(px * ex + py * ey) / length2
