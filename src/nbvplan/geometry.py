@@ -114,7 +114,9 @@ def _check_rotations(rotations: np.ndarray) -> None:
     gram = rotations.transpose(0, 2, 1) @ rotations
     if not (np.abs(gram - np.eye(3)) <= ORTHONORMAL_TOL).all():
         raise ValueError("rotation is not orthonormal")
-    if not (np.abs(np.linalg.det(rotations) - 1.0) <= 1e-6).all():
+    x, y, z = rotations[:, :, 0], rotations[:, :, 1], rotations[:, :, 2]
+    det = (np.cross(x, y) * z).sum(axis=1)  # the triple product (x cross y) . z
+    if not (np.abs(det - 1.0) <= 1e-6).all():
         raise ValueError("rotation must have determinant +1")
 
 

@@ -12,11 +12,13 @@ block, so each ray is walked from its start only until it leaves that box
 padded by one voxel, and a ray that misses the padded box is not walked.
 The counts are those of walking every ray to `max_range` or the grid exit.
 `oracle_scores` builds the masks and the box once per grid for a list of
-views; `oracle_evaluate` scores one view.
+views; `oracle_evaluate` scores one view.  The camera-frame pixel rays are
+built once per (intrinsics, stride) and only rotated per view.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -36,12 +38,19 @@ class OracleScore:
     rays_cast: int
 
 
-def _pixel_ray_dirs(intrinsics: CameraIntrinsics, pose: Pose, stride: int) -> np.ndarray:
+@functools.cache
+def _camera_rays(intrinsics: CameraIntrinsics, stride: int) -> np.ndarray:
+    """Read-only unit rays in camera coordinates through every stride-th pixel."""
     rows = np.arange(0, intrinsics.height, stride, dtype=float)
     cols = np.arange(0, intrinsics.width, stride, dtype=float)
     rr, cc = np.meshgrid(rows, cols, indexing="ij")
-    dirs_cam = intrinsics.pixel_rays(rr.ravel(), cc.ravel())
-    return dirs_cam @ pose.rotation.T
+    rays = intrinsics.pixel_rays(rr.ravel(), cc.ravel())
+    rays.flags.writeable = False
+    return rays
+
+
+def _pixel_ray_dirs(intrinsics: CameraIntrinsics, pose: Pose, stride: int) -> np.ndarray:
+    return _camera_rays(intrinsics, stride) @ pose.rotation.T
 
 
 def oracle_scores(
@@ -55,15 +64,14 @@ def oracle_scores(
         raise ValueError("stride must be >= 1")
     frontier = grid.states == int(VoxelState.FRONTIER)
     occupied = grid.states == int(VoxelState.OCCUPIED)
-    cells = np.flatnonzero(frontier | occupied)
-    if len(cells):
-        bmin, bmax = cells_bbox(grid, cells)
+    box = cells_bbox(grid, frontier | occupied)
     scores = []
     for view in views:
         dirs = _pixel_ray_dirs(intrinsics, view.pose, stride)
         reached = np.zeros(grid.n_voxels, dtype=bool)
         walked = visits = 0
-        if len(cells):
+        if box is not None:
+            bmin, bmax = box
             # Segments of length max_range, cut where they leave the padded
             # box of the cells that can count; the traversal also clips them
             # to the grid.

@@ -442,12 +442,28 @@ def update_frontier(grid: VoxelGrid) -> np.ndarray:
     return np.nonzero(frontier.reshape(-1))[0]
 
 
-def cells_bbox(grid: VoxelGrid, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """World-space (min, max) corners of the box around the cells at `flat`."""
-    ijk = grid.unflat(flat)
-    bmin = grid.origin + ijk.min(axis=0) * grid.resolution
-    bmax = grid.origin + (ijk.max(axis=0) + 1) * grid.resolution
-    return bmin, bmax
+def _index_range(grid: VoxelGrid, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lowest and highest (i, j, k) of the cells set in the flat `mask`, or None.
+
+    Per axis, the mask is projected with `any` onto that axis, so no index
+    of a single cell is formed.
+    """
+    mask3 = mask.reshape(grid.dims[::-1])  # (nz, ny, nx)
+    i = np.flatnonzero(mask3.any(axis=(0, 1)))
+    if not len(i):
+        return None
+    zy = mask3.any(axis=2)
+    j, k = np.flatnonzero(zy.any(axis=0)), np.flatnonzero(zy.any(axis=1))
+    return np.array([i[0], j[0], k[0]]), np.array([i[-1], j[-1], k[-1]])
+
+
+def cells_bbox(grid: VoxelGrid, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """World-space (min, max) corners of the box around the cells set in `mask`, or None."""
+    bounds = _index_range(grid, mask)
+    if bounds is None:
+        return None
+    lo, hi = bounds
+    return grid.origin + lo * grid.resolution, grid.origin + (hi + 1) * grid.resolution
 
 
 def update_bbox(
@@ -463,10 +479,10 @@ def update_bbox(
     Later frames: B covers Occupied cells, Unknown cells, and a sphere of
     radius `gamma` around every Frontier voxel center.
     """
-    occ_flat = grid.indices_in_state(VoxelState.OCCUPIED)
-    if len(occ_flat) == 0:
+    occupied = cells_bbox(grid, grid.states == int(VoxelState.OCCUPIED))
+    if occupied is None:
         raise ValueError("update_bbox requires at least one Occupied voxel")
-    bmin, bmax = cells_bbox(grid, occ_flat)
+    bmin, bmax = occupied
 
     if first_frame:
         d = np.asarray(view_direction, dtype=float).reshape(3)
@@ -483,16 +499,16 @@ def update_bbox(
         bmin = bmin + np.minimum(0.0, s * d)
         bmax = bmax + np.maximum(0.0, s * d)
     else:
-        unk_flat = grid.indices_in_state(VoxelState.UNKNOWN)
-        if len(unk_flat):
-            umin, umax = cells_bbox(grid, unk_flat)
-            bmin = np.minimum(bmin, umin)
-            bmax = np.maximum(bmax, umax)
-        frontier_flat = grid.indices_in_state(VoxelState.FRONTIER)
-        if len(frontier_flat):
-            centers = grid.voxel_centers(grid.unflat(frontier_flat))
-            bmin = np.minimum(bmin, centers.min(axis=0) - gamma)
-            bmax = np.maximum(bmax, centers.max(axis=0) + gamma)
+        unknown = cells_bbox(grid, grid.states == int(VoxelState.UNKNOWN))
+        if unknown is not None:
+            bmin = np.minimum(bmin, unknown[0])
+            bmax = np.maximum(bmax, unknown[1])
+        # a voxel center origin + (i + 0.5) * res rises with i, so the extreme
+        # centers are those of the extreme indices
+        frontier = _index_range(grid, grid.states == int(VoxelState.FRONTIER))
+        if frontier is not None:
+            bmin = np.minimum(bmin, grid.voxel_centers(frontier[0])[0] - gamma)
+            bmax = np.maximum(bmax, grid.voxel_centers(frontier[1])[0] + gamma)
 
     grid.set_bbox(bmin, bmax)
     return bmin, bmax

@@ -11,7 +11,10 @@ ellipse's inscribed 256-gon against the image rectangle with
 Sutherland-Hodgman and sums the shoelace formula, the approximation the
 closed form replaced, which bounds how far the areas moved.
 `rasterized_ellipse_area` counts the pixels inside a conic, an independent
-check on all of them.
+check on all of them.  `project_reference` is `projection.project` with the
+conics from a batched LAPACK inverse of the pixel-coordinate dual conics,
+the path the closed-form cofactors replaced; validity must be equal and
+the ellipses must agree to 1e-12 relative.
 
 `traverse_ray` is the scalar Amanatides-Woo walk that `voxel.traverse_rays`
 must match voxel for voxel.  `integrate_walk_to_exit` and
@@ -19,8 +22,10 @@ must match voxel for voxel.  `integrate_walk_to_exit` and
 `max_range`); the bounded walks of `integrate_observation` and
 `oracle_evaluate` must give the same states and counts.  `neighbor_any` is
 the 26-offset neighborhood test that the separable dilation in
-`update_frontier` replaces.  `point_to_mesh_distance` is the exact O(N*F)
-point-to-triangle distance used to validate sampling and rendering.
+`update_frontier` replaces, and `update_bbox_by_indices` the per-cell box
+that the per-axis projections in `update_bbox` replace, bit for bit.
+`point_to_mesh_distance` is the exact O(N*F) point-to-triangle distance
+used to validate sampling and rendering.
 `render_depth_loop` is the per-triangle Moller-Trumbore loop that the grouped
 array pass in `render.render_depth` replaces; its depths must be equal bit
 for bit.
@@ -32,6 +37,7 @@ from scipy.integrate import quad
 from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose
 from nbvplan.mesh import TriangleMesh
 from nbvplan.oracle import OracleScore, _pixel_ray_dirs
+from nbvplan.projection import _border_area
 from nbvplan.render import BARY_EPS, DET_EPS, T_MIN
 from nbvplan.views import _GOLDEN_ANGLE, CandidateView, SamplingConfig, _parallel_counts, _up_basis
 from nbvplan.voxel import Observation, VoxelGrid, VoxelState, first_hits, mark_occupied, traverse_rays
@@ -190,6 +196,60 @@ def rasterized_ellipse_area(conic, intrinsics: CameraIntrinsics) -> float:
     return float(np.count_nonzero(sign * q <= 0.0))
 
 
+def project_reference(poses, ellipsoids, intrinsics: CameraIntrinsics):
+    """`projection.project` through LAPACK: one einsum for the dual conics in
+    pixel coordinates and one batched `np.linalg.inv` for the conics, with
+    `np.linalg.det` deciding which are singular."""
+    rot = np.stack([p.rotation for p in poses])  # camera-to-world
+    pos = np.stack([p.translation for p in poses])
+    rot_t = rot.transpose(0, 2, 1)
+    cameras = intrinsics.matrix @ np.concatenate([rot_t, -rot_t @ pos[:, :, None]], axis=2)
+    centers = np.stack([e.center for e in ellipsoids])
+    cam_z = np.einsum("nmj,nj->nm", centers[None] - pos[:, None], rot[:, :, 2])
+    dual = np.einsum(
+        "nij,mjk,nlk->nmil", cameras, np.stack([e.quadric_inv for e in ellipsoids]), cameras
+    )
+
+    # Invalid pairs run through the same arithmetic and are masked at the end.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = np.linalg.det(dual)
+        valid = (cam_z > 0.0) & np.isfinite(det) & (np.abs(det) >= 1e-300)
+        conic = np.linalg.inv(np.where(valid[..., None, None], dual, np.eye(3)))
+        conic = conic + np.swapaxes(conic, -1, -2)  # symmetrize; the scale goes next
+        conic /= np.abs(conic).max(axis=(-2, -1), keepdims=True)
+        conic *= np.where(conic[..., 0, 0] + conic[..., 1, 1] < 0, -1.0, 1.0)[..., None, None]
+
+        a, h, c = conic[..., 0, 0], conic[..., 0, 1], conic[..., 1, 1]
+        det_m = a * c - h * h
+        b = conic[..., :2, 2]
+        center = np.stack([h * b[..., 1] - c * b[..., 0], h * b[..., 0] - a * b[..., 1]], axis=-1)
+        center /= det_m[..., None]
+        f0 = conic[..., 2, 2] + (b * center).sum(axis=-1)
+        # not a hyperbola or parabola (det_m, a), not an imaginary ellipse (f0)
+        valid &= (det_m > 0) & (a > 0) & (f0 < 0)
+        big = 0.5 * (a + c) + np.hypot(0.5 * (a - c), h)  # eigenvalues: det_m / big <= big
+        axes = np.sqrt(-f0[..., None] / np.stack([det_m / big, big], axis=-1))
+        orientation = 0.5 * np.arctan2(-2.0 * h, c - a)  # major axis vs +u
+
+    conic[~valid] = np.nan
+    center[~valid] = np.nan
+    axes[~valid] = np.nan
+    cos, sin = np.cos(orientation), np.sin(orientation)
+    half = np.stack(  # half extents of the ellipse's bounding box
+        [np.hypot(axes[..., 0] * cos, axes[..., 1] * sin),
+         np.hypot(axes[..., 0] * sin, axes[..., 1] * cos)],
+        axis=-1,
+    )
+    far = np.array([intrinsics.width - 0.5, intrinsics.height - 0.5])
+    inside = ((center - half) >= -0.5).all(axis=-1) & ((center + half) <= far).all(axis=-1)
+    outside = ((center + half) <= -0.5).any(axis=-1) | ((center - half) >= far).any(axis=-1)
+    area = np.where(inside, np.pi * axes[..., 0] * axes[..., 1], 0.0)
+    border = valid & ~inside & ~outside
+    if border.any():
+        area[border] = _border_area(center[border], axes[border], orientation[border], intrinsics)
+    return cam_z, conic, center, axes, area
+
+
 # ---- voxel walks ------------------------------------------------------------
 
 
@@ -324,6 +384,37 @@ def neighbor_any(mask3: np.ndarray) -> np.ndarray:
         dst_x = slice(max(0, dx), min(nx, nx + dx))
         out[dst_z, dst_y, dst_x] |= mask3[src_z, src_y, src_x]
     return out
+
+
+def update_bbox_by_indices(grid: VoxelGrid, view_direction, first_frame: bool, gamma: float = 0.0):
+    """`voxel.update_bbox` from the flat index of every Occupied, Unknown and
+    Frontier cell; returns (bmin, bmax) and leaves the grid's box alone."""
+
+    def box(flat):
+        ijk = grid.unflat(flat)
+        lo, hi = ijk.min(axis=0), ijk.max(axis=0) + 1
+        return grid.origin + lo * grid.resolution, grid.origin + hi * grid.resolution
+
+    occ_flat = grid.indices_in_state(VoxelState.OCCUPIED)
+    bmin, bmax = box(occ_flat)
+    if first_frame:
+        d = np.asarray(view_direction, dtype=float).reshape(3)
+        d = d / np.linalg.norm(d)
+        ext = bmax - bmin
+        e2 = float(ext @ ext)
+        b = float(ext @ np.abs(d))
+        s = -b + np.sqrt(b * b + 3.0 * e2)
+        return bmin + np.minimum(0.0, s * d), bmax + np.maximum(0.0, s * d)
+    unk_flat = grid.indices_in_state(VoxelState.UNKNOWN)
+    if len(unk_flat):
+        umin, umax = box(unk_flat)
+        bmin, bmax = np.minimum(bmin, umin), np.maximum(bmax, umax)
+    frontier_flat = grid.indices_in_state(VoxelState.FRONTIER)
+    if len(frontier_flat):
+        centers = grid.voxel_centers(grid.unflat(frontier_flat))
+        bmin = np.minimum(bmin, centers.min(axis=0) - gamma)
+        bmax = np.maximum(bmax, centers.max(axis=0) + gamma)
+    return bmin, bmax
 
 
 # ---- mesh distance ----------------------------------------------------------

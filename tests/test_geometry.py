@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from nbvplan.geometry import Pose, look_at, look_at_many
+from nbvplan.geometry import Pose, _check_rotations, look_at, look_at_many
 
 
 def test_pose_rejects_off_diagonal_stretch_within_rtol():
@@ -24,6 +24,22 @@ def test_pose_rejects_reflection_and_nan():
         Pose(rotation=np.diag([1.0, 1.0, -1.0]), translation=np.zeros(3))
     with pytest.raises(ValueError, match="not orthonormal"):
         Pose(rotation=np.full((3, 3), np.nan), translation=np.zeros(3))
+
+
+def test_stack_check_rejects_one_reflection_or_stretch():
+    # the triple product (x cross y) . z of each matrix is its determinant
+    rng = np.random.default_rng(4)
+    stack = np.array([np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(50)])
+    stack *= np.sign(np.linalg.det(stack))[:, None, None]
+    _check_rotations(stack)
+    reflected = stack.copy()
+    reflected[31] = -reflected[31]
+    with pytest.raises(ValueError, match="determinant"):
+        _check_rotations(reflected)
+    stretched = stack.copy()
+    stretched[17] = np.diag([1.0 + 4e-6, 1.0 - 4e-6, 1.0])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        _check_rotations(stretched)
 
 
 def test_look_at_many_checks_the_whole_stack():

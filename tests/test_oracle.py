@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbvplan.geometry import CameraIntrinsics, look_at
-from nbvplan.oracle import oracle_evaluate, oracle_rank
+from nbvplan.oracle import _camera_rays, _pixel_ray_dirs, oracle_evaluate, oracle_rank
 from nbvplan.views import CandidateView
 from nbvplan.voxel import VoxelGrid, VoxelState
 from scalar_reference import oracle_walk_to_exit, traverse_ray
@@ -199,6 +199,25 @@ def test_bounded_oracle_matches_walk_to_exit(seed, kinds, camera_inside):
     view = make_view(position, target)
     stride = int(rng.integers(1, 3))
     assert oracle_evaluate(view, grid, intr, stride) == oracle_walk_to_exit(view, grid, intr, stride)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 16])
+def test_cached_rays_rotate_to_the_rays_built_per_call(stride):
+    """Rotating the cached camera-frame rays gives bit for bit the rays built
+    from the pixel grid for each view; equal intrinsics share one
+    read-only array."""
+    intr = CameraIntrinsics(fx=58.0, fy=57.5, cx=31.5, cy=24.0, width=64, height=48)
+    rays = _camera_rays(intr, stride)
+    assert _camera_rays(CameraIntrinsics(**vars(intr)), stride) is rays
+    assert not rays.flags.writeable
+    rng = np.random.default_rng(stride)
+    rr, cc = np.meshgrid(
+        np.arange(0, intr.height, stride, dtype=float), np.arange(0, intr.width, stride, dtype=float), indexing="ij"
+    )
+    for position in rng.normal(size=(5, 3)):
+        pose = look_at(position, rng.normal(scale=0.1, size=3), [0, 0, 1])
+        built = intr.pixel_rays(rr.ravel(), cc.ravel()) @ pose.rotation.T
+        assert np.array_equal(_pixel_ray_dirs(intr, pose, stride), built)
 
 
 def test_oracle_skips_rays_that_miss_the_box(small_intr, caplog):

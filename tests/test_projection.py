@@ -1,7 +1,10 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbvplan.ellipsoid import Ellipsoid
 from nbvplan.geometry import CameraIntrinsics, Pose, look_at
@@ -11,6 +14,7 @@ from scalar_reference import (
     POLYGON_SEGMENTS,
     clipped_ellipse_area,
     exact_ellipse_area,
+    project_reference,
     rasterized_ellipse_area,
 )
 
@@ -198,6 +202,95 @@ def test_conic_consistency_on_silhouette():
         assert np.abs(residual / scale).max() < 1e-6
         checked += 1
     assert checked >= 80
+
+
+# ---- closed form vs the LAPACK reference -------------------------------------
+
+SENSOR = CameraIntrinsics(fx=580.0, fy=580.0, cx=319.5, cy=239.5, width=640, height=480)
+
+# Rotations whose rows are signed unit axes: with the camera at the origin
+# and dyadic semi-axes every product in the dual conic is exact.
+AXIS_ROTATIONS = [
+    m for m in (
+        np.diag(signs)[list(perm)]
+        for perm in itertools.permutations(range(3))
+        for signs in itertools.product([1.0, -1.0], repeat=3)
+    )
+    if np.linalg.det(m) > 0
+]
+
+
+def random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q * np.sign(np.linalg.det(q))
+
+
+def random_pair(rng, kind, intrinsics):
+    """A (pose, ellipsoid) pair of one kind.
+
+    "front" and "border": the whole ellipsoid 1.5 to 6 major semi-axes in
+    front of the camera, its center anywhere within +-0.8 of the depth
+    sideways or projected onto an image side; "behind": the same
+    behind the camera; "inside": the camera inside; "surface": the camera
+    exactly on the surface, at the pole of an axis-aligned ellipsoid.
+    """
+    if kind == "surface":
+        rotation = AXIS_ROTATIONS[rng.integers(len(AXIS_ROTATIONS))]
+        axes = rng.choice([0.125, 0.25, 0.5, 1.0], 3)
+        center, shape = rotation @ [0.0, 0.0, axes[2]], rotation @ np.diag(axes**-2.0) @ rotation.T
+        pose = Pose(rotation=rotation, translation=np.zeros(3))
+    else:
+        axes = rng.uniform(0.02, 0.2) * rng.uniform(1.0, 2.0, 3)
+        orient = random_rotation(rng)
+        shape = (orient / axes**2) @ orient.T
+        pose = Pose(rotation=random_rotation(rng), translation=rng.uniform(-1.0, 1.0, 3))
+        z = axes.max() * rng.uniform(1.5, 6.0)
+        local = np.array([rng.uniform(-0.8, 0.8) * z, rng.uniform(-0.8, 0.8) * z, z])
+        if kind == "border":
+            uv = rng.uniform(-0.5, [intrinsics.width - 0.5, intrinsics.height - 0.5])
+            side = rng.integers(2)
+            uv[side] = rng.choice([-0.5, (intrinsics.width, intrinsics.height)[side] - 0.5])
+            local[:2] = (uv - [intrinsics.cx, intrinsics.cy]) / [intrinsics.fx, intrinsics.fy] * z
+        elif kind == "behind":
+            local = -local
+        elif kind == "inside":
+            u = rng.normal(size=3)
+            local = -orient @ (axes * u / np.linalg.norm(u) * rng.uniform(0.0, 0.95)) @ pose.rotation
+        center = pose.camera_to_world(local)[0]
+    ell = Ellipsoid(center=center, shape=shape, kind="frontier", member_count=1)
+    return pose, ell
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["front", "border", "behind", "inside", "surface"]), min_size=1, max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_project_matches_lapack_reference(seed, kinds):
+    """The cofactor conics give the pairs the LAPACK path makes valid, and
+    the same ellipses to 1e-12 relative: centers and semi-axes against the
+    ellipse's size, areas against pi a b, so that a sliver inside the image
+    is held to the digits of the whole ellipse.  Pairs are scored in one
+    batch and compared on the diagonal; no numpy warning may be raised."""
+    rng = np.random.default_rng(seed)
+    poses, ells = zip(*(random_pair(rng, kind, SENSOR) for kind in kinds))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [np.diagonal(x, axis1=0, axis2=1).T for x in project(poses, ells, SENSOR)]
+    want = [np.diagonal(x, axis1=0, axis2=1).T for x in project_reference(poses, ells, SENSOR)]
+    cam_z, _, center, axes, area = got
+    ref_z, _, ref_center, ref_axes, ref_area = want
+    np.testing.assert_array_equal(cam_z, ref_z)
+    valid = np.isfinite(ref_axes[:, 0])
+    np.testing.assert_array_equal(np.isfinite(axes[:, 0]), valid)
+    assert valid.tolist() == [kind in ("front", "border") for kind in kinds]
+    assert (area[~valid] == 0.0).all()
+    size = np.abs(ref_center[valid]).max(axis=1) + ref_axes[valid, 0]
+    assert (np.abs(center[valid] - ref_center[valid]).max(axis=1) <= 1e-12 * size).all()
+    np.testing.assert_allclose(axes[valid], ref_axes[valid], rtol=1e-12, atol=0)
+    full = np.pi * ref_axes[valid, 0] * ref_axes[valid, 1]
+    assert (np.abs(area[valid] - ref_area[valid]) <= 1e-12 * full).all()
 
 
 # ---- evaluate_all -------------------------------------------------------------

@@ -23,7 +23,7 @@ from nbvplan.voxel import (
     update_bbox,
     update_frontier,
 )
-from scalar_reference import integrate_walk_to_exit, neighbor_any, traverse_ray
+from scalar_reference import integrate_walk_to_exit, neighbor_any, traverse_ray, update_bbox_by_indices
 
 
 def unit_grid(n=8, resolution=1.0):
@@ -620,6 +620,39 @@ def test_bbox_contains_occupied_every_frame():
         update_frontier(grid)
         occ = grid.voxel_centers(grid.unflat(grid.indices_in_state(VoxelState.OCCUPIED)))
         assert np.all(occ >= bmin) and np.all(occ <= bmax)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    states=st.sampled_from([
+        (VoxelState.OCCUPIED,),
+        (VoxelState.OCCUPIED, VoxelState.UNKNOWN),
+        (VoxelState.OCCUPIED, VoxelState.FRONTIER),
+        (VoxelState.OCCUPIED, VoxelState.UNKNOWN, VoxelState.FRONTIER),
+    ]),
+    first_frame=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_bbox_equals_per_cell_indices(seed, states, first_frame):
+    """The box from per-axis projections equals the one from every cell's
+    index bit for bit, also with no Unknown or no Frontier cell, and
+    with a single cell of a state."""
+    rng = np.random.default_rng(seed)
+    grid = VoxelGrid(
+        origin=rng.uniform(-1.0, 1.0, 3),
+        resolution=float(rng.choice([0.03, 0.25, 0.37])),
+        dims=tuple(int(v) for v in rng.integers(2, 12, 3)),
+    )
+    density = rng.choice([0.0, 0.05, 0.5])
+    values = [int(VoxelState.NONE), int(VoxelState.EMPTY)] + [int(s) for s in states]
+    grid.states[:] = np.where(rng.random(grid.n_voxels) < density, rng.choice(values, grid.n_voxels), 0)
+    # at least one cell of each drawn state
+    grid.states[rng.choice(grid.n_voxels, len(states), replace=False)] = [int(s) for s in states]
+    direction, gamma = rng.normal(size=3), float(rng.choice([0.0, 0.3]))
+    want = update_bbox_by_indices(grid, direction, first_frame, gamma)
+    got = update_bbox(grid, direction, first_frame, gamma)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert all(np.array_equal(g, w) for g, w in zip(grid.bbox, want))
 
 
 # ---- grid plumbing ----------------------------------------------------------
