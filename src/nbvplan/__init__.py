@@ -10,7 +10,6 @@ oracle is included as the correctness and speed baseline.
 
 from .config import RunConfig, load_config_file, make_config
 from .ellipsoid import (
-    ClusterAssignment,
     Ellipsoid,
     GmmModel,
     InfeasibleModelError,

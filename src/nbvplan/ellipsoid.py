@@ -8,6 +8,13 @@ ellipsoid expressed both as a center/shape-matrix pair and as a homogeneous
 Frank-Wolfe/away-step iteration from Kumar & Yildirim's start, run to the
 requested tolerance.
 
+Each EM step works on all components at once as (t, ...) arrays: one
+batched Cholesky factorization and one batched solve against the factors
+give every component's log-density, and one batched matmul gives every
+M-step scatter.  The (N, t)
+log-probabilities are copied row-major before the log-sum-exp and the
+responsibility sums, so those reductions add in the same order as a
+per-component loop would, and the fit is bit-identical to one.
 EM keeps every covariance's eigenvalues at or above a floor by clipping the
 M-step scatter eigenvalues.  Clipping is the constrained M-step maximizer,
 so the log-likelihood stays non-decreasing, which plain diagonal loading
@@ -40,17 +47,10 @@ class GmmModel:
     covariances: np.ndarray    # (T, 3, 3) symmetric, eigenvalues >= reg floor
     log_likelihood: float
     ll_trace: np.ndarray       # per-iteration ln L, non-decreasing
-    reg_floor: float
 
     @property
     def n_components(self) -> int:
         return len(self.weights)
-
-
-@dataclass
-class ClusterAssignment:
-    labels: np.ndarray                 # (N,) hard component index per point
-    clusters: list[np.ndarray]         # per-component point arrays (may be empty)
 
 
 @dataclass
@@ -88,11 +88,6 @@ class Ellipsoid:
     def volume(self) -> float:
         return 4.0 / 3.0 * np.pi / np.sqrt(np.linalg.det(self.shape))
 
-    @property
-    def semi_axes(self) -> np.ndarray:
-        """Semi-axis lengths, major first."""
-        return 1.0 / np.sqrt(np.linalg.eigvalsh(self.shape))
-
 
 # ---- Gaussian mixture via EM ------------------------------------------------
 
@@ -111,25 +106,11 @@ def _farthest_point_means(points: np.ndarray, t: int, rng: np.random.Generator) 
 
 
 def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
-    """Clip eigenvalues from below; the constrained M-step optimum."""
+    """Clip eigenvalues of each (..., 3, 3) matrix from below; the
+    constrained M-step optimum."""
     vals, vecs = np.linalg.eigh(cov)
     vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
-
-
-def _log_gaussian(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    chol = np.linalg.cholesky(cov)
-    d = points - mean
-    sol = np.linalg.solve(chol, d.T)
-    maha = np.einsum("ji,ji->i", sol, sol)
-    log_det = 2.0 * np.log(np.diag(chol)).sum()
-    return -0.5 * (3.0 * _LOG_2PI + log_det + maha)
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+    return (vecs * vals[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
 def fit_gmm(
@@ -137,11 +118,12 @@ def fit_gmm(
     t: int,
     seed: int,
     reg_floor: float = 1e-6,
-) -> tuple[GmmModel, ClusterAssignment]:
+) -> tuple[GmmModel, np.ndarray]:
     """EM fit of a `t`-component full-covariance mixture in 3D.
 
     Initialization: farthest-point means, shared sample covariance scaled by
-    1/t, uniform weights.  Raises InfeasibleModelError when t > len(points).
+    1/t, uniform weights.  Returns the model and each point's hard component
+    label.  Raises InfeasibleModelError when t > len(points).
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(points)
@@ -153,20 +135,22 @@ def fit_gmm(
     rng = np.random.default_rng(seed)
     means = _farthest_point_means(points, t, rng)
     base_cov = np.cov(points.T, bias=True) if n > 1 else np.zeros((3, 3))
-    base_cov = _floor_covariance(np.atleast_2d(base_cov) / t, reg_floor)
-    covs = np.repeat(base_cov[None, :, :], t, axis=0)
+    covs = np.repeat(_floor_covariance(base_cov / t, reg_floor)[None], t, axis=0)
     weights = np.full(t, 1.0 / t)
 
     trace = []
-    log_resp = None
     for _ in range(EM_MAX_ITER):
-        # E-step
-        log_prob = np.stack(
-            [_log_gaussian(points, means[k], covs[k]) for k in range(t)], axis=1
-        )
-        weighted = log_prob + np.log(weights)
-        ll = float(_logsumexp(weighted, axis=1).sum())
-        log_resp = weighted - _logsumexp(weighted, axis=1)[:, None]
+        # E-step: (t, 3, N) whitened offsets, then row-major (N, t) log terms
+        chol = np.linalg.cholesky(covs)
+        sol = np.linalg.solve(chol, (points - means[:, None]).transpose(0, 2, 1))
+        maha = np.einsum("kji,kji->ki", sol, sol)
+        log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        log_prob = -0.5 * (3.0 * _LOG_2PI + log_det[:, None] + maha)
+        weighted = np.ascontiguousarray(log_prob.T) + np.log(weights)
+        top = weighted.max(axis=1, keepdims=True)
+        log_norm = top + np.log(np.exp(weighted - top).sum(axis=1, keepdims=True))
+        ll = float(log_norm.sum())
+        log_resp = weighted - log_norm
         resp = np.exp(log_resp)
 
         if trace and abs(ll - trace[-1]) < EM_TOL:
@@ -174,40 +158,26 @@ def fit_gmm(
             break
         trace.append(ll)
 
-        # M-step
+        # M-step: every component's weighted scatter in one batched matmul
         nk = resp.sum(axis=0) + 10.0 * np.finfo(float).eps
         weights = nk / nk.sum()
         means = (resp.T @ points) / nk[:, None]
-        for k in range(t):
-            d = points - means[k]
-            scatter = (resp[:, k][:, None] * d).T @ d / nk[k]
-            covs[k] = _floor_covariance(scatter, reg_floor)
+        d = points - means[:, None]
+        scatter = (resp.T[:, :, None] * d).transpose(0, 2, 1) @ d / nk[:, None, None]
+        covs = _floor_covariance(scatter, reg_floor)
 
-    labels = np.argmax(log_resp, axis=1)
-    clusters = [points[labels == k] for k in range(t)]
+    log.debug(
+        "fit_gmm: %d points, %d components, %d steps%s",
+        n, t, len(trace), " (hit the cap)" if len(trace) >= EM_MAX_ITER else "",
+    )
     model = GmmModel(
         weights=weights,
         means=means,
         covariances=covs,
         log_likelihood=trace[-1],
         ll_trace=np.array(trace),
-        reg_floor=reg_floor,
     )
-    return model, ClusterAssignment(labels=labels, clusters=clusters)
-
-
-def responsibilities(model: GmmModel, points: np.ndarray) -> np.ndarray:
-    """Posterior component probabilities per point, rows summing to 1."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    log_prob = np.stack(
-        [
-            _log_gaussian(points, model.means[k], model.covariances[k])
-            for k in range(model.n_components)
-        ],
-        axis=1,
-    )
-    weighted = log_prob + np.log(model.weights)
-    return np.exp(weighted - _logsumexp(weighted, axis=1)[:, None])
+    return model, np.argmax(log_resp, axis=1)
 
 
 def bic(model: GmmModel, n: int) -> float:
@@ -224,8 +194,8 @@ def select_components(
     t_max: int,
     seed: int,
     reg_floor: float = 1e-6,
-) -> tuple[int, GmmModel, ClusterAssignment]:
-    """Fit T = 1..min(t_max, N) and keep the smallest-BIC model.
+) -> tuple[int, GmmModel, np.ndarray]:
+    """Fit T = 1..min(t_max, N) and keep the smallest-BIC model and labels.
 
     Ties break toward fewer components; per-T fits use seeds derived from
     `seed` so the whole search is reproducible.
@@ -238,12 +208,12 @@ def select_components(
     n = len(points)
     best = None
     for t in range(1, min(t_max, n) + 1):
-        model, assign = fit_gmm(points, t, seed=seed + t, reg_floor=reg_floor)
+        model, labels = fit_gmm(points, t, seed=seed + t, reg_floor=reg_floor)
         score = bic(model, n)
         if best is None or score < best[0] - 1e-12:
-            best = (score, t, model, assign)
-    _, t_star, model, assign = best
-    return t_star, model, assign
+            best = (score, t, model, labels)
+    _, t_star, model, labels = best
+    return t_star, model, labels
 
 
 # ---- minimum-volume enclosing ellipsoid -------------------------------------
@@ -356,13 +326,12 @@ def fit_mvee(
     # Only convex-hull vertices can carry weight; pre-reducing keeps the
     # iteration cheap on big voxel clusters.
     if len(work) > 32:
-        try:
-            from scipy.spatial import ConvexHull
+        from scipy.spatial import ConvexHull, QhullError
 
-            hull = ConvexHull(work)
-            work = work[np.sort(hull.vertices)]
-        except Exception:
-            pass  # QhullError on near-degenerate input: fit the full set
+        try:
+            work = work[np.sort(ConvexHull(work).vertices)]
+        except QhullError:
+            pass  # near-degenerate input: fit the full set
 
     u, steps = _todd_yildirim(work, tol)
     center = work.T @ u
@@ -415,23 +384,19 @@ def refit_all(
         if len(flat) == 0:
             continue
         centers = grid.voxel_centers(grid.unflat(flat))
-        _, _, assign = select_components(
+        _, _, labels = select_components(
             centers, t_max=t_max, seed=seed * 2 + sub, reg_floor=reg_floor
         )
-        idx = 0
-        for cluster in assign.clusters:
-            if len(cluster) == 0:
-                continue
+        for idx, k in enumerate(np.unique(labels)):
             out[kind].append(
                 fit_mvee(
-                    cluster,
+                    centers[labels == k],
                     tol=mvee_tol,
                     inflation_radius=inflation,
                     kind=kind,
                     cluster_index=idx,
                 )
             )
-            idx += 1
     return out["occupied"], out["frontier"]
 
 

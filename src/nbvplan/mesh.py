@@ -58,9 +58,6 @@ class TriangleMesh:
         cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
         return 0.5 * np.linalg.norm(cross, axis=1)
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
 
 def _drop_degenerate(vertices: np.ndarray, triangles: list[list[int]]) -> TriangleMesh:
     tri = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)

@@ -29,11 +29,17 @@ used to validate sampling and rendering.
 `render_depth_loop` is the per-triangle Moller-Trumbore loop that the grouped
 array pass in `render.render_depth` replaces; its depths must be equal bit
 for bit.
+`fit_gmm_loop` is the EM fit with a Python loop over mixture components in
+the E-step (`_log_gaussian`, `_logsumexp`) and in the M-step scatter, which
+the array step in `ellipsoid.fit_gmm` replaces; weights, means,
+covariances, the ln L trace and the labels must be equal bit for bit.
+`responsibilities` is the E-step's posterior on its own.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
+from nbvplan.ellipsoid import _LOG_2PI, EM_MAX_ITER, EM_TOL, GmmModel, InfeasibleModelError, _farthest_point_means
 from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose
 from nbvplan.mesh import TriangleMesh
 from nbvplan.oracle import OracleScore, _pixel_ray_dirs
@@ -570,3 +576,99 @@ def render_depth_loop(
         finite = np.isfinite(depth)
         depth[finite] = np.clip(depth[finite] + noise[finite], T_MIN, intrinsics.max_range)
     return DepthFrame(depths=depth, pose=pose, intrinsics=intrinsics)
+
+
+# ---- Gaussian mixture EM ----------------------------------------------------
+
+
+def _floor_covariance_one(cov: np.ndarray, floor: float) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(cov)
+    vals = np.maximum(vals, floor)
+    return (vecs * vals) @ vecs.T
+
+
+def _log_gaussian(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    chol = np.linalg.cholesky(cov)
+    d = points - mean
+    sol = np.linalg.solve(chol, d.T)
+    maha = np.einsum("ji,ji->i", sol, sol)
+    log_det = 2.0 * np.log(np.diag(chol)).sum()
+    return -0.5 * (3.0 * _LOG_2PI + log_det + maha)
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = np.max(a, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
+
+
+def fit_gmm_loop(
+    points: np.ndarray,
+    t: int,
+    seed: int,
+    reg_floor: float = 1e-6,
+) -> tuple[GmmModel, np.ndarray]:
+    """EM with one Gaussian log-density and one M-step scatter per component."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(points)
+    if t < 1:
+        raise ValueError("component count must be >= 1")
+    if n < t:
+        raise InfeasibleModelError(f"{t} components but only {n} points")
+
+    rng = np.random.default_rng(seed)
+    means = _farthest_point_means(points, t, rng)
+    base_cov = np.cov(points.T, bias=True) if n > 1 else np.zeros((3, 3))
+    base_cov = _floor_covariance_one(np.atleast_2d(base_cov) / t, reg_floor)
+    covs = np.repeat(base_cov[None, :, :], t, axis=0)
+    weights = np.full(t, 1.0 / t)
+
+    trace = []
+    log_resp = None
+    for _ in range(EM_MAX_ITER):
+        # E-step
+        log_prob = np.stack(
+            [_log_gaussian(points, means[k], covs[k]) for k in range(t)], axis=1
+        )
+        weighted = log_prob + np.log(weights)
+        ll = float(_logsumexp(weighted, axis=1).sum())
+        log_resp = weighted - _logsumexp(weighted, axis=1)[:, None]
+        resp = np.exp(log_resp)
+
+        if trace and abs(ll - trace[-1]) < EM_TOL:
+            trace.append(ll)
+            break
+        trace.append(ll)
+
+        # M-step
+        nk = resp.sum(axis=0) + 10.0 * np.finfo(float).eps
+        weights = nk / nk.sum()
+        means = (resp.T @ points) / nk[:, None]
+        for k in range(t):
+            d = points - means[k]
+            scatter = (resp[:, k][:, None] * d).T @ d / nk[k]
+            covs[k] = _floor_covariance_one(scatter, reg_floor)
+
+    labels = np.argmax(log_resp, axis=1)
+    model = GmmModel(
+        weights=weights,
+        means=means,
+        covariances=covs,
+        log_likelihood=trace[-1],
+        ll_trace=np.array(trace),
+    )
+    return model, labels
+
+
+def responsibilities(model: GmmModel, points: np.ndarray) -> np.ndarray:
+    """Posterior component probabilities per point, rows summing to 1."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    log_prob = np.stack(
+        [
+            _log_gaussian(points, model.means[k], model.covariances[k])
+            for k in range(model.n_components)
+        ],
+        axis=1,
+    )
+    weighted = log_prob + np.log(model.weights)
+    return np.exp(weighted - _logsumexp(weighted, axis=1)[:, None])

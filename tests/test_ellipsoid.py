@@ -2,6 +2,11 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scalar_reference import fit_gmm_loop, responsibilities
+from test_gmm_pinned import INPUTS as GMM_PINNED_INPUTS
+from test_gmm_pinned import REG_FLOOR as GMM_REG_FLOOR
 from test_mvee_pinned import INPUTS as PINNED_INPUTS
 from test_mvee_pinned import TOL as PINNED_TOL
 
@@ -13,7 +18,6 @@ from nbvplan.ellipsoid import (
     fit_gmm,
     fit_mvee,
     refit_all,
-    responsibilities,
     select_components,
 )
 from nbvplan.voxel import VoxelGrid, VoxelState
@@ -29,10 +33,10 @@ def mixture_sample(rng, means, sigma, n_per):
 
 def test_gmm_degenerate_single_point():
     pts = np.tile([1.0, 2.0, 3.0], (100, 1))
-    model, assign = fit_gmm(pts, t=1, seed=0, reg_floor=0.01)
+    model, labels = fit_gmm(pts, t=1, seed=0, reg_floor=0.01)
     np.testing.assert_allclose(model.means[0], [1.0, 2.0, 3.0], atol=1e-12)
     np.testing.assert_allclose(model.covariances[0], 0.01 * np.eye(3), atol=1e-12)
-    assert np.all(assign.labels == 0)
+    assert np.all(labels == 0)
 
 
 def test_gmm_separated_clusters_recovered():
@@ -41,7 +45,7 @@ def test_gmm_separated_clusters_recovered():
     n_per = 1000
     means = [np.zeros(3), np.array([10 * sigma, 0, 0])]
     pts = mixture_sample(rng, means, sigma, n_per)
-    model, assign = fit_gmm(pts, t=2, seed=4, reg_floor=1e-8)
+    model, labels = fit_gmm(pts, t=2, seed=4, reg_floor=1e-8)
     order = np.argsort(model.means[:, 0])
     got = model.means[order]
     np.testing.assert_allclose(got[0], means[0], atol=0.1 * sigma)
@@ -50,7 +54,7 @@ def test_gmm_separated_clusters_recovered():
     np.testing.assert_allclose(got[0], pts[:n_per].mean(axis=0), atol=1e-6)
     np.testing.assert_allclose(got[1], pts[n_per:].mean(axis=0), atol=1e-6)
     # labels pure per true cluster
-    first, second = assign.labels[:n_per], assign.labels[n_per:]
+    first, second = labels[:n_per], labels[n_per:]
     assert len(set(first.tolist())) == 1
     assert len(set(second.tolist())) == 1
     assert first[0] != second[0]
@@ -87,6 +91,82 @@ def test_gmm_covariance_floor_holds():
     model, _ = fit_gmm(pts, t=2, seed=1, reg_floor=floor)
     for cov in model.covariances:
         assert np.linalg.eigvalsh(cov).min() >= floor - 1e-12
+
+
+def assert_fits_equal(got, want):
+    (model, labels), (ref_model, ref_labels) = got, want
+    for name in ("weights", "means", "covariances", "ll_trace"):
+        assert np.array_equal(getattr(model, name), getattr(ref_model, name)), name
+    assert model.log_likelihood == ref_model.log_likelihood
+    assert np.array_equal(labels, ref_labels)
+
+
+def lattice_points(layout: str, n: int, rng: np.random.Generator, res: float) -> np.ndarray:
+    """n distinct voxel centres in a random box, one plane of them, or one
+    voxel centre repeated n times."""
+    if layout == "repeated":
+        return np.tile((rng.integers(-5, 5, 3) + 0.5) * res, (n, 1))
+    depth = 1 if layout == "coplanar" else int(rng.integers(1, 9))
+    side = int(np.ceil(np.sqrt(n / depth))) + int(rng.integers(0, 4))
+    ijk = np.stack(np.meshgrid(np.arange(side), np.arange(side), np.arange(depth), indexing="ij"), -1)
+    ijk = rng.permutation(ijk.reshape(-1, 3))[:n]
+    return (ijk + rng.integers(-5, 5, 3) + 0.5) * res
+
+
+@given(
+    layout=st.sampled_from(["block", "coplanar", "repeated"]),
+    n=st.integers(1, 500),
+    t_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    res=st.sampled_from([0.01, 0.03]),
+)
+@example(layout="block", n=1, t_frac=0.0, seed=0, res=0.03)
+@example(layout="repeated", n=40, t_frac=1.0, seed=1, res=0.03)
+@example(layout="coplanar", n=120, t_frac=0.5, seed=2, res=0.03)
+@example(layout="block", n=500, t_frac=1.0, seed=3, res=0.03)
+@settings(max_examples=40, deadline=None)
+def test_gmm_equals_the_per_component_loop(layout, n, t_frac, seed, res):
+    """The array EM step gives the per-component loop's fit bit for bit, for
+    1 to min(10, N) components on lattice inputs of 1 to 500 points."""
+    rng = np.random.default_rng(seed)
+    pts = lattice_points(layout, n, rng, res)
+    t = 1 + int(t_frac * (min(10, n) - 1))
+    floor = (res / 4.0) ** 2
+    got = fit_gmm(pts, t, seed=seed, reg_floor=floor)
+    assert_fits_equal(got, fit_gmm_loop(pts, t, seed=seed, reg_floor=floor))
+
+
+@pytest.mark.parametrize("name", sorted(GMM_PINNED_INPUTS))
+def test_gmm_equals_the_per_component_loop_on_pinned_inputs(name):
+    """Every T of the pinned sweeps, about half of which stop at the
+    EM_MAX_ITER cap."""
+    pts = GMM_PINNED_INPUTS[name]()
+    capped = 0
+    for t in range(1, min(10, len(pts)) + 1):
+        got = fit_gmm(pts, t, seed=t, reg_floor=GMM_REG_FLOOR)
+        assert_fits_equal(got, fit_gmm_loop(pts, t, seed=t, reg_floor=GMM_REG_FLOOR))
+        capped += len(got[0].ll_trace) == ellipsoid.EM_MAX_ITER
+    assert capped > 0 or name == "frontier_cloud"
+
+
+def test_gmm_logs_each_fit_at_debug(caplog):
+    pts = np.random.default_rng(4).normal(size=(60, 3))
+    with caplog.at_level(logging.DEBUG, logger="nbvplan"):
+        fit_gmm(pts, t=2, seed=0)
+    [record] = [r for r in caplog.records if r.getMessage().startswith("fit_gmm:")]
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert "60 points" in message and "2 components" in message and "steps" in message
+
+
+def test_gmm_debug_line_names_a_cap_hit(monkeypatch, caplog):
+    monkeypatch.setattr(ellipsoid, "EM_MAX_ITER", 2)
+    pts = np.random.default_rng(4).normal(size=(60, 3))
+    with caplog.at_level(logging.DEBUG, logger="nbvplan"):
+        model, _ = fit_gmm(pts, t=3, seed=0)
+    assert len(model.ll_trace) == 2
+    [record] = [r for r in caplog.records if r.getMessage().startswith("fit_gmm:")]
+    assert "2 steps (hit the cap)" in record.getMessage()
 
 
 # ---- bic / select_components -------------------------------------------------
@@ -139,7 +219,7 @@ def test_select_deterministic():
     b = select_components(pts, t_max=6, seed=11)
     assert a[0] == b[0]
     np.testing.assert_array_equal(a[1].means, b[1].means)
-    np.testing.assert_array_equal(a[2].labels, b[2].labels)
+    np.testing.assert_array_equal(a[2], b[2])
 
 
 # ---- fit_mvee ---------------------------------------------------------------
