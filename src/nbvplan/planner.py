@@ -14,6 +14,7 @@ exercised only through the adjacency constraint itself.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -103,7 +104,9 @@ def select_next_view(
     """Argmax of F over the admissible partitions; marks the winner's sector.
 
     Ties break toward the lower candidate index.  Raises
-    InfeasiblePartitionError when no candidate sits in an admissible sector.
+    InfeasiblePartitionError when no candidate sits in an admissible sector,
+    and ValueError when an admissible candidate's score is missing or not
+    finite.
     `iteration` is unused; callers that pass it keep working.
     """
     if not scored:
@@ -113,8 +116,8 @@ def select_next_view(
     for idx, view in enumerate(scored):
         if view.partition_index not in allowed:
             continue
-        if view.score is None:
-            raise ValueError("candidate lacks a score")
+        if view.score is None or not math.isfinite(view.score):
+            raise ValueError(f"candidate {idx} lacks a finite score: {view.score}")
         if best is None or view.score > scored[best].score:
             best = idx
     if best is None:

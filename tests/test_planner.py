@@ -1,0 +1,128 @@
+import logging
+
+import numpy as np
+import pytest
+
+from nbvplan import planner
+from nbvplan.config import RunConfig
+from nbvplan.geometry import look_at
+from nbvplan.planner import (
+    InfeasiblePartitionError,
+    PartitionLedger,
+    admissible_partitions,
+    select_next_view,
+    should_terminate,
+)
+from nbvplan.shapes import make_shape
+from nbvplan.views import CandidateView
+
+POSE = look_at([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+
+
+def views(*partitions_and_scores):
+    return [
+        CandidateView(pose=POSE, radius=1.0, polar=0.0, azimuth=0.0, partition_index=p, score=s)
+        for p, s in partitions_and_scores
+    ]
+
+
+# ---- admissible_partitions --------------------------------------------------
+
+
+def test_empty_ledger_admits_every_sector():
+    assert admissible_partitions(PartitionLedger(beta=5)) == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize(
+    "scanned,admitted",
+    [({0}, {1, 5}), ({5}, {0, 4}), ({2, 3}, {1, 4}), ({0, 5}, {1, 4}), ({0, 1, 2, 3, 4}, {5})],
+)
+def test_admits_unscanned_neighbours_mod_beta(scanned, admitted):
+    assert admissible_partitions(PartitionLedger(beta=6, scanned=set(scanned))) == admitted
+
+
+def test_full_ledger_admits_every_sector():
+    assert admissible_partitions(PartitionLedger(beta=4, scanned={0, 1, 2, 3})) == {0, 1, 2, 3}
+
+
+# ---- select_next_view -------------------------------------------------------
+
+
+def test_ties_go_to_the_lower_index_and_the_sector_is_marked():
+    ledger = PartitionLedger(beta=4, scanned={0})
+    scored = views((0, 9.0), (1, 2.0), (3, 5.0), (1, 5.0), (2, 7.0))
+    assert select_next_view(scored, ledger) is scored[2]
+    assert ledger.scanned == {0, 3}
+
+
+def test_raises_when_no_candidate_is_admissible():
+    ledger = PartitionLedger(beta=4, scanned={0})
+    with pytest.raises(InfeasiblePartitionError):
+        select_next_view(views((0, 1.0), (2, 3.0)), ledger)
+    assert ledger.scanned == {0}
+
+
+def test_empty_candidate_list_is_an_error():
+    with pytest.raises(ValueError):
+        select_next_view([], PartitionLedger(beta=4))
+
+
+@pytest.mark.parametrize("bad", [None, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("position", [0, 1])
+def test_a_missing_or_non_finite_score_is_an_error(bad, position):
+    """A NaN first admissible score used to win: `score > best` is never
+    true against NaN."""
+    scored = views((1, 1.0), (1, 2.0))
+    scored[position].score = bad
+    ledger = PartitionLedger(beta=4)
+    with pytest.raises(ValueError, match="score"):
+        select_next_view(scored, ledger)
+    assert ledger.scanned == set()
+
+
+def test_inadmissible_scores_are_not_checked():
+    ledger = PartitionLedger(beta=4, scanned={0})
+    scored = views((2, float("nan")), (1, 1.0))
+    assert select_next_view(scored, ledger) is scored[1]
+
+
+# ---- should_terminate -------------------------------------------------------
+
+
+def test_terminates_on_budget_and_on_two_empty_frontiers():
+    state = planner.PlannerState(config=RunConfig(iterations=3), grid=None, mesh=None)
+    assert not should_terminate(state)
+    state.empty_frontier_streak = 1
+    assert not should_terminate(state)
+    state.empty_frontier_streak = 2
+    assert should_terminate(state)
+    state.empty_frontier_streak = 0
+    state.iteration = 3
+    assert should_terminate(state)
+
+
+# ---- run_iteration ----------------------------------------------------------
+
+
+def test_infeasible_partition_falls_back_to_every_sector(monkeypatch, caplog):
+    """The warning text is counted by the benchmark's fallback probe."""
+    config = RunConfig(width=160, height=120, fx=145.0, fy=145.0, candidates=16, t_max=1, iterations=2)
+    state = planner.initialize(make_shape("cube"), config)
+    real = planner.candidate_views
+
+    def one_sector(state):
+        candidates = real(state)
+        for v in candidates:
+            v.partition_index = 0
+        return candidates
+
+    monkeypatch.setattr(planner, "candidate_views", one_sector)
+    state.ledger.scanned = {2}
+    with caplog.at_level(logging.WARNING, logger="nbvplan"):
+        chosen = planner.run_iteration(state)
+    assert chosen.partition_index == 0
+    assert state.ledger.scanned == {0, 1, 2, 3}
+    assert any(
+        "partition constraint infeasible" in r.getMessage() for r in caplog.records
+    )
+    assert np.isfinite(chosen.score) and state.iteration == 1
