@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_reference import fit_gmm_loop, responsibilities
@@ -388,6 +389,23 @@ def test_mvee_capped_still_contains(name, monkeypatch, caplog):
         ell = fit_mvee(pts, tol=PINNED_TOL, inflation_radius=inflation)
     assert ell.form(pts).max() <= 1.0 + PINNED_TOL
     assert any("3-step cap" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("error", [scipy.spatial.QhullError, ValueError])
+def test_mvee_falls_back_only_on_qhull_errors(error, monkeypatch):
+    """A Qhull failure fits the full point set; any other error is a bug
+    and propagates."""
+
+    def failing(points):
+        raise error("hull failed")
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", failing)
+    pts = np.random.default_rng(4).normal(size=(60, 3))
+    if error is ValueError:
+        with pytest.raises(ValueError, match="hull failed"):
+            fit_mvee(pts)
+    else:
+        assert fit_mvee(pts).form(pts).max() <= 1.0 + 1e-3
 
 
 def test_mvee_logs_each_fit_at_debug(caplog):
