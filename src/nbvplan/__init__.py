@@ -22,7 +22,7 @@ from .ellipsoid import (
 from .geometry import CameraIntrinsics, DepthFrame, Pose, look_at, look_at_many
 from .harness import coverage, run, summarize
 from .mesh import EmptyMeshError, MeshFormatError, TriangleMesh, load_mesh, sample_surface_points, save_obj, save_ply_points
-from .oracle import OracleScore, oracle_evaluate, oracle_rank, oracle_scores, rank_agreement
+from .oracle import OracleScore, oracle_evaluate, oracle_scores, rank_agreement
 from .planner import (
     InfeasiblePartitionError,
     PartitionLedger,

@@ -63,8 +63,9 @@ class RunConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        for name in ("gamma", "initial_radius"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
@@ -113,7 +114,10 @@ def load_config_file(path: str) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in FIELD_PARSERS:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = FIELD_PARSERS[key](val)
+            try:
+                values[key] = FIELD_PARSERS[key](val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     return values
 
 

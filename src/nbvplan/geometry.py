@@ -79,14 +79,6 @@ class Pose:
         _check_rotations(r[None])
 
     @property
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous camera-to-world matrix."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
-    @property
     def optical_axis(self) -> np.ndarray:
         """Viewing direction (+z of the camera) in world coordinates."""
         return self.rotation[:, 2].copy()
@@ -173,7 +165,7 @@ def look_at(position: np.ndarray, target: np.ndarray, up: np.ndarray) -> Pose:
 
 @dataclass
 class DepthFrame:
-    """Per-pixel range image (m).  Misses are stored as +inf in memory."""
+    """Per-pixel range image (m).  Misses are stored as +inf."""
 
     depths: np.ndarray  # (height, width), finite values in (0, max_range]
     pose: Pose
@@ -187,13 +179,3 @@ class DepthFrame:
         if self.depths.shape != expected:
             raise ValueError(f"depth image shape {self.depths.shape} != {expected}")
         self.hit_mask = np.isfinite(self.depths)
-
-    @property
-    def n_hits(self) -> int:
-        return int(self.hit_mask.sum())
-
-    def export_depths(self) -> np.ndarray:
-        """Depth image with the miss sentinel encoded as 0 (for file artifacts)."""
-        out = self.depths.copy()
-        out[~self.hit_mask] = 0.0
-        return out

@@ -26,6 +26,7 @@ from .config import RunConfig
 from .ellipsoid import dump_ellipsoids
 from .mesh import load_mesh, sample_surface_points, save_ply_points
 from .planner import PlannerState, initialize, run_iteration, should_terminate
+from .views import CandidateView
 
 log = logging.getLogger("nbvplan")
 
@@ -87,12 +88,10 @@ def coverage(model_points: np.ndarray, acquired: np.ndarray, threshold: float = 
     return float(np.count_nonzero(_within(model_points, acquired, threshold)) / len(model_points))
 
 
-def _record_for(state: PlannerState, cov: float, iteration: int) -> IterationRecord:
-    cfg = state.config
-    counts = state.grid.state_counts(within_bbox=True)
-    chosen = state.history[-1]
+def _record_for(state: PlannerState, chosen: CandidateView, cov: float) -> IterationRecord:
+    counts = state.grid.state_counts()
     return IterationRecord(
-        iteration=iteration,
+        iteration=state.iteration,
         coverage=cov,
         compute_time_s=state.timings[-1].compute_s,
         pos=chosen.position,
@@ -126,14 +125,14 @@ def run(config: RunConfig) -> tuple[list[IterationRecord], PlannerState]:
     n_chunks = 0
     records: list[IterationRecord] = []
     while not should_terminate(state):
-        run_iteration(state)
+        chosen = run_iteration(state)
         # Coverage only grows: each new frame is queried by the open samples alone.
         for chunk in state.point_chunks[n_chunks:]:
             still_open = np.flatnonzero(~covered)
             covered[still_open] = _within(model_points[still_open], chunk, config.coverage_threshold)
         n_chunks = len(state.point_chunks)
         cov = float(np.count_nonzero(covered) / len(model_points))
-        rec = _record_for(state, cov, state.iteration)
+        rec = _record_for(state, chosen, cov)
         records.append(rec)
         log.info(
             "iter %d  coverage=%.4f  compute=%.3fs  partition=%d  |Eo|=%d |Ef|=%d",

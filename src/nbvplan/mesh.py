@@ -42,10 +42,6 @@ class TriangleMesh:
             raise ValueError("negative triangle index")
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
     def n_triangles(self) -> int:
         return len(self.triangles)
 
@@ -59,8 +55,13 @@ class TriangleMesh:
         return 0.5 * np.linalg.norm(cross, axis=1)
 
 
-def _drop_degenerate(vertices: np.ndarray, triangles: list[list[int]]) -> TriangleMesh:
+def _build_mesh(path: str, vertices: np.ndarray, triangles: list[list[int]]) -> TriangleMesh:
+    """Check the parsed faces against the vertices, then drop zero-area faces."""
+    if not triangles:
+        raise EmptyMeshError(f"{path}: no triangles found")
     tri = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    if tri.max() >= len(vertices) or tri.min() < 0:
+        raise MeshFormatError(path, 0, "face index out of vertex range")
     corners = vertices[tri]
     cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
     keep = np.einsum("ij,ij->i", cross, cross) > DEGENERATE_AREA_EPS
@@ -102,12 +103,7 @@ def _load_obj(path: str) -> TriangleMesh:
                     idx.append(i - 1 if i > 0 else len(vertices) + i)
                 faces.extend(_fan_triangulate(idx))
             # other record types (vn, vt, o, g, s, mtllib, usemtl, ...) are ignored
-    if not vertices or not faces:
-        raise EmptyMeshError(f"{path}: no triangles found")
-    verts = np.asarray(vertices, dtype=float)
-    if max(max(f) for f in faces) >= len(verts) or min(min(f) for f in faces) < 0:
-        raise MeshFormatError(path, 0, "face index out of vertex range")
-    return _drop_degenerate(verts, faces)
+    return _build_mesh(path, np.asarray(vertices, dtype=float), faces)
 
 
 def _load_ply(path: str) -> TriangleMesh:
@@ -116,7 +112,7 @@ def _load_ply(path: str) -> TriangleMesh:
 
     if not lines or lines[0].strip() != "ply":
         raise MeshFormatError(path, 1, "missing 'ply' magic")
-    n_vertex = n_face = None
+    counts: dict[str, int] = {}
     vertex_props: list[str] = []
     current_element = None
     body_start = None
@@ -131,10 +127,12 @@ def _load_ply(path: str) -> TriangleMesh:
             if len(parts) != 3:
                 raise MeshFormatError(path, line_no, "malformed element record")
             current_element = parts[1]
-            if parts[1] == "vertex":
-                n_vertex = int(parts[2])
-            elif parts[1] == "face":
-                n_face = int(parts[2])
+            if parts[1] in ("vertex", "face"):
+                if not parts[2].isdecimal():
+                    raise MeshFormatError(
+                        path, line_no, f"{parts[1]} count must be a non-negative integer, got {parts[2]!r}"
+                    )
+                counts[parts[1]] = int(parts[2])
         elif parts[0] == "property" and current_element == "vertex":
             vertex_props.append(parts[-1])
         elif parts[0] == "end_header":
@@ -142,6 +140,7 @@ def _load_ply(path: str) -> TriangleMesh:
             break
     if body_start is None:
         raise MeshFormatError(path, len(lines), "no end_header")
+    n_vertex, n_face = counts.get("vertex"), counts.get("face")
     if n_vertex is None or n_face is None:
         raise MeshFormatError(path, body_start, "PLY must declare vertex and face elements")
     try:
@@ -170,12 +169,7 @@ def _load_ply(path: str) -> TriangleMesh:
         if len(idx) != count or count < 3:
             raise MeshFormatError(path, body_start + n_vertex + i + 1, "bad face vertex count")
         faces.extend(_fan_triangulate(idx))
-    if not faces:
-        raise EmptyMeshError(f"{path}: no triangles found")
-    verts = np.asarray(vertices, dtype=float)
-    if max(max(f) for f in faces) >= len(verts) or min(min(f) for f in faces) < 0:
-        raise MeshFormatError(path, 0, "face index out of vertex range")
-    return _drop_degenerate(verts, faces)
+    return _build_mesh(path, vertices, faces)
 
 
 def load_mesh(path: str) -> TriangleMesh:

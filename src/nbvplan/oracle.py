@@ -104,22 +104,6 @@ def oracle_evaluate(
     return oracle_scores([view], grid, intrinsics, stride)[0]
 
 
-def oracle_rank(
-    candidates: list[CandidateView],
-    grid: VoxelGrid,
-    intrinsics: CameraIntrinsics,
-    stride: int = 4,
-) -> list[tuple[CandidateView, OracleScore]]:
-    """Candidates ordered by visible_frontier, descending and stable."""
-    if not candidates:
-        raise ValueError("oracle_rank requires candidates")
-    scored = list(zip(candidates, oracle_scores(candidates, grid, intrinsics, stride)))
-    order = sorted(
-        range(len(scored)), key=lambda i: (-scored[i][1].visible_frontier, i)
-    )
-    return [scored[i] for i in order]
-
-
 def rank_agreement(scores: np.ndarray, visible_frontier: np.ndarray) -> tuple[float, float]:
     """(Spearman rho of F vs the oracle's visible frontier, top-1 regret).
 

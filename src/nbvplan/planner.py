@@ -27,7 +27,7 @@ from .mesh import TriangleMesh
 from .oracle import oracle_scores
 from .projection import evaluate_all
 from .render import frame_to_points, render_depth
-from .views import CandidateView, SamplingConfig, assign_partitions, sample_candidates, sampling_radius
+from .views import UP, CandidateView, SamplingConfig, assign_partitions, sample_candidates, sampling_radius
 from .voxel import (
     Observation,
     VoxelGrid,
@@ -71,7 +71,6 @@ class PlannerState:
     e_f: list[Ellipsoid] = field(default_factory=list)
     point_chunks: list[np.ndarray] = field(default_factory=list)  # accumulated P_f
     ledger: PartitionLedger | None = None
-    history: list[CandidateView] = field(default_factory=list)
     timings: list[IterationTiming] = field(default_factory=list)
     empty_frontier_streak: int = 0
 
@@ -170,10 +169,11 @@ def _observe(state: PlannerState, pose: Pose, frame_seed: int) -> tuple[Observat
     return Observation(points=deduped, sensor_origin=pose.translation), render_s
 
 
-def _integrate_and_refit(state: PlannerState, obs: Observation | None, view_dir: np.ndarray, first: bool) -> None:
+def _integrate_and_refit(state: PlannerState, obs: Observation | None, view_dir: np.ndarray) -> None:
+    """Integrate `obs` (None for an all-miss frame), then refit both ellipsoid sets."""
     cfg = state.config
     if obs is not None:
-        if first:
+        if state.grid.bbox is None:
             # Rule 2 is inert until the box exists: initialize it from the
             # frame's Occupied cells, so the one integration pass also marks
             # the occlusion shadow inside the new box.
@@ -184,11 +184,8 @@ def _integrate_and_refit(state: PlannerState, obs: Observation | None, view_dir:
             integrate_observation(state.grid, obs)
             update_bbox(state.grid, view_dir, first_frame=False, gamma=cfg.gamma_value)
         update_frontier(state.grid)
-    if state.grid.bbox is not None:
-        seed = cfg.seed + 7919 * (state.iteration + 1)
-        state.e_o, state.e_f = refit_all(
-            state.grid, t_max=cfg.t_max, seed=seed, mvee_tol=cfg.mvee_tol
-        )
+    seed = cfg.seed + 7919 * (state.iteration + 1)
+    state.e_o, state.e_f = refit_all(state.grid, t_max=cfg.t_max, seed=seed, mvee_tol=cfg.mvee_tol)
     state.empty_frontier_streak = 0 if state.e_f else state.empty_frontier_streak + 1
 
 
@@ -206,12 +203,12 @@ def initialize(mesh: TriangleMesh, config: RunConfig) -> PlannerState:
     position = r0 * np.array(
         [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]
     )
-    pose = look_at(position, np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    pose = look_at(position, np.zeros(3), UP)
 
     obs, _ = _observe(state, pose, frame_seed=config.seed)
     if obs is None:
         raise ValueError("initial observation saw nothing: is the mesh inside the first view?")
-    _integrate_and_refit(state, obs, pose.optical_axis, first=True)
+    _integrate_and_refit(state, obs, pose.optical_axis)
     return state
 
 
@@ -259,9 +256,7 @@ def run_iteration(state: PlannerState) -> CandidateView:
         chosen = select_next_view(candidates, state.ledger, iteration=state.iteration)
 
     obs, render_s = _observe(state, chosen.pose, frame_seed=cfg.seed + state.iteration + 1)
-    _integrate_and_refit(state, obs, chosen.pose.optical_axis, first=False)
+    _integrate_and_refit(state, obs, chosen.pose.optical_axis)
     state.timings.append(IterationTiming(compute_s=time.perf_counter() - t0 - render_s))
-
-    state.history.append(chosen)
     state.iteration += 1
     return chosen

@@ -3,8 +3,10 @@
 Views live on `alpha` equally spaced parallels of a partial sphere around
 the bounding-box center, with per-parallel counts proportional to
 circumference (largest-remainder rounding) and all optical axes aimed at the
-center.  The sphere radius is the camera working distance plus half the
-bounding-box diagonal, so it tracks the box as the scan grows.
+center.  The world up axis is +z: polar angles are measured from it, and
+azimuth lies in the x-y plane, counted from +x toward +y.  The sphere radius
+is the camera working distance plus half the bounding-box diagonal, so it
+tracks the box as the scan grows.
 
 Every view's ring, azimuth, polar angle and position is computed in one array
 pass, and `geometry.look_at_many` builds and checks all the rotations at
@@ -15,11 +17,13 @@ view built on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Pose, look_at_many
+
+UP = np.array([0.0, 0.0, 1.0])  # world up axis
 
 # Polar extents measured from the up axis; the hemisphere cap stays clear of
 # the pole singularity and of grazing views near the equator.
@@ -35,7 +39,6 @@ class SamplingConfig:
     alpha: int = 8                     # parallel count
     n_views: int = 800                 # total candidates
     working_distance: float = 0.4      # d_c (m)
-    up_axis: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
         if self.mode not in ("hemisphere", "full_sphere"):
@@ -44,8 +47,6 @@ class SamplingConfig:
             raise ValueError("alpha must be >= 1")
         if self.n_views < self.alpha:
             raise ValueError("need at least one view per parallel")
-        self.up_axis = np.asarray(self.up_axis, dtype=float).reshape(3)
-        self.up_axis = self.up_axis / np.linalg.norm(self.up_axis)
 
     @property
     def polar_range(self) -> tuple[float, float]:
@@ -84,17 +85,6 @@ def _parallel_counts(polars: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def _up_basis(up: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (e1, e2, up) with azimuth measured in the e1-e2 plane."""
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(up @ ref) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    e1 = ref - (ref @ up) * up
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(up, e1)
-    return np.column_stack([e1, e2, up])
-
-
 def sample_candidates(
     config: SamplingConfig, center: np.ndarray, radius: float
 ) -> list[CandidateView]:
@@ -105,7 +95,6 @@ def sample_candidates(
     lo, hi = config.polar_range
     polars = np.linspace(lo, hi, config.alpha)
     counts = _parallel_counts(polars, config.n_views)
-    basis = _up_basis(config.up_axis)
 
     ring = np.repeat(np.arange(config.alpha), counts)
     count = counts[ring]
@@ -117,8 +106,8 @@ def sample_candidates(
         [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)],
         axis=1,
     )
-    positions = center + radius * (basis @ local[:, :, None])[:, :, 0]
-    poses = look_at_many(positions, center, config.up_axis)
+    positions = center + radius * local
+    poses = look_at_many(positions, center, UP)
     return [
         CandidateView(pose=pose, radius=radius, polar=p, azimuth=a)
         for pose, p, a in zip(poses, polar.tolist(), azimuth.tolist())

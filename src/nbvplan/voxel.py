@@ -200,9 +200,9 @@ class VoxelGrid:
         m3 = mz[:, None, None] & my[None, :, None] & mx[None, None, :]
         return m3.reshape(-1)
 
-    def state_counts(self, within_bbox: bool = True) -> dict[str, int]:
-        mask = self.bbox_mask() if within_bbox else np.ones(self.n_voxels, dtype=bool)
-        sel = self.states[mask]
+    def state_counts(self) -> dict[str, int]:
+        """Voxels in each state among those whose center lies inside the bbox."""
+        sel = self.states[self.bbox_mask()]
         return {s.name.lower(): int(np.count_nonzero(sel == int(s))) for s in VoxelState}
 
     def dump_ply(self, path: str) -> None:

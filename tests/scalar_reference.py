@@ -45,7 +45,7 @@ from nbvplan.mesh import TriangleMesh
 from nbvplan.oracle import OracleScore, _pixel_ray_dirs
 from nbvplan.projection import _border_area
 from nbvplan.render import BARY_EPS, DET_EPS, T_MIN
-from nbvplan.views import _GOLDEN_ANGLE, CandidateView, SamplingConfig, _parallel_counts, _up_basis
+from nbvplan.views import _GOLDEN_ANGLE, UP, CandidateView, SamplingConfig, _parallel_counts
 from nbvplan.voxel import Observation, VoxelGrid, VoxelState, first_hits, mark_occupied, traverse_rays
 
 
@@ -76,7 +76,6 @@ def sample_candidates(config: SamplingConfig, center, radius: float) -> list[Can
     lo, hi = config.polar_range
     polars = np.linspace(lo, hi, config.alpha)
     counts = _parallel_counts(polars, config.n_views)
-    basis = _up_basis(config.up_axis)
 
     views = []
     for ring, (polar, count) in enumerate(zip(polars, counts)):
@@ -92,8 +91,8 @@ def sample_candidates(config: SamplingConfig, center, radius: float) -> list[Can
                     np.cos(polar),
                 ]
             )
-            position = center + radius * (basis @ local)
-            pose = look_at(position, center, config.up_axis)
+            position = center + radius * local
+            pose = look_at(position, center, UP)
             views.append(CandidateView(pose=pose, radius=radius, polar=polar, azimuth=azimuth))
     return views
 

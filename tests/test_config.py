@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
 
+import pytest
+
 from nbvplan import cli
 from nbvplan.config import RunConfig, load_config_file, make_config
 
@@ -49,3 +51,19 @@ def test_flag_none_resets_a_config_file_value(tmp_path):
     cli._add_config_flags(parser)
     args = parser.parse_args(["--config", str(path), "--mesh", "m.obj", "--gamma", "none"])
     assert cli._config_from_args(args).gamma is None
+
+
+@pytest.mark.parametrize("radius", [-0.5, 0.0])
+def test_non_positive_initial_radius_is_rejected(radius):
+    # A negative radius would put the first camera at the antipode of the
+    # configured polar/azimuth.
+    with pytest.raises(ValueError, match="initial_radius must be positive"):
+        RunConfig(initial_radius=radius)
+
+
+def test_bad_config_value_names_file_line_and_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# a comment\nseed = 3\nt_max = 2.5\n")
+    with pytest.raises(ValueError) as info:
+        load_config_file(str(path))
+    assert str(info.value) == f"{path}:3: t_max: invalid literal for int() with base 10: '2.5'"

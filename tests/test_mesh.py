@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ def test_load_obj_unit_cube(tmp_path):
     path = tmp_path / "cube.obj"
     path.write_text(UNIT_CUBE_OBJ)
     mesh = load_mesh(str(path))
-    assert mesh.n_vertices == 8
+    assert len(mesh.vertices) == 8
     assert mesh.n_triangles == 12
 
 
@@ -80,6 +82,40 @@ def test_truncated_ply_raises(tmp_path):
         load_mesh(str(path))
 
 
+@pytest.mark.parametrize("element", ["vertex", "face"])
+@pytest.mark.parametrize("count", ["abc", "-1", "2.5"])
+def test_bad_ply_element_count_raises_with_line(tmp_path, element, count):
+    counts = {"vertex": "3", "face": "1", element: count}
+    path = tmp_path / "bad.ply"
+    path.write_text(
+        f"ply\nformat ascii 1.0\nelement vertex {counts['vertex']}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        f"element face {counts['face']}\nproperty list uchar int vertex_indices\nend_header\n"
+        "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+    )
+    line = 3 if element == "vertex" else 7
+    message = f"{path}:{line}: {element} count must be a non-negative integer, got '{count}'"
+    with pytest.raises(MeshFormatError, match=re.escape(message)):
+        load_mesh(str(path))
+
+
+@pytest.mark.parametrize(
+    "suffix, text",
+    [
+        ("obj", "f 1 2 3\n"),
+        ("ply", "ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\nproperty float y\n"
+                "property float z\nelement face 1\nproperty list uchar int vertex_indices\n"
+                "end_header\n3 0 1 2\n"),
+    ],
+    ids=["obj", "ply"],
+)
+def test_faces_without_vertices_are_out_of_range_in_both_formats(tmp_path, suffix, text):
+    path = tmp_path / f"faces.{suffix}"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match="face index out of vertex range"):
+        load_mesh(str(path))
+
+
 def test_empty_mesh_raises(tmp_path):
     path = tmp_path / "empty.obj"
     path.write_text("# nothing here\n")
@@ -101,7 +137,7 @@ def test_unsupported_extension(tmp_path):
 
 def test_ply_round_trip(tmp_path):
     mesh = make_cube(0.2)
-    lines = ["ply", "format ascii 1.0", f"element vertex {mesh.n_vertices}",
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(mesh.vertices)}",
              "property float x", "property float y", "property float z",
              f"element face {mesh.n_triangles}",
              "property list uchar int vertex_indices", "end_header"]
@@ -112,7 +148,7 @@ def test_ply_round_trip(tmp_path):
     path = tmp_path / "cube.ply"
     path.write_text("\n".join(lines) + "\n")
     loaded = load_mesh(str(path))
-    assert loaded.n_vertices == mesh.n_vertices
+    assert len(loaded.vertices) == len(mesh.vertices)
     assert loaded.n_triangles == mesh.n_triangles
     np.testing.assert_allclose(loaded.vertices, mesh.vertices)
 

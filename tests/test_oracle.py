@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbvplan.geometry import CameraIntrinsics, look_at
-from nbvplan.oracle import _camera_rays, _pixel_ray_dirs, oracle_evaluate, oracle_rank
+from nbvplan.oracle import _camera_rays, _pixel_ray_dirs, oracle_evaluate, oracle_scores
 from nbvplan.views import CandidateView
 from nbvplan.voxel import VoxelGrid, VoxelState
 from scalar_reference import oracle_walk_to_exit, traverse_ray
@@ -237,28 +237,26 @@ def test_oracle_skips_rays_that_miss_the_box(small_intr, caplog):
     assert cast == 1024 and 0 < walked < cast and visits >= walked
 
 
-def test_oracle_rank_empty_grid_preserves_order(small_intr):
+def test_oracle_scores_empty_grid_sees_nothing(small_intr):
     grid = centered_grid()
     views = [make_view([0, 0, 3.0], [0, 0, 0]), make_view([3.0, 0, 0], [0, 0, 0])]
-    ranked = oracle_rank(views, grid, small_intr, stride=4)
-    assert [r[1].visible_frontier for r in ranked] == [0, 0]
-    assert ranked[0][0] is views[0]
-    assert ranked[1][0] is views[1]
+    scores = oracle_scores(views, grid, small_intr, stride=4)
+    assert [s.visible_frontier for s in scores] == [0, 0]
 
 
-def test_oracle_rank_facing_cluster_first(small_intr):
+def test_oracle_scores_facing_cluster_sees_frontier(small_intr):
     grid = centered_grid()
     g3 = grid.grid3d()
     g3[8, 8, 12:15] = VoxelState.FRONTIER  # cluster on the +x side
     facing = make_view([3.0, 0.05, 0.05], [0.05, 0.05, 0.05])
     away = make_view([-3.0, 0.05, 0.05], [-6.0, 0.05, 0.05])  # looks outward
-    ranked = oracle_rank([away, facing], grid, small_intr, stride=2)
-    assert ranked[0][0] is facing
-    assert ranked[0][1].visible_frontier > 0
+    away_score, facing_score = oracle_scores([away, facing], grid, small_intr, stride=2)
+    assert facing_score.visible_frontier > 0
+    assert away_score.visible_frontier == 0
 
 
-def test_oracle_rank_counts_equal_per_candidate_evaluation(small_intr):
-    """oracle_rank builds the grid's masks and box once for all candidates;
+def test_oracle_scores_counts_equal_per_candidate_evaluation(small_intr):
+    """oracle_scores builds the grid's masks and box once for all candidates;
     each count is still that of scoring the candidate alone, and that of
     walking every ray to the grid exit."""
     rng = np.random.default_rng(8)
@@ -266,10 +264,10 @@ def test_oracle_rank_counts_equal_per_candidate_evaluation(small_intr):
     block = grid.grid3d()[3:9, 4:10, 2:8]
     block[...] = rng.choice([int(s) for s in VoxelState], block.shape, p=[0.3, 0.3, 0.1, 0.2, 0.1])
     views = [make_view(p, rng.uniform(-0.3, 0.3, 3)) for p in rng.normal(scale=1.5, size=(8, 3))]
-    ranked = oracle_rank(views, grid, small_intr, stride=3)
-    assert sorted(id(v) for v, _ in ranked) == sorted(id(v) for v in views)
-    assert sum(score.visible_frontier > 0 for _, score in ranked) >= 4
-    for view, score in ranked:
+    scores = oracle_scores(views, grid, small_intr, stride=3)
+    assert len(scores) == len(views)
+    assert sum(score.visible_frontier > 0 for score in scores) >= 4
+    for view, score in zip(views, scores):
         assert score == oracle_evaluate(view, grid, small_intr, 3)
         assert score == oracle_walk_to_exit(view, grid, small_intr, 3)
 

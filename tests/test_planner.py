@@ -5,7 +5,7 @@ import pytest
 
 from nbvplan import planner
 from nbvplan.config import RunConfig
-from nbvplan.geometry import look_at
+from nbvplan.geometry import DepthFrame, look_at
 from nbvplan.planner import (
     InfeasiblePartitionError,
     PartitionLedger,
@@ -126,3 +126,30 @@ def test_infeasible_partition_falls_back_to_every_sector(monkeypatch, caplog):
         "partition constraint infeasible" in r.getMessage() for r in caplog.records
     )
     assert np.isfinite(chosen.score) and state.iteration == 1
+
+
+def test_an_all_miss_iteration_leaves_the_grid_and_refits(monkeypatch, caplog):
+    config = RunConfig(width=160, height=120, fx=145.0, fy=145.0, candidates=16, t_max=1, iterations=2)
+    state = planner.initialize(make_shape("cube"), config)
+    states, bbox, chunks = state.grid.states.copy(), state.grid.bbox, list(state.point_chunks)
+    real_refit = planner.refit_all
+    refits = []
+
+    def counting_refit(*args, **kwargs):
+        refits.append(real_refit(*args, **kwargs))
+        return refits[-1]
+
+    def all_miss(mesh, pose, intrinsics, **kwargs):
+        return DepthFrame(np.full((intrinsics.height, intrinsics.width), np.inf), pose, intrinsics)
+
+    monkeypatch.setattr(planner, "refit_all", counting_refit)
+    monkeypatch.setattr(planner, "render_depth", all_miss)
+    with caplog.at_level(logging.WARNING, logger="nbvplan"):
+        planner.run_iteration(state)
+    assert any(r.getMessage() == "all-miss observation at iteration 0" for r in caplog.records)
+    assert np.array_equal(state.grid.states, states)
+    assert state.grid.bbox is bbox
+    assert len(state.point_chunks) == len(chunks)
+    assert all(a is b for a, b in zip(state.point_chunks, chunks))
+    assert len(refits) == 1 and state.e_o is refits[0][0] and state.e_f is refits[0][1]
+    assert state.iteration == 1 and len(state.timings) == 1

@@ -353,9 +353,7 @@ def test_mark_occupied_is_rule_one_alone():
     ok, to_occupied = mark_occupied(grid, pts)
     np.testing.assert_array_equal(ok, [True, True, True, False])
     assert to_occupied == 2
-    assert grid.state_counts(within_bbox=False) == {
-        "none": 8**3 - 2, "empty": 0, "occupied": 2, "unknown": 0, "frontier": 0,
-    }
+    assert np.bincount(grid.states, minlength=len(VoxelState)).tolist() == [8**3 - 2, 0, 2, 0, 0]
     assert mark_occupied(grid, pts)[1] == 0
 
 
