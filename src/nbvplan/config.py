@@ -11,9 +11,9 @@ import typing
 from dataclasses import dataclass
 
 from .geometry import CameraIntrinsics
+from .views import SamplingConfig
 
 EVALUATORS = ("projection", "oracle", "random")
-MODES = ("hemisphere", "full_sphere")
 
 
 @dataclass
@@ -53,8 +53,6 @@ class RunConfig:
     def __post_init__(self):
         if self.evaluator not in EVALUATORS:
             raise ValueError(f"evaluator must be one of {EVALUATORS}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         for name in (
             "resolution", "t_max", "beta", "alpha", "candidates", "d_c",
             "iterations", "width", "height", "fx", "fy", "max_range",
@@ -68,6 +66,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        self.sampling()  # mode, and at least one candidate per parallel
 
     @property
     def gamma_value(self) -> float:
@@ -87,6 +86,11 @@ class RunConfig:
             height=self.height,
             working_distance=self.d_c,
             max_range=self.max_range,
+        )
+
+    def sampling(self) -> SamplingConfig:
+        return SamplingConfig(
+            mode=self.mode, alpha=self.alpha, n_views=self.candidates, working_distance=self.d_c
         )
 
 

@@ -1,7 +1,8 @@
 """Triangle mesh I/O and sampling.
 
 Supported inputs are ASCII OBJ (v/f records, polygons fan-triangulated) and
-ASCII PLY with vertex/face elements.  Units are assumed to be meters.
+ASCII PLY with vertex/face elements in either order; the lines of any other
+element are skipped.  Units are assumed to be meters.
 Zero-area faces are dropped at load time.
 """
 
@@ -112,9 +113,8 @@ def _load_ply(path: str) -> TriangleMesh:
 
     if not lines or lines[0].strip() != "ply":
         raise MeshFormatError(path, 1, "missing 'ply' magic")
-    counts: dict[str, int] = {}
+    elements: list[tuple[str, int]] = []  # (name, count) in header order
     vertex_props: list[str] = []
-    current_element = None
     body_start = None
     for line_no, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
@@ -126,49 +126,52 @@ def _load_ply(path: str) -> TriangleMesh:
         elif parts[0] == "element":
             if len(parts) != 3:
                 raise MeshFormatError(path, line_no, "malformed element record")
-            current_element = parts[1]
-            if parts[1] in ("vertex", "face"):
-                if not parts[2].isdecimal():
-                    raise MeshFormatError(
-                        path, line_no, f"{parts[1]} count must be a non-negative integer, got {parts[2]!r}"
-                    )
-                counts[parts[1]] = int(parts[2])
-        elif parts[0] == "property" and current_element == "vertex":
+            if not parts[2].isdecimal():
+                raise MeshFormatError(
+                    path, line_no, f"{parts[1]} count must be a non-negative integer, got {parts[2]!r}"
+                )
+            elements.append((parts[1], int(parts[2])))
+        elif parts[0] == "property" and elements and elements[-1][0] == "vertex":
             vertex_props.append(parts[-1])
         elif parts[0] == "end_header":
             body_start = line_no  # lines[] is 0-based with offset 1 already applied
             break
     if body_start is None:
         raise MeshFormatError(path, len(lines), "no end_header")
-    n_vertex, n_face = counts.get("vertex"), counts.get("face")
-    if n_vertex is None or n_face is None:
+    if not {"vertex", "face"} <= {name for name, _ in elements}:
         raise MeshFormatError(path, body_start, "PLY must declare vertex and face elements")
     try:
         xi, yi, zi = (vertex_props.index(k) for k in ("x", "y", "z"))
     except ValueError:
         raise MeshFormatError(path, body_start, "vertex element lacks x/y/z properties")
-
-    body = lines[body_start:]
-    if len(body) < n_vertex + n_face:
+    if len(lines) - body_start < sum(count for _, count in elements):
         raise MeshFormatError(path, len(lines), "file truncated before declared element counts")
-    vertices = np.empty((n_vertex, 3), dtype=float)
-    for i in range(n_vertex):
-        parts = body[i].split()
-        try:
-            vertices[i] = (float(parts[xi]), float(parts[yi]), float(parts[zi]))
-        except (ValueError, IndexError):
-            raise MeshFormatError(path, body_start + i + 1, "bad vertex line")
+
+    vertices = np.empty((0, 3), dtype=float)
     faces: list[list[int]] = []
-    for i in range(n_face):
-        parts = body[n_vertex + i].split()
-        try:
-            count = int(parts[0])
-            idx = [int(tok) for tok in parts[1 : 1 + count]]
-        except (ValueError, IndexError):
-            raise MeshFormatError(path, body_start + n_vertex + i + 1, "bad face line")
-        if len(idx) != count or count < 3:
-            raise MeshFormatError(path, body_start + n_vertex + i + 1, "bad face vertex count")
-        faces.extend(_fan_triangulate(idx))
+    start = body_start  # the element's first line is lines[start], file line start + 1
+    for name, count in elements:
+        rows = lines[start : start + count]
+        if name == "vertex":
+            vertices = np.empty((count, 3), dtype=float)
+            for i, row in enumerate(rows):
+                parts = row.split()
+                try:
+                    vertices[i] = (float(parts[xi]), float(parts[yi]), float(parts[zi]))
+                except (ValueError, IndexError):
+                    raise MeshFormatError(path, start + i + 1, "bad vertex line")
+        elif name == "face":
+            for i, row in enumerate(rows):
+                parts = row.split()
+                try:
+                    n = int(parts[0])
+                    idx = [int(tok) for tok in parts[1 : 1 + n]]
+                except (ValueError, IndexError):
+                    raise MeshFormatError(path, start + i + 1, "bad face line")
+                if len(idx) != n or n < 3:
+                    raise MeshFormatError(path, start + i + 1, "bad face vertex count")
+                faces.extend(_fan_triangulate(idx))
+        start += count
     return _build_mesh(path, vertices, faces)
 
 

@@ -27,7 +27,7 @@ from .mesh import TriangleMesh
 from .oracle import oracle_scores
 from .projection import evaluate_all
 from .render import frame_to_points, render_depth
-from .views import UP, CandidateView, SamplingConfig, assign_partitions, sample_candidates, sampling_radius
+from .views import UP, CandidateView, assign_partitions, sample_candidates, sampling_radius
 from .voxel import (
     Observation,
     VoxelGrid,
@@ -153,18 +153,14 @@ def _observe(state: PlannerState, pose: Pose, frame_seed: int) -> tuple[Observat
     points = frame_to_points(frame)
 
     lo, hi = state.grid.span
-    if len(points):
-        in_box = np.all((points >= lo) & (points <= hi), axis=1)
-        cropped = points[in_box]
-    else:
-        cropped = points
+    cropped = points[np.all((points >= lo) & (points <= hi), axis=1)]
     if len(cropped) == 0:
         log.warning("all-miss observation at iteration %d", state.iteration)
         return None, render_s
     state.point_chunks.append(cropped)
 
     deduped = preprocess_points(
-        cropped, lo, hi, spacing=cfg.resolution / 2.0, align_origin=state.grid.origin
+        cropped, spacing=cfg.resolution / 2.0, align_origin=state.grid.origin
     )
     return Observation(points=deduped, sensor_origin=pose.translation), render_s
 
@@ -218,11 +214,8 @@ def candidate_views(state: PlannerState) -> list[CandidateView]:
     if state.grid.bbox is None:
         raise RuntimeError("planner state not initialized")
     bmin, bmax = state.grid.bbox
-    sampling = SamplingConfig(
-        mode=cfg.mode, alpha=cfg.alpha, n_views=cfg.candidates, working_distance=cfg.d_c
-    )
     candidates = sample_candidates(
-        sampling, 0.5 * (bmin + bmax), sampling_radius(state.grid.bbox, cfg.d_c)
+        cfg.sampling(), 0.5 * (bmin + bmax), sampling_radius(state.grid.bbox, cfg.d_c)
     )
     return assign_partitions(candidates, cfg.beta)
 
@@ -231,15 +224,14 @@ def _score_candidates(state: PlannerState, candidates: list[CandidateView]) -> N
     cfg = state.config
     if cfg.evaluator == "projection":
         evaluate_all(candidates, state.e_o, state.e_f, cfg.intrinsics())
-    elif cfg.evaluator == "oracle":
-        scores = oracle_scores(candidates, state.grid, cfg.intrinsics(), cfg.stride)
-        for v, score in zip(candidates, scores):
-            v.score = float(score.visible_frontier)
+        return
+    if cfg.evaluator == "oracle":
+        oracle = oracle_scores(candidates, state.grid, cfg.intrinsics(), cfg.stride)
+        scores = [s.visible_frontier for s in oracle]
     else:  # random baseline
-        rng = np.random.default_rng((cfg.seed, state.iteration))
-        scores = rng.random(len(candidates))
-        for v, s in zip(candidates, scores):
-            v.score = float(s)
+        scores = np.random.default_rng((cfg.seed, state.iteration)).random(len(candidates)).tolist()
+    for v, score in zip(candidates, scores):
+        v.score = float(score)
 
 
 def run_iteration(state: PlannerState) -> CandidateView:

@@ -25,32 +25,36 @@ from .geometry import Pose, look_at_many
 
 UP = np.array([0.0, 0.0, 1.0])  # world up axis
 
-# Polar extents measured from the up axis; the hemisphere cap stays clear of
-# the pole singularity and of grazing views near the equator.
-HEMISPHERE_POLAR_RANGE = (np.deg2rad(15.0), np.deg2rad(85.0))
-FULL_SPHERE_POLAR_RANGE = (np.deg2rad(15.0), np.deg2rad(165.0))
+# Polar extent per sampling mode, measured from the up axis; the hemisphere
+# cap stays clear of the pole singularity and of grazing views near the equator.
+POLAR_RANGES = {
+    "hemisphere": (np.deg2rad(15.0), np.deg2rad(85.0)),
+    "full_sphere": (np.deg2rad(15.0), np.deg2rad(165.0)),
+}
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))  # per-parallel azimuth phase step
 
 
 @dataclass
 class SamplingConfig:
-    mode: str = "full_sphere"          # "hemisphere" | "full_sphere"
+    mode: str = "full_sphere"          # a POLAR_RANGES key
     alpha: int = 8                     # parallel count
     n_views: int = 800                 # total candidates
     working_distance: float = 0.4      # d_c (m)
 
     def __post_init__(self):
-        if self.mode not in ("hemisphere", "full_sphere"):
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
+        if self.mode not in POLAR_RANGES:
+            raise ValueError(f"mode must be one of {tuple(POLAR_RANGES)}, got {self.mode!r}")
         if self.alpha < 1:
             raise ValueError("alpha must be >= 1")
         if self.n_views < self.alpha:
-            raise ValueError("need at least one view per parallel")
+            raise ValueError(
+                f"need at least one view per parallel: {self.n_views} candidates < alpha {self.alpha}"
+            )
 
     @property
     def polar_range(self) -> tuple[float, float]:
-        return HEMISPHERE_POLAR_RANGE if self.mode == "hemisphere" else FULL_SPHERE_POLAR_RANGE
+        return POLAR_RANGES[self.mode]
 
 
 @dataclass

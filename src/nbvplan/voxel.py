@@ -62,19 +62,16 @@ class Observation:
 
 def preprocess_points(
     points: np.ndarray,
-    box_min: np.ndarray,
-    box_max: np.ndarray,
     spacing: float,
     align_origin: np.ndarray,
 ) -> np.ndarray:
-    """Crop to the workspace box, then keep one point per `spacing` cell.
+    """Keep the first point of each `spacing` cell, in input order.
 
     Cells are aligned to `align_origin` so that dedup never moves a point
-    across a voxel boundary when spacing divides the voxel size.
+    across a voxel boundary when spacing divides the voxel size.  Cropping
+    to the grid is the caller's job.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    inside = np.all((points >= box_min) & (points <= box_max), axis=1)
-    pts = points[inside]
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         return pts
     cells = np.floor((pts - align_origin) / spacing).astype(np.int64)

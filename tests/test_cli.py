@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from nbvplan import cli
+from nbvplan import cli, planner
 from nbvplan.cli import _setup_logging, main
 from nbvplan.config import RunConfig
 from nbvplan.harness import run, summarize
@@ -122,6 +122,15 @@ def test_mesh_outside_first_view_is_a_clear_error(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: initial observation saw nothing")
     assert "Traceback" not in err
+
+
+def test_fewer_candidates_than_parallels_fails_before_rendering(mesh_dir, tmp_path, capsys, monkeypatch):
+    renders = []
+    monkeypatch.setattr(planner, "render_depth", lambda *args, **kwargs: renders.append(args))
+    argv = ["run", "--mesh", str(mesh_dir / "cube.obj"), "--out", str(tmp_path)] + TINY
+    assert main(argv + ["--candidates", "4", "--alpha", "8"]) == 1
+    assert "4 candidates < alpha 8" in capsys.readouterr().err
+    assert renders == []
 
 
 def test_debug_dumps_restart_with_each_run(mesh_dir, tmp_path, caplog):

@@ -67,3 +67,10 @@ def test_bad_config_value_names_file_line_and_key(tmp_path):
     with pytest.raises(ValueError) as info:
         load_config_file(str(path))
     assert str(info.value) == f"{path}:3: t_max: invalid literal for int() with base 10: '2.5'"
+
+
+def test_fewer_candidates_than_parallels_is_rejected():
+    with pytest.raises(ValueError, match="4 candidates < alpha 8"):
+        RunConfig(candidates=4, alpha=8)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        RunConfig(mode="orbit")

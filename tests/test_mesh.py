@@ -99,6 +99,34 @@ def test_bad_ply_element_count_raises_with_line(tmp_path, element, count):
         load_mesh(str(path))
 
 
+PLY_HEADER_START = "ply\nformat ascii 1.0\n"
+PLY_VERTEX = "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
+PLY_FACE = "element face 1\nproperty list uchar int vertex_indices\n"
+PLY_EDGE = "element edge 2\nproperty int vertex1\nproperty int vertex2\n"
+
+
+def test_ply_face_element_before_vertex(tmp_path):
+    path = tmp_path / "face_first.ply"
+    path.write_text(PLY_HEADER_START + PLY_FACE + PLY_VERTEX + "end_header\n3 0 1 2\n0 0 0\n1 0 0\n0 1 0\n")
+    mesh = load_mesh(str(path))
+    np.testing.assert_array_equal(mesh.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2]])
+
+
+def test_ply_other_element_lines_are_skipped(tmp_path):
+    path = tmp_path / "edges.ply"
+    body = "0 0 0\n1 0 0\n0 1 0\n0 1\n1 2\n3 0 1 2\n"
+    path.write_text(PLY_HEADER_START + PLY_VERTEX + PLY_EDGE + PLY_FACE + "end_header\n" + body)
+    mesh = load_mesh(str(path))
+    np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2]])
+
+    # Errors still name the line: the bad face is file line 18, after the edges.
+    path.write_text(PLY_HEADER_START + PLY_VERTEX + PLY_EDGE + PLY_FACE + "end_header\n"
+                    + body.replace("3 0 1 2", "3 0 1"))
+    with pytest.raises(MeshFormatError, match=re.escape(f"{path}:18: bad face vertex count")):
+        load_mesh(str(path))
+
+
 @pytest.mark.parametrize(
     "suffix, text",
     [

@@ -272,9 +272,24 @@ def test_oracle_scores_counts_equal_per_candidate_evaluation(small_intr):
         assert score == oracle_walk_to_exit(view, grid, small_intr, 3)
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats is imported by rank_agreement when it runs, not by the package.
-    code = "import sys, nbvplan; print('scipy.stats' in sys.modules)"
+def _run_python(code: str) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_nbvplan_loads_no_module():
+    code = "import sys, nbvplan; print(sorted(m for m in sys.modules if m.startswith('nbvplan.')))"
+    assert _run_python(code) == "[]"
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats is imported by rank_agreement when it runs, not by any module.
+    code = (
+        "import importlib, pkgutil, sys, nbvplan\n"
+        "names = [m.name for m in pkgutil.iter_modules(nbvplan.__path__)]\n"
+        "for name in names: importlib.import_module('nbvplan.' + name)\n"
+        "print(len(names), 'scipy.stats' in sys.modules)"
+    )
+    count, loaded = _run_python(code).split()
+    assert int(count) >= 12 and loaded == "False"

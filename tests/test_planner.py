@@ -13,6 +13,7 @@ from nbvplan.planner import (
     select_next_view,
     should_terminate,
 )
+from nbvplan.oracle import oracle_scores
 from nbvplan.shapes import make_shape
 from nbvplan.views import CandidateView
 
@@ -101,7 +102,70 @@ def test_terminates_on_budget_and_on_two_empty_frontiers():
     assert should_terminate(state)
 
 
+# ---- observation -------------------------------------------------------------
+
+
+def test_observe_drops_points_outside_the_grid(monkeypatch):
+    config = RunConfig(width=160, height=120, fx=145.0, fy=145.0, candidates=16, t_max=1)
+    state = planner.initialize(make_shape("cube"), config)
+    lo, hi = state.grid.span
+    inside = np.array([lo + 0.1, 0.5 * (lo + hi), hi - 0.1, hi])  # the upper face counts
+    outside = np.array([lo - 0.01, hi + [0.0, 0.0, 0.01], [hi[0] + 1.0, 0.0, 0.0]])
+    frame_points = np.vstack([outside[:1], inside[:2], outside[1:], inside[2:]])
+    monkeypatch.setattr(planner, "frame_to_points", lambda frame: frame_points)
+    n_chunks = len(state.point_chunks)
+
+    obs, _ = planner._observe(state, POSE, frame_seed=1)
+    assert len(state.point_chunks) == n_chunks + 1
+    np.testing.assert_array_equal(state.point_chunks[-1], inside)
+    np.testing.assert_array_equal(obs.points, inside)
+
+    monkeypatch.setattr(planner, "frame_to_points", lambda frame: outside)
+    assert planner._observe(state, POSE, frame_seed=2)[0] is None
+    assert len(state.point_chunks) == n_chunks + 1
+
+
 # ---- run_iteration ----------------------------------------------------------
+
+
+def _first_step(evaluator: str, monkeypatch):
+    """One tiny iteration with `scanned={0}`; returns the scored candidates,
+    the admissible sectors, the oracle's scores at selection time and the view."""
+    config = RunConfig(
+        width=160, height=120, fx=145.0, fy=145.0, candidates=16, t_max=1, evaluator=evaluator
+    )
+    state = planner.initialize(make_shape("u_prism"), config)
+    state.ledger.scanned = {0}
+    real_select = planner.select_next_view
+    seen = []
+
+    def recording_select(scored, ledger, iteration=0):
+        oracle = oracle_scores(scored, state.grid, config.intrinsics(), config.stride)
+        seen.append((scored, admissible_partitions(ledger), [s.visible_frontier for s in oracle]))
+        return real_select(scored, ledger, iteration)
+
+    monkeypatch.setattr(planner, "select_next_view", recording_select)
+    chosen = planner.run_iteration(state)
+    assert len(seen) == 1
+    return (*seen[0], chosen)
+
+
+@pytest.mark.parametrize("evaluator", ["oracle", "random"])
+def test_oracle_and_random_evaluators_choose_the_admissible_argmax(evaluator, monkeypatch):
+    scored, allowed, oracle, chosen = _first_step(evaluator, monkeypatch)
+    scores = [v.score for v in scored]
+    assert len(scores) == 16 and all(np.isfinite(scores))
+    assert allowed == {1, 3}
+    admissible = [v for v in scored if v.partition_index in allowed]
+    assert chosen is max(admissible, key=lambda v: v.score)
+
+    again = [v.score for v in _first_step(evaluator, monkeypatch)[0]]
+    assert again == scores  # the random scores repeat for the same (seed, iteration)
+    if evaluator == "oracle":
+        assert scores == [float(s) for s in oracle] and max(scores) > 0
+    else:
+        assert scores == np.random.default_rng((7, 0)).random(16).tolist()
+        assert len(set(scores)) == 16
 
 
 def test_infeasible_partition_falls_back_to_every_sector(monkeypatch, caplog):

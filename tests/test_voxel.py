@@ -405,8 +405,7 @@ def _observe_sphere(grid, mesh, cam_pos):
     pose = look_at(cam_pos, [0, 0, 0], [0, 0, 1])
     frame = render_depth(mesh, pose, intr)
     pts = frame_to_points(frame)
-    lo, hi = grid.span
-    pts = preprocess_points(pts, lo, hi, spacing=grid.resolution / 2, align_origin=grid.origin)
+    pts = preprocess_points(pts, spacing=grid.resolution / 2, align_origin=grid.origin)
     return Observation(points=pts, sensor_origin=pose.translation)
 
 
@@ -656,16 +655,16 @@ def test_bbox_equals_per_cell_indices(seed, states, first_frame):
 # ---- grid plumbing ----------------------------------------------------------
 
 
-def test_preprocess_crop_and_dedup():
+def test_preprocess_dedup():
     pts = np.array([
         [0.5, 0.5, 0.5],
         [0.51, 0.5, 0.5],    # same dedup cell at spacing 0.05
         [0.58, 0.5, 0.5],    # different cell
-        [5.0, 5.0, 5.0],     # outside box
+        [5.0, 5.0, 5.0],     # far away: kept, nothing is cropped
     ])
-    out = preprocess_points(pts, np.zeros(3), np.ones(3), spacing=0.05, align_origin=np.zeros(3))
-    assert len(out) == 2
-    np.testing.assert_allclose(out[0], [0.5, 0.5, 0.5])
+    out = preprocess_points(pts, spacing=0.05, align_origin=np.zeros(3))
+    np.testing.assert_array_equal(out, pts[[0, 2, 3]])
+    assert preprocess_points(np.empty((0, 3)), spacing=0.05, align_origin=np.zeros(3)).shape == (0, 3)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -675,14 +674,12 @@ def test_preprocess_matches_row_unique(seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.3, 1.1, (4000, 3))
     pts[-500:] = pts[:500]  # exact duplicates
-    box_min, box_max = np.array([-1.0, -1.2, -0.9]), np.array([1.0, 0.8, 1.05])
     origin, spacing = np.array([-1.02, -1.25, -0.95]), 0.05 * (seed + 1)
-    out = preprocess_points(pts, box_min, box_max, spacing=spacing, align_origin=origin)
+    out = preprocess_points(pts, spacing=spacing, align_origin=origin)
 
-    cropped = pts[np.all((pts >= box_min) & (pts <= box_max), axis=1)]
-    cells = np.floor((cropped - origin) / spacing).astype(np.int64)
+    cells = np.floor((pts - origin) / spacing).astype(np.int64)
     _, first = np.unique(cells, axis=0, return_index=True)
-    np.testing.assert_array_equal(out, cropped[np.sort(first)])
+    np.testing.assert_array_equal(out, pts[np.sort(first)])
 
 
 def test_grid_growth_preserves_states():
