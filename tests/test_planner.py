@@ -6,6 +6,7 @@ import pytest
 from nbvplan import planner
 from nbvplan.config import RunConfig
 from nbvplan.geometry import DepthFrame, look_at
+from nbvplan.oracle import oracle_scores
 from nbvplan.planner import (
     InfeasiblePartitionError,
     PartitionLedger,
@@ -13,7 +14,6 @@ from nbvplan.planner import (
     select_next_view,
     should_terminate,
 )
-from nbvplan.oracle import oracle_scores
 from nbvplan.shapes import make_shape
 from nbvplan.views import CandidateView
 
@@ -160,7 +160,7 @@ def test_oracle_and_random_evaluators_choose_the_admissible_argmax(evaluator, mo
     assert chosen is max(admissible, key=lambda v: v.score)
 
     again = [v.score for v in _first_step(evaluator, monkeypatch)[0]]
-    assert again == scores  # the random scores repeat for the same (seed, iteration)
+    assert again == scores  # both evaluators repeat for the same (seed, iteration)
     if evaluator == "oracle":
         assert scores == [float(s) for s in oracle] and max(scores) > 0
     else:
