@@ -9,11 +9,16 @@ Zero-area faces are dropped at load time.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 DEGENERATE_AREA_EPS = 1e-14  # squared-meter scale, doubled-area squared below this is dropped
+
+_SLASH_TAIL = re.compile(r"/\S*")
+_INT64 = np.iinfo(np.int64)
 
 
 class MeshFormatError(ValueError):
@@ -56,55 +61,128 @@ class TriangleMesh:
         return 0.5 * np.linalg.norm(cross, axis=1)
 
 
-def _build_mesh(path: str, vertices: np.ndarray, triangles: list[list[int]]) -> TriangleMesh:
-    """Check the parsed faces against the vertices, then drop zero-area faces."""
-    if not triangles:
+def _read_records(path, lines, first_line, parse, record_error):
+    """`parse(tokens, starts, counts)` over `lines`, in array passes.
+
+    `tokens` holds the `str.split()` tokens of all lines as one object
+    array; line k has `counts[k]` of them from `starts[k]`.  `parse` raises
+    ValueError when a count, conversion or finiteness check fails; the lines
+    are then checked one at a time by `record_error(parts)`, which returns
+    the message for a bad line or None, and the first bad line (file line
+    `first_line` + k) is raised as a MeshFormatError.
+    """
+    parts = list(map(str.split, lines))
+    counts = np.fromiter(map(len, parts), np.int64, len(parts))
+    tokens = np.array(list(chain.from_iterable(parts)), dtype=object)
+    try:
+        return parse(tokens, np.cumsum(counts) - counts, counts)
+    except ValueError:
+        for k, words in enumerate(parts):
+            message = record_error(words)
+            if message:
+                raise MeshFormatError(path, first_line + k, message) from None
+        raise
+
+
+def _ranges(begin: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The concatenated `np.arange(b, b + n)` for each b, n."""
+    offsets = np.cumsum(length) - length
+    return np.repeat(begin - offsets, length) + np.arange(length.sum())
+
+
+def _ints(tokens: np.ndarray) -> np.ndarray:
+    """Tokens as int64 by `int()`, which raises ValueError on a bad token.
+
+    Values past the int64 range are clipped to it, which still leaves them
+    outside any vertex range.
+    """
+    try:
+        return tokens.astype(np.int64)
+    except OverflowError:
+        return np.array([min(max(int(t), _INT64.min), _INT64.max) for t in tokens], dtype=np.int64)
+
+
+def _finite(vertices: np.ndarray) -> np.ndarray:
+    if not np.isfinite(vertices).all():
+        raise ValueError("non-finite vertex coordinate")
+    return vertices
+
+
+def _fan(index: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Fan triangles of polygons whose `n` corners follow each other in `index`.
+
+    Polygon k with corners c0..c(n-1) gives (c0, ci, ci+1) for i = 1..n-2,
+    in polygon order.
+    """
+    first = np.cumsum(n) - n
+    mid = _ranges(first + 1, n - 2)
+    return np.stack([index[np.repeat(first, n - 2)], index[mid], index[mid + 1]], axis=1)
+
+
+def _build_mesh(path: str, vertices: np.ndarray, triangles: np.ndarray, lines: np.ndarray) -> TriangleMesh:
+    """Check the triangles against the vertices, then drop zero-area faces.
+
+    `lines` holds the file line of each triangle's face, which an
+    out-of-range index names.
+    """
+    if not len(triangles):
         raise EmptyMeshError(f"{path}: no triangles found")
-    tri = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    if tri.max() >= len(vertices) or tri.min() < 0:
-        raise MeshFormatError(path, 0, "face index out of vertex range")
-    corners = vertices[tri]
+    bad = ((triangles < 0) | (triangles >= len(vertices))).any(axis=1)
+    if bad.any():
+        raise MeshFormatError(path, int(lines[bad.argmax()]), "face index out of vertex range")
+    corners = vertices[triangles]
     cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
     keep = np.einsum("ij,ij->i", cross, cross) > DEGENERATE_AREA_EPS
-    return TriangleMesh(vertices=vertices, triangles=tri[keep])
+    return TriangleMesh(vertices=vertices, triangles=triangles[keep])
 
 
-def _fan_triangulate(indices: list[int]) -> list[list[int]]:
-    return [[indices[0], indices[i], indices[i + 1]] for i in range(1, len(indices) - 1)]
+def _obj_record_error(parts: list[str]) -> str | None:
+    """Why one OBJ line cannot be read, or None."""
+    if not parts or parts[0] not in ("v", "f"):
+        return None
+    if parts[0] == "v":
+        if len(parts) < 4:
+            return "vertex record needs 3 coordinates"
+        try:
+            xyz = [float(t) for t in parts[1:4]]
+        except ValueError as exc:
+            return f"bad vertex coordinate: {exc}"
+        return None if np.isfinite(xyz).all() else "non-finite vertex coordinate"
+    if len(parts) < 4:
+        return "face record needs >= 3 vertices"
+    for token in parts[1:]:
+        try:
+            int(token.split("/")[0])
+        except ValueError:
+            return f"bad face index {token!r}"
+    return None
+
+
+def _parse_obj(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray):
+    """Vertices, fan triangles and each triangle's line index from OBJ lines."""
+    rows = np.flatnonzero(counts)
+    tags = tokens[starts[rows]]
+    v_rows, f_rows = rows[tags == "v"], rows[tags == "f"]
+    if min(counts[v_rows].min(initial=4), counts[f_rows].min(initial=4)) < 4:
+        raise ValueError("short v or f record")
+    vertices = _finite(tokens[starts[v_rows, None] + np.arange(1, 4)].astype(float))
+    n = counts[f_rows] - 1
+    corners = tokens[_ranges(starts[f_rows] + 1, n)]
+    # A corner is v, v/vt, v//vn or v/vt/vn: keep the text before the first '/'.
+    heads = _SLASH_TAIL.sub("", " ".join(corners)).split(" ") if len(corners) else []
+    i = _ints(np.array(heads, dtype=object))
+    # OBJ indices are 1-based; negatives count back from the vertices read
+    # before the face's line; 0 is no vertex.
+    before = np.repeat(np.searchsorted(v_rows, f_rows), n)
+    index = np.where(i > 0, i - 1, np.where(i < 0, before + i, -1))
+    return vertices, _fan(index, n), np.repeat(f_rows, n - 2)
 
 
 def _load_obj(path: str) -> TriangleMesh:
-    vertices: list[list[float]] = []
-    faces: list[list[int]] = []
     with open(path, "r") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise MeshFormatError(path, line_no, "vertex record needs 3 coordinates")
-                try:
-                    vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
-                except ValueError as exc:
-                    raise MeshFormatError(path, line_no, f"bad vertex coordinate: {exc}")
-            elif tag == "f":
-                if len(parts) < 4:
-                    raise MeshFormatError(path, line_no, "face record needs >= 3 vertices")
-                idx = []
-                for token in parts[1:]:
-                    head = token.split("/")[0]
-                    try:
-                        i = int(head)
-                    except ValueError:
-                        raise MeshFormatError(path, line_no, f"bad face index {token!r}")
-                    # OBJ indices are 1-based; negatives count from the end.
-                    idx.append(i - 1 if i > 0 else len(vertices) + i)
-                faces.extend(_fan_triangulate(idx))
-            # other record types (vn, vt, o, g, s, mtllib, usemtl, ...) are ignored
-    return _build_mesh(path, np.asarray(vertices, dtype=float), faces)
+        lines = fh.read().split("\n")
+    vertices, triangles, rows = _read_records(path, lines, 1, _parse_obj, _obj_record_error)
+    return _build_mesh(path, vertices, triangles, rows + 1)
 
 
 def _load_ply(path: str) -> TriangleMesh:
@@ -141,38 +219,53 @@ def _load_ply(path: str) -> TriangleMesh:
     if not {"vertex", "face"} <= {name for name, _ in elements}:
         raise MeshFormatError(path, body_start, "PLY must declare vertex and face elements")
     try:
-        xi, yi, zi = (vertex_props.index(k) for k in ("x", "y", "z"))
+        xyz = np.array([vertex_props.index(k) for k in ("x", "y", "z")])
     except ValueError:
         raise MeshFormatError(path, body_start, "vertex element lacks x/y/z properties")
     if len(lines) - body_start < sum(count for _, count in elements):
         raise MeshFormatError(path, len(lines), "file truncated before declared element counts")
 
+    def parse_vertices(tokens, starts, counts):
+        if (counts <= xyz.max()).any():
+            raise ValueError("short vertex line")
+        return _finite(tokens[starts[:, None] + xyz].astype(float))
+
+    def vertex_error(parts):
+        try:
+            coords = [float(parts[k]) for k in xyz]
+        except (ValueError, IndexError):
+            return "bad vertex line"
+        return None if np.isfinite(coords).all() else "non-finite vertex coordinate"
+
+    def parse_faces(tokens, starts, counts):
+        if not counts.all():
+            raise ValueError("empty face line")
+        n = _ints(tokens[starts])
+        if (n < 3).any() or (n > counts - 1).any():
+            raise ValueError("bad face vertex count")
+        return _fan(_ints(tokens[_ranges(starts + 1, n)]), n), np.repeat(np.arange(len(n)), n - 2)
+
+    def face_error(parts):
+        try:
+            n = int(parts[0])
+            idx = [int(tok) for tok in parts[1 : 1 + n]]
+        except (ValueError, IndexError):
+            return "bad face line"
+        return "bad face vertex count" if len(idx) != n or n < 3 else None
+
     vertices = np.empty((0, 3), dtype=float)
-    faces: list[list[int]] = []
+    triangles, tri_lines = [np.empty((0, 3), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     start = body_start  # the element's first line is lines[start], file line start + 1
     for name, count in elements:
-        rows = lines[start : start + count]
+        body = lines[start : start + count]
         if name == "vertex":
-            vertices = np.empty((count, 3), dtype=float)
-            for i, row in enumerate(rows):
-                parts = row.split()
-                try:
-                    vertices[i] = (float(parts[xi]), float(parts[yi]), float(parts[zi]))
-                except (ValueError, IndexError):
-                    raise MeshFormatError(path, start + i + 1, "bad vertex line")
+            vertices = _read_records(path, body, start + 1, parse_vertices, vertex_error)
         elif name == "face":
-            for i, row in enumerate(rows):
-                parts = row.split()
-                try:
-                    n = int(parts[0])
-                    idx = [int(tok) for tok in parts[1 : 1 + n]]
-                except (ValueError, IndexError):
-                    raise MeshFormatError(path, start + i + 1, "bad face line")
-                if len(idx) != n or n < 3:
-                    raise MeshFormatError(path, start + i + 1, "bad face vertex count")
-                faces.extend(_fan_triangulate(idx))
+            tri, rows = _read_records(path, body, start + 1, parse_faces, face_error)
+            triangles.append(tri)
+            tri_lines.append(start + 1 + rows)
         start += count
-    return _build_mesh(path, vertices, faces)
+    return _build_mesh(path, vertices, np.concatenate(triangles), np.concatenate(tri_lines))
 
 
 def load_mesh(path: str) -> TriangleMesh:
@@ -191,9 +284,26 @@ def load_mesh(path: str) -> TriangleMesh:
     return mesh
 
 
+def _write_rows(fh, row_format: str, *columns: np.ndarray) -> None:
+    """Write the rows of `columns` side by side, one `%` format per chunk of rows.
+
+    Each column is an (N,) or (N, k) array; its values are formatted as
+    Python objects, so `%.6f` and `%d` give the same text as f-strings.  The
+    chunk bounds the text held at once.
+    """
+    for start in range(0, len(columns[0]), 65536):
+        rows = np.column_stack([c[start : start + 65536].astype(object) for c in columns])
+        fh.write(row_format * len(rows) % tuple(rows.ravel().tolist()))
+
+
 def save_ply_points(path: str, points: np.ndarray, states: np.ndarray | None = None) -> None:
     """Write a point cloud as ASCII PLY; optional integer `state` per vertex."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
+    columns = [points]
+    if states is not None:
+        columns.append(np.asarray(states).ravel())
+        if len(columns[1]) != len(points):
+            raise ValueError(f"{len(columns[1])} states for {len(points)} points")
     with open(path, "w") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"element vertex {len(points)}\n")
@@ -201,21 +311,14 @@ def save_ply_points(path: str, points: np.ndarray, states: np.ndarray | None = N
         if states is not None:
             fh.write("property int state\n")
         fh.write("end_header\n")
-        if states is None:
-            for p in points:
-                fh.write(f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f}\n")
-        else:
-            for p, s in zip(points, np.asarray(states).ravel()):
-                fh.write(f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f} {int(s)}\n")
+        _write_rows(fh, "%.6f %.6f %.6f %d\n" if states is not None else "%.6f %.6f %.6f\n", *columns)
 
 
 def save_obj(path: str, mesh: TriangleMesh) -> None:
     """Write a mesh as ASCII OBJ."""
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.9f} {v[1]:.9f} {v[2]:.9f}\n")
-        for t in mesh.triangles:
-            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+        _write_rows(fh, "v %.9f %.9f %.9f\n", mesh.vertices)
+        _write_rows(fh, "f %d %d %d\n", mesh.triangles + 1)
 
 
 def sample_surface_points(mesh: TriangleMesh, count: int, seed: int) -> np.ndarray:

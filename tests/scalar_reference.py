@@ -34,14 +34,20 @@ the E-step (`_log_gaussian`, `_logsumexp`) and in the M-step scatter, which
 the array step in `ellipsoid.fit_gmm` replaces; weights, means,
 covariances, the ln L trace and the labels must be equal bit for bit.
 `responsibilities` is the E-step's posterior on its own.
+`load_obj_lines` and `load_ply_lines` read a mesh one line at a time, the
+loaders that the array passes in `mesh._load_obj` and `mesh._load_ply`
+replace; vertices must be equal bit for bit and triangles equal, or both
+must raise the same exception with the same message.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
 
 from nbvplan.ellipsoid import _LOG_2PI, EM_MAX_ITER, EM_TOL, GmmModel, InfeasibleModelError, _farthest_point_means
 from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose
-from nbvplan.mesh import TriangleMesh
+from nbvplan.mesh import DEGENERATE_AREA_EPS, EmptyMeshError, MeshFormatError, TriangleMesh
 from nbvplan.oracle import OracleScore, _pixel_ray_dirs
 from nbvplan.projection import _border_area
 from nbvplan.render import BARY_EPS, DET_EPS, T_MIN
@@ -420,6 +426,142 @@ def update_bbox_by_indices(grid: VoxelGrid, view_direction, first_frame: bool, g
         bmin = np.minimum(bmin, centers.min(axis=0) - gamma)
         bmax = np.maximum(bmax, centers.max(axis=0) + gamma)
     return bmin, bmax
+
+
+# ---- mesh loaders ------------------------------------------------------------
+
+
+def _mesh_from_faces(path: str, vertices, faces: list[list[int]], face_lines: list[int]) -> TriangleMesh:
+    """Check each triangle's indices, reporting its face's line, then drop zero-area faces."""
+    if not faces:
+        raise EmptyMeshError(f"{path}: no triangles found")
+    for tri, line_no in zip(faces, face_lines):
+        if min(tri) < 0 or max(tri) >= len(vertices):
+            raise MeshFormatError(path, line_no, "face index out of vertex range")
+    vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
+    tri = np.asarray(faces, dtype=np.int64)
+    corners = vertices[tri]
+    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    keep = np.einsum("ij,ij->i", cross, cross) > DEGENERATE_AREA_EPS
+    return TriangleMesh(vertices=vertices, triangles=tri[keep])
+
+
+def _fan_triangulate(indices: list[int]) -> list[list[int]]:
+    return [[indices[0], indices[i], indices[i + 1]] for i in range(1, len(indices) - 1)]
+
+
+def load_obj_lines(path: str) -> TriangleMesh:
+    vertices: list[list[float]] = []
+    faces: list[list[int]] = []
+    face_lines: list[int] = []
+    with open(path, "r") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            tag = parts[0]
+            if tag == "v":
+                if len(parts) < 4:
+                    raise MeshFormatError(path, line_no, "vertex record needs 3 coordinates")
+                try:
+                    xyz = [float(parts[1]), float(parts[2]), float(parts[3])]
+                except ValueError as exc:
+                    raise MeshFormatError(path, line_no, f"bad vertex coordinate: {exc}")
+                if not all(math.isfinite(c) for c in xyz):
+                    raise MeshFormatError(path, line_no, "non-finite vertex coordinate")
+                vertices.append(xyz)
+            elif tag == "f":
+                if len(parts) < 4:
+                    raise MeshFormatError(path, line_no, "face record needs >= 3 vertices")
+                idx = []
+                for token in parts[1:]:
+                    head = token.split("/")[0]
+                    try:
+                        i = int(head)
+                    except ValueError:
+                        raise MeshFormatError(path, line_no, f"bad face index {token!r}")
+                    # OBJ indices are 1-based; negatives count back from the
+                    # vertices read so far; 0 is no vertex.
+                    idx.append(i - 1 if i > 0 else len(vertices) + i if i < 0 else -1)
+                tris = _fan_triangulate(idx)
+                faces.extend(tris)
+                face_lines.extend([line_no] * len(tris))
+            # other record types (vn, vt, o, g, s, mtllib, usemtl, ...) are ignored
+    return _mesh_from_faces(path, vertices, faces, face_lines)
+
+
+def load_ply_lines(path: str) -> TriangleMesh:
+    with open(path, "r") as fh:
+        lines = fh.read().splitlines()
+
+    if not lines or lines[0].strip() != "ply":
+        raise MeshFormatError(path, 1, "missing 'ply' magic")
+    elements: list[tuple[str, int]] = []  # (name, count) in header order
+    vertex_props: list[str] = []
+    body_start = None
+    for line_no, raw in enumerate(lines[1:], start=2):
+        parts = raw.split()
+        if not parts:
+            continue
+        if parts[0] == "format":
+            if len(parts) < 2 or parts[1] != "ascii":
+                raise MeshFormatError(path, line_no, "only ascii PLY is supported")
+        elif parts[0] == "element":
+            if len(parts) != 3:
+                raise MeshFormatError(path, line_no, "malformed element record")
+            if not parts[2].isdecimal():
+                raise MeshFormatError(
+                    path, line_no, f"{parts[1]} count must be a non-negative integer, got {parts[2]!r}"
+                )
+            elements.append((parts[1], int(parts[2])))
+        elif parts[0] == "property" and elements and elements[-1][0] == "vertex":
+            vertex_props.append(parts[-1])
+        elif parts[0] == "end_header":
+            body_start = line_no  # lines[] is 0-based with offset 1 already applied
+            break
+    if body_start is None:
+        raise MeshFormatError(path, len(lines), "no end_header")
+    if not {"vertex", "face"} <= {name for name, _ in elements}:
+        raise MeshFormatError(path, body_start, "PLY must declare vertex and face elements")
+    try:
+        xi, yi, zi = (vertex_props.index(k) for k in ("x", "y", "z"))
+    except ValueError:
+        raise MeshFormatError(path, body_start, "vertex element lacks x/y/z properties")
+    if len(lines) - body_start < sum(count for _, count in elements):
+        raise MeshFormatError(path, len(lines), "file truncated before declared element counts")
+
+    vertices = np.empty((0, 3), dtype=float)
+    faces: list[list[int]] = []
+    face_lines: list[int] = []
+    start = body_start  # the element's first line is lines[start], file line start + 1
+    for name, count in elements:
+        rows = lines[start : start + count]
+        if name == "vertex":
+            vertices = np.empty((count, 3), dtype=float)
+            for i, row in enumerate(rows):
+                parts = row.split()
+                try:
+                    vertices[i] = (float(parts[xi]), float(parts[yi]), float(parts[zi]))
+                except (ValueError, IndexError):
+                    raise MeshFormatError(path, start + i + 1, "bad vertex line")
+                if not np.isfinite(vertices[i]).all():
+                    raise MeshFormatError(path, start + i + 1, "non-finite vertex coordinate")
+        elif name == "face":
+            for i, row in enumerate(rows):
+                parts = row.split()
+                try:
+                    n = int(parts[0])
+                    idx = [int(tok) for tok in parts[1 : 1 + n]]
+                except (ValueError, IndexError):
+                    raise MeshFormatError(path, start + i + 1, "bad face line")
+                if len(idx) != n or n < 3:
+                    raise MeshFormatError(path, start + i + 1, "bad face vertex count")
+                tris = _fan_triangulate(idx)
+                faces.extend(tris)
+                face_lines.extend([start + i + 1] * len(tris))
+        start += count
+    return _mesh_from_faces(path, vertices, faces, face_lines)
 
 
 # ---- mesh distance ----------------------------------------------------------

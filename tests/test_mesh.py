@@ -144,6 +144,44 @@ def test_faces_without_vertices_are_out_of_range_in_both_formats(tmp_path, suffi
         load_mesh(str(path))
 
 
+PLY_TRIANGLE_HEADER = PLY_HEADER_START + PLY_VERTEX + PLY_FACE + "end_header\n"
+
+
+OUT_OF_RANGE = {  # file name: (text, line of the bad face)
+    # OBJ index 0 is no vertex, even when more vertices follow.
+    "zero.obj": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\nv 1 1 0\n", 4),
+    "past_last.obj": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n# c\nf 1 2 4\n", 6),
+    "negative.obj": ("v 0 0 0\nv 1 0 0\nf 1 2 -3\nv 0 1 0\n", 3),
+    "past_last.ply": (PLY_TRIANGLE_HEADER + "0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n", 13),
+    "negative.ply": (PLY_TRIANGLE_HEADER + "0 0 0\n1 0 0\n0 1 0\n4 0 1 2 -1\n", 13),
+}
+NON_FINITE = {  # file name: (text, line of the bad vertex)
+    "nan.obj": ("v 0 0 0\nv 1 nan 0\nv 0 1 0\nf 1 2 3\n", 2),
+    "inf.obj": ("v 0 0 0\nv 1 0 0\nv 0 1 -inf\nf 1 2 3\n", 3),
+    "overflow.obj": ("v 1e400 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", 1),
+    "nan.ply": (PLY_TRIANGLE_HEADER + "0 0 0\n1 0 NaN\n0 1 0\n3 0 1 2\n", 11),
+    "inf.ply": (PLY_TRIANGLE_HEADER + "0 0 0\n1 0 0\ninf 1 0\n3 0 1 2\n", 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_out_of_range_face_index_names_the_face_line(tmp_path, name):
+    text, line = OUT_OF_RANGE[name]
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match=re.escape(f"{path}:{line}: face index out of vertex range")):
+        load_mesh(str(path))
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_non_finite_vertex_is_rejected_at_its_line(tmp_path, name):
+    text, line = NON_FINITE[name]
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match=re.escape(f"{path}:{line}: non-finite vertex coordinate")):
+        load_mesh(str(path))
+
+
 def test_empty_mesh_raises(tmp_path):
     path = tmp_path / "empty.obj"
     path.write_text("# nothing here\n")
@@ -206,6 +244,11 @@ def test_save_ply_points_readable(tmp_path):
     assert "element vertex 2" in text
     assert "property int state" in text
     assert text[-1].endswith(" 4")
+
+
+def test_save_ply_points_rejects_a_state_count_that_differs(tmp_path):
+    with pytest.raises(ValueError, match="1 states for 2 points"):
+        save_ply_points(str(tmp_path / "cloud.ply"), np.zeros((2, 3)), states=[2])
 
 
 def test_sample_surface_points_on_surface_and_deterministic():
