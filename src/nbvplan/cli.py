@@ -6,6 +6,11 @@
   nbv summarize <run_dir> [<run_dir> ...] [--out summary.csv]
   nbv bench --mesh <path> [--candidates 800 --stride 4 --out <dir>]
 
+`nbv summarize` writes the per-iteration mean and spread of coverage and
+compute time to summary.csv, and prints the mean final coverage, the mean
+coverage AUC and the mean iterations to 95% coverage over the runs, each run
+padded to 10 iterations by repeating its last record.
+
 `nbv bench` times projection scoring against the ray-casting oracle on the
 same candidates and reports how well the two agree: the Spearman rho of F
 against the oracle's visible frontier, and the top-1 regret.  One scoring
@@ -36,7 +41,7 @@ import time
 import numpy as np
 
 from .config import FIELD_PARSERS, RunConfig, load_config_file, make_config
-from .harness import run, summarize, write_summary
+from .harness import coverage_quality, run, summarize, write_summary
 from .mesh import load_mesh
 from .oracle import oracle_evaluate, rank_agreement
 from .planner import candidate_views, initialize, run_iteration
@@ -96,9 +101,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_summarize(args: argparse.Namespace) -> int:
     summary = summarize(args.run_dirs)
     write_summary(args.out, summary)
+    auc, iterations = coverage_quality(args.run_dirs)
     last = summary[-1]
     print(
-        f"{last['n_runs']} runs, mean final coverage {last['mean_coverage']:.4f} "
+        f"{last['n_runs']} runs, mean final coverage {last['mean_coverage']:.4f}, "
+        f"mean coverage AUC {auc:.4f}, mean iterations to 95% coverage {iterations:.1f} "
         f"-> {args.out}"
     )
     return 0

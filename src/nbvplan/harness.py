@@ -161,12 +161,11 @@ def read_records(path: str) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def summarize(run_dirs: list[str], target_iterations: int = 10) -> list[dict]:
-    """Per-iteration mean/std of coverage and compute time across runs.
+def _padded_runs(run_dirs: list[str], target_iterations: int) -> np.ndarray:
+    """(runs, iterations, 2) coverage and compute time of each run's records.
 
-    There are max(`target_iterations`, longest run) rows; shorter runs are
-    padded by duplicating their last record, so every run contributes to
-    every row.
+    There are max(`target_iterations`, longest run) iterations; shorter runs
+    are padded by duplicating their last record.
     """
     if not run_dirs:
         raise ValueError("summarize requires at least one run directory")
@@ -178,7 +177,17 @@ def summarize(run_dirs: list[str], target_iterations: int = 10) -> list[dict]:
         per_run.append(np.array([[float(r["coverage"]), float(r["compute_time_s"])] for r in rows]))
 
     n_iters = max(target_iterations, *(len(r) for r in per_run))
-    padded = np.stack([np.pad(r, ((0, n_iters - len(r)), (0, 0)), mode="edge") for r in per_run])
+    return np.stack([np.pad(r, ((0, n_iters - len(r)), (0, 0)), mode="edge") for r in per_run])
+
+
+def summarize(run_dirs: list[str], target_iterations: int = 10) -> list[dict]:
+    """Per-iteration mean/std of coverage and compute time across runs.
+
+    There are max(`target_iterations`, longest run) rows; shorter runs are
+    padded by duplicating their last record, so every run contributes to
+    every row.
+    """
+    padded = _padded_runs(run_dirs, target_iterations)
     mean, std = padded.mean(axis=0), padded.std(axis=0)
     return [
         {
@@ -187,10 +196,23 @@ def summarize(run_dirs: list[str], target_iterations: int = 10) -> list[dict]:
             "std_coverage": float(std[i, 0]),
             "mean_compute_time_s": float(mean[i, 1]),
             "std_compute_time_s": float(std[i, 1]),
-            "n_runs": len(per_run),
+            "n_runs": len(padded),
         }
-        for i in range(n_iters)
+        for i in range(padded.shape[1])
     ]
+
+
+def coverage_quality(run_dirs: list[str], target_iterations: int = 10) -> tuple[float, float]:
+    """Mean coverage AUC and mean iterations to 95% coverage over the runs.
+
+    Runs are padded as in `summarize`.  A run's AUC is its mean coverage
+    over the padded iterations; a run that never reaches 95% counts as the
+    padded iteration count + 1.
+    """
+    coverage = _padded_runs(run_dirs, target_iterations)[:, :, 0]
+    reached = coverage >= 0.95
+    iterations = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, coverage.shape[1] + 1)
+    return float(coverage.mean(axis=1).mean()), float(iterations.mean())
 
 
 def write_summary(path: str, summary: list[dict]) -> None:

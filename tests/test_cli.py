@@ -12,7 +12,7 @@ from scipy.stats import spearmanr
 from nbvplan import cli, planner
 from nbvplan.cli import _setup_logging, main
 from nbvplan.config import RunConfig
-from nbvplan.harness import run, summarize
+from nbvplan.harness import CSV_FIELDS, coverage_quality, run, summarize
 from nbvplan.mesh import save_obj
 from nbvplan.oracle import rank_agreement
 from nbvplan.projection import evaluate_all
@@ -51,6 +51,33 @@ def test_run_then_summarize_pads_shorter_runs(mesh_dir, tmp_path):
     assert len(rows) == 3
     expected = np.mean([float(short_rows[-1]["coverage"]), float(long_rows[-1]["coverage"])])
     assert rows[-1]["mean_coverage"] == pytest.approx(expected)
+
+
+def _write_run(run_dir, coverages):
+    run_dir.mkdir()
+    with open(run_dir / "records.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+        writer.writeheader()
+        for i, cov in enumerate(coverages, start=1):
+            writer.writerow({k: 0 for k in CSV_FIELDS} | {"iteration": i, "coverage": cov, "compute_time_s": 0.5})
+
+
+def test_summarize_prints_coverage_auc_and_iterations_to_95(tmp_path, capsys):
+    # Padded to 10 iterations: AUC (0.5 + 0.96 + 8 * 0.97) / 10 = 0.922, 95% at 2;
+    # AUC (0.3 + 0.6 + 0.9 + 7 * 0.94) / 10 = 0.838, never 95%, counted as 11.
+    _write_run(tmp_path / "a", [0.5, 0.96, 0.97])
+    _write_run(tmp_path / "b", [0.3, 0.6, 0.9, 0.94])
+    out = tmp_path / "summary.csv"
+    assert main(["summarize", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "mean coverage AUC 0.8800" in printed
+    assert "mean iterations to 95% coverage 6.5" in printed
+    assert coverage_quality([str(tmp_path / "a"), str(tmp_path / "b")]) == pytest.approx((0.88, 6.5))
+    summary = _rows(out)
+    assert list(summary[0]) == [
+        "iteration", "mean_coverage", "std_coverage", "mean_compute_time_s", "std_compute_time_s", "n_runs",
+    ]
+    assert len(summary) == 10
 
 
 def test_bench_writes_one_row_per_candidate(mesh_dir, tmp_path, capsys):
