@@ -3,7 +3,8 @@
 Supported inputs are ASCII OBJ (v/f records, polygons fan-triangulated) and
 ASCII PLY with vertex/face elements in either order; the lines of any other
 element are skipped.  Units are assumed to be meters.
-Zero-area faces are dropped at load time.
+Zero-area faces are dropped at load time.  A malformed file raises
+MeshFormatError naming the file and the line of the first bad record.
 """
 
 from __future__ import annotations
@@ -102,10 +103,12 @@ def _ints(tokens: np.ndarray) -> np.ndarray:
         return np.array([min(max(int(t), _INT64.min), _INT64.max) for t in tokens], dtype=np.int64)
 
 
-def _finite(vertices: np.ndarray) -> np.ndarray:
-    if not np.isfinite(vertices).all():
+def _coords(tokens: np.ndarray) -> np.ndarray:
+    """Tokens as float64 by `float()`; ValueError on a bad or non-finite one."""
+    coords = tokens.astype(float)
+    if not np.isfinite(coords).all():
         raise ValueError("non-finite vertex coordinate")
-    return vertices
+    return coords
 
 
 def _fan(index: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -165,7 +168,7 @@ def _parse_obj(tokens: np.ndarray, starts: np.ndarray, counts: np.ndarray):
     v_rows, f_rows = rows[tags == "v"], rows[tags == "f"]
     if min(counts[v_rows].min(initial=4), counts[f_rows].min(initial=4)) < 4:
         raise ValueError("short v or f record")
-    vertices = _finite(tokens[starts[v_rows, None] + np.arange(1, 4)].astype(float))
+    vertices = _coords(tokens[starts[v_rows, None] + np.arange(1, 4)])
     n = counts[f_rows] - 1
     corners = tokens[_ranges(starts[f_rows] + 1, n)]
     # A corner is v, v/vt, v//vn or v/vt/vn: keep the text before the first '/'.
@@ -228,7 +231,7 @@ def _load_ply(path: str) -> TriangleMesh:
     def parse_vertices(tokens, starts, counts):
         if (counts <= xyz.max()).any():
             raise ValueError("short vertex line")
-        return _finite(tokens[starts[:, None] + xyz].astype(float))
+        return _coords(tokens[starts[:, None] + xyz])
 
     def vertex_error(parts):
         try:
@@ -291,19 +294,21 @@ def _write_rows(fh, row_format: str, *columns: np.ndarray) -> None:
     Python objects, so `%.6f` and `%d` give the same text as f-strings.  The
     chunk bounds the text held at once.
     """
-    for start in range(0, len(columns[0]), 65536):
-        rows = np.column_stack([c[start : start + 65536].astype(object) for c in columns])
+    step = 65536
+    for start in range(0, len(columns[0]), step):
+        rows = np.column_stack([c[start : start + step].astype(object) for c in columns])
         fh.write(row_format * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def save_ply_points(path: str, points: np.ndarray, states: np.ndarray | None = None) -> None:
     """Write a point cloud as ASCII PLY; optional integer `state` per vertex."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    columns = [points]
+    columns, row_format = [points], "%.6f %.6f %.6f\n"
     if states is not None:
-        columns.append(np.asarray(states).ravel())
-        if len(columns[1]) != len(points):
-            raise ValueError(f"{len(columns[1])} states for {len(points)} points")
+        states = np.asarray(states).ravel()
+        if len(states) != len(points):
+            raise ValueError(f"{len(states)} states for {len(points)} points")
+        columns, row_format = [points, states], "%.6f %.6f %.6f %d\n"
     with open(path, "w") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"element vertex {len(points)}\n")
@@ -311,7 +316,7 @@ def save_ply_points(path: str, points: np.ndarray, states: np.ndarray | None = N
         if states is not None:
             fh.write("property int state\n")
         fh.write("end_header\n")
-        _write_rows(fh, "%.6f %.6f %.6f %d\n" if states is not None else "%.6f %.6f %.6f\n", *columns)
+        _write_rows(fh, row_format, *columns)
 
 
 def save_obj(path: str, mesh: TriangleMesh) -> None:
