@@ -59,7 +59,8 @@ def _write_run(run_dir, coverages):
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
         writer.writeheader()
         for i, cov in enumerate(coverages, start=1):
-            writer.writerow({k: 0 for k in CSV_FIELDS} | {"iteration": i, "coverage": cov, "compute_time_s": 0.5})
+            row = {k: 0 for k in CSV_FIELDS}
+            writer.writerow(row | {"iteration": i, "coverage": cov, "compute_time_s": 0.5})
 
 
 def test_summarize_prints_coverage_auc_and_iterations_to_95(tmp_path, capsys):

@@ -4,7 +4,6 @@ Generated OBJ and PLY files must load to the same vertices, bit for bit,
 and the same triangles, or raise the same exception with the same message.
 """
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scalar_reference import load_obj_lines, load_ply_lines
@@ -38,7 +37,8 @@ def _join(draw, tokens):
 def obj_text(draw):
     """OBJ text; with a bad-token rate of 0 every face index is in range."""
     rate = draw(st.sampled_from([0, 0, 2, 10]))
-    kinds = draw(st.lists(st.sampled_from(["v", "v", "v", "f", "f", "other", "comment", "blank"]), min_size=4, max_size=30))
+    kind = st.sampled_from(["v", "v", "v", "f", "f", "other", "comment", "blank"])
+    kinds = draw(st.lists(kind, min_size=4, max_size=30))
     n_vertices = kinds.count("v")
     lines = []
     for kind in kinds:
@@ -73,7 +73,8 @@ def ply_text(draw):
     elements = draw(st.permutations(elements))
     counts = {name: draw(st.integers(0, 8)) for name in elements}
     counts["vertex"] = max(counts["vertex"], 1)
-    vertex_props = draw(st.permutations(["x", "y", "z"] + draw(st.lists(st.sampled_from(["nx", "s"]), max_size=2))))
+    extra_props = draw(st.lists(st.sampled_from(["nx", "s"]), max_size=2))
+    vertex_props = draw(st.permutations(["x", "y", "z"] + extra_props))
     index = st.integers(0, counts["vertex"] - 1).map(str)
     header = ["ply", "format ascii 1.0", "comment generated"]
     body = []
