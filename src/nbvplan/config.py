@@ -2,7 +2,7 @@
 
 Config files are plain text, one `key=value` per line, `#` comments allowed.
 Every key can be overridden by a CLI flag of the same name (underscores
-become dashes); unknown keys are errors.
+become dashes); unknown keys and a key given twice in one file are errors.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class RunConfig:
     initial_radius: float | None = None  # default d_c + 0.15
     initial_polar_deg: float = 60.0
     initial_azimuth_deg: float = 0.0
-    mvee_tol: float = 1e-3
 
     def __post_init__(self):
         if self.evaluator not in EVALUATORS:
@@ -57,7 +56,7 @@ class RunConfig:
             "resolution", "t_max", "beta", "alpha", "candidates", "d_c",
             "iterations", "width", "height", "fx", "fy", "max_range",
             "workspace_half", "stride", "coverage_threshold",
-            "coverage_samples", "mvee_tol",
+            "coverage_samples",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -106,8 +105,9 @@ FIELD_PARSERS = {name: _PARSERS[t] for name, t in typing.get_type_hints(RunConfi
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a key=value config file; unknown keys raise."""
+    """Parse a key=value config file; unknown and repeated keys raise."""
     values = {}
+    first_line = {}
     with open(path, "r") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -118,6 +118,11 @@ def load_config_file(path: str) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in FIELD_PARSERS:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(
+                    f"{path}:{line_no}: duplicate key {key!r} (first on line {first_line[key]})"
+                )
+            first_line[key] = line_no
             try:
                 values[key] = FIELD_PARSERS[key](val)
             except ValueError as exc:

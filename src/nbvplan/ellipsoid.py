@@ -4,7 +4,7 @@ Occupied and frontier voxel centers are clustered with a full-covariance
 Gaussian mixture trained by EM, the component count is picked by BIC, and
 each hard-assigned cluster is wrapped in a minimum-volume enclosing
 ellipsoid expressed both as a center/shape-matrix pair and as a homogeneous
-4x4 quadric.  The MVEE is solved in its dual by Todd & Yildirim's
+4x4 dual quadric.  The MVEE is solved in its dual by Todd & Yildirim's
 Frank-Wolfe/away-step iteration from Kumar & Yildirim's start, run to the
 requested tolerance.
 
@@ -55,15 +55,14 @@ class GmmModel:
 
 @dataclass
 class Ellipsoid:
-    """Surface {x : (x-c)^T A (x-c) = 1} with its homogeneous quadric."""
+    """Surface {x : (x-c)^T A (x-c) = 1} with its homogeneous dual quadric."""
 
     center: np.ndarray      # (3,)
     shape: np.ndarray       # (3, 3) symmetric positive definite (1/m^2)
     kind: str               # "occupied" | "frontier"
     member_count: int
     cluster_index: int = 0
-    quadric: np.ndarray = field(init=False)       # 4x4, X^T Q X = 0 on surface
-    quadric_inv: np.ndarray = field(init=False)   # dual quadric Q* = Q^-1
+    quadric_inv: np.ndarray = field(init=False)  # dual quadric Q* = Q^-1
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float).reshape(3)
@@ -71,12 +70,11 @@ class Ellipsoid:
         a = 0.5 * (a + a.T)
         self.center = c
         self.shape = a
-        q = np.empty((4, 4))
+        q = np.empty((4, 4))  # the quadric: X^T Q X = 0 on the surface
         q[:3, :3] = a
         q[:3, 3] = -a @ c
         q[3, :3] = -a @ c
         q[3, 3] = c @ a @ c - 1.0
-        self.quadric = q
         self.quadric_inv = np.linalg.inv(q)
 
     def form(self, points: np.ndarray) -> np.ndarray:
@@ -360,13 +358,13 @@ def refit_all(
     grid,
     t_max: int,
     seed: int,
-    mvee_tol: float = 1e-3,
 ) -> tuple[list[Ellipsoid], list[Ellipsoid]]:
     """Cluster Occupied and Frontier voxel centers and fit each cluster.
 
     Returns (occupied ellipsoids, frontier ellipsoids); the frontier list is
     empty when the grid has no Frontier voxels.  The covariance floor and the
-    degeneracy inflation radius derive from the grid resolution.
+    degeneracy inflation radius derive from the grid resolution; each MVEE
+    is fit to `fit_mvee`'s default tolerance.
     """
     from .voxel import VoxelState
 
@@ -391,7 +389,6 @@ def refit_all(
             out[kind].append(
                 fit_mvee(
                     centers[labels == k],
-                    tol=mvee_tol,
                     inflation_radius=inflation,
                     kind=kind,
                     cluster_index=idx,

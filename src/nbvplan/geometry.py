@@ -33,21 +33,14 @@ class CameraIntrinsics:
     cy: float
     width: int
     height: int
+    max_range: float               # depth cutoff (m)
     working_distance: float = 0.4  # optimal standoff d_c (m)
-    max_range: float = 2.0        # depth cutoff (m)
 
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """3x3 intrinsic matrix K."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
     def pixel_rays(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Unit direction in camera coordinates through each (row, col) pixel."""
@@ -92,13 +85,6 @@ class Pose:
         """Map camera-frame points (N,3) into world coordinates."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
         return p @ self.rotation.T + self.translation
-
-    def projection_matrix(self, intrinsics: CameraIntrinsics) -> np.ndarray:
-        """3x4 camera matrix P = K [R|t] built from the world-to-camera transform."""
-        rt = np.empty((3, 4))
-        rt[:, :3] = self.rotation.T
-        rt[:, 3] = -self.rotation.T @ self.translation
-        return intrinsics.matrix @ rt
 
 
 def _check_rotations(rotations: np.ndarray) -> None:

@@ -77,7 +77,7 @@ def _within(model_points: np.ndarray, acquired: np.ndarray, threshold: float) ->
     return dist <= threshold
 
 
-def coverage(model_points: np.ndarray, acquired: np.ndarray, threshold: float = 0.005) -> float:
+def coverage(model_points: np.ndarray, acquired: np.ndarray, threshold: float) -> float:
     """Fraction of model samples with an acquired point within `threshold` (m)."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")

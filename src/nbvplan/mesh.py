@@ -3,7 +3,8 @@
 Supported inputs are ASCII OBJ (v/f records, polygons fan-triangulated) and
 ASCII PLY with vertex/face elements in either order; the lines of any other
 element are skipped.  Units are assumed to be meters.
-Zero-area faces are dropped at load time.  A malformed file raises
+Faces whose corners repeat or are collinear are dropped at load time,
+whatever the face's size.  A malformed file raises
 MeshFormatError naming the file and the line of the first bad record.
 """
 
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-
-DEGENERATE_AREA_EPS = 1e-14  # squared-meter scale, doubled-area squared below this is dropped
 
 _SLASH_TAIL = re.compile(r"/\S*")
 _INT64 = np.iinfo(np.int64)
@@ -123,7 +122,7 @@ def _fan(index: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _build_mesh(path: str, vertices: np.ndarray, triangles: np.ndarray, lines: np.ndarray) -> TriangleMesh:
-    """Check the triangles against the vertices, then drop zero-area faces.
+    """Check the triangles against the vertices, then drop degenerate faces.
 
     `lines` holds the file line of each triangle's face, which an
     out-of-range index names.
@@ -134,8 +133,12 @@ def _build_mesh(path: str, vertices: np.ndarray, triangles: np.ndarray, lines: n
     if bad.any():
         raise MeshFormatError(path, int(lines[bad.argmax()]), "face index out of vertex range")
     corners = vertices[triangles]
-    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    keep = np.einsum("ij,ij->i", cross, cross) > DEGENERATE_AREA_EPS
+    e1, e2 = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    cross = np.cross(e1, e2)
+    # |e1 x e2| = |e1| |e2| sin(corner angle): a sine at rounding level
+    # (1e-12 here) means repeated or collinear corners, at any scale.
+    cross_sq, e1_sq, e2_sq = (np.einsum("ij,ij->i", x, x) for x in (cross, e1, e2))
+    keep = cross_sq > 1e-24 * e1_sq * e2_sq
     return TriangleMesh(vertices=vertices, triangles=triangles[keep])
 
 

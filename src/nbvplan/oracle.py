@@ -57,7 +57,7 @@ def oracle_scores(
     views: list[CandidateView],
     grid: VoxelGrid,
     intrinsics: CameraIntrinsics,
-    stride: int = 4,
+    stride: int,
 ) -> list[OracleScore]:
     """`oracle_evaluate` of each view, with the grid's masks and box built once."""
     if stride < 1:
@@ -98,7 +98,7 @@ def oracle_evaluate(
     view: CandidateView,
     grid: VoxelGrid,
     intrinsics: CameraIntrinsics,
-    stride: int = 4,
+    stride: int,
 ) -> OracleScore:
     """Count Frontier/Occupied voxels visible from the view through pixel rays."""
     return oracle_scores([view], grid, intrinsics, stride)[0]

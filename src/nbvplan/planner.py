@@ -181,7 +181,7 @@ def _integrate_and_refit(state: PlannerState, obs: Observation | None, view_dir:
             update_bbox(state.grid, view_dir, first_frame=False, gamma=cfg.gamma_value)
         update_frontier(state.grid)
     seed = cfg.seed + 7919 * (state.iteration + 1)
-    state.e_o, state.e_f = refit_all(state.grid, t_max=cfg.t_max, seed=seed, mvee_tol=cfg.mvee_tol)
+    state.e_o, state.e_f = refit_all(state.grid, t_max=cfg.t_max, seed=seed)
     state.empty_frontier_streak = 0 if state.e_f else state.empty_frontier_streak + 1
 
 

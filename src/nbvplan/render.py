@@ -219,13 +219,3 @@ def frame_to_points(frame: DepthFrame) -> np.ndarray:
     pts_cam = dirs * frame.depths[rows, cols][:, None]
     return frame.pose.camera_to_world(pts_cam)
 
-
-def project_points(
-    points: np.ndarray, pose: Pose, intrinsics: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project world points; returns (u, v) pixel coords (N, 2) and range (N,)."""
-    cam = pose.world_to_camera(points)
-    z = cam[:, 2]
-    u = intrinsics.fx * cam[:, 0] / z + intrinsics.cx
-    v = intrinsics.fy * cam[:, 1] / z + intrinsics.cy
-    return np.column_stack([u, v]), np.linalg.norm(cam, axis=1)

@@ -45,9 +45,17 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from nbvplan.ellipsoid import _LOG_2PI, EM_MAX_ITER, EM_TOL, GmmModel, InfeasibleModelError, _farthest_point_means
+from nbvplan.ellipsoid import (
+    _LOG_2PI,
+    EM_MAX_ITER,
+    EM_TOL,
+    Ellipsoid,
+    GmmModel,
+    InfeasibleModelError,
+    _farthest_point_means,
+)
 from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose
-from nbvplan.mesh import DEGENERATE_AREA_EPS, EmptyMeshError, MeshFormatError, TriangleMesh
+from nbvplan.mesh import EmptyMeshError, MeshFormatError, TriangleMesh
 from nbvplan.oracle import OracleScore, _pixel_ray_dirs
 from nbvplan.projection import _border_area
 from nbvplan.render import BARY_EPS, DET_EPS, T_MIN
@@ -207,6 +215,40 @@ def rasterized_ellipse_area(conic, intrinsics: CameraIntrinsics) -> float:
     return float(np.count_nonzero(sign * q <= 0.0))
 
 
+def quadric(ell: Ellipsoid) -> np.ndarray:
+    """4x4 quadric Q with X^T Q X = 0 on the ellipsoid's surface."""
+    a, c = ell.shape, ell.center
+    q = np.empty((4, 4))
+    q[:3, :3] = a
+    q[:3, 3] = -a @ c
+    q[3, :3] = -a @ c
+    q[3, 3] = c @ a @ c - 1.0
+    return q
+
+
+def intrinsic_matrix(intrinsics: CameraIntrinsics) -> np.ndarray:
+    """3x3 intrinsic matrix K."""
+    fx, fy, cx, cy = intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy
+    return np.array([[fx, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
+
+
+def projection_matrix(pose: Pose, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """3x4 camera matrix P = K [R|t] built from the world-to-camera transform."""
+    rt = np.empty((3, 4))
+    rt[:, :3] = pose.rotation.T
+    rt[:, 3] = -pose.rotation.T @ pose.translation
+    return intrinsic_matrix(intrinsics) @ rt
+
+
+def project_points(points, pose: Pose, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Project world points; returns (u, v) pixel coords (N, 2) and range (N,)."""
+    cam = pose.world_to_camera(points)
+    z = cam[:, 2]
+    u = intrinsics.fx * cam[:, 0] / z + intrinsics.cx
+    v = intrinsics.fy * cam[:, 1] / z + intrinsics.cy
+    return np.column_stack([u, v]), np.linalg.norm(cam, axis=1)
+
+
 def project_reference(poses, ellipsoids, intrinsics: CameraIntrinsics):
     """`projection.project` through LAPACK: one einsum for the dual conics in
     pixel coordinates and one batched `np.linalg.inv` for the conics, with
@@ -214,7 +256,7 @@ def project_reference(poses, ellipsoids, intrinsics: CameraIntrinsics):
     rot = np.stack([p.rotation for p in poses])  # camera-to-world
     pos = np.stack([p.translation for p in poses])
     rot_t = rot.transpose(0, 2, 1)
-    cameras = intrinsics.matrix @ np.concatenate([rot_t, -rot_t @ pos[:, :, None]], axis=2)
+    cameras = intrinsic_matrix(intrinsics) @ np.concatenate([rot_t, -rot_t @ pos[:, :, None]], axis=2)
     centers = np.stack([e.center for e in ellipsoids])
     cam_z = np.einsum("nmj,nj->nm", centers[None] - pos[:, None], rot[:, :, 2])
     dual = np.einsum(
@@ -432,7 +474,8 @@ def update_bbox_by_indices(grid: VoxelGrid, view_direction, first_frame: bool, g
 
 
 def _mesh_from_faces(path: str, vertices, faces: list[list[int]], face_lines: list[int]) -> TriangleMesh:
-    """Check each triangle's indices, reporting its face's line, then drop zero-area faces."""
+    """Check each triangle's indices, reporting its face's line, then drop the
+    faces whose corner-angle sine is at most 1e-12 (repeated or collinear corners)."""
     if not faces:
         raise EmptyMeshError(f"{path}: no triangles found")
     for tri, line_no in zip(faces, face_lines):
@@ -441,8 +484,10 @@ def _mesh_from_faces(path: str, vertices, faces: list[list[int]], face_lines: li
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
     tri = np.asarray(faces, dtype=np.int64)
     corners = vertices[tri]
-    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    keep = np.einsum("ij,ij->i", cross, cross) > DEGENERATE_AREA_EPS
+    e1, e2 = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    cross = np.cross(e1, e2)
+    cross_sq, e1_sq, e2_sq = (np.einsum("ij,ij->i", x, x) for x in (cross, e1, e2))
+    keep = cross_sq > 1e-24 * e1_sq * e2_sq
     return TriangleMesh(vertices=vertices, triangles=tri[keep])
 
 

@@ -13,7 +13,7 @@ NON_DEFAULT = dict(
     out="elsewhere", width=320, height=240, fx=300.0, fy=310.0, max_range=3.0,
     noise_sigma=0.001, workspace_half=0.5, stride=8, coverage_threshold=0.004,
     coverage_samples=500, initial_radius=0.6, initial_polar_deg=45.0,
-    initial_azimuth_deg=30.0, mvee_tol=1e-4,
+    initial_azimuth_deg=30.0,
 )
 
 
@@ -67,6 +67,14 @@ def test_bad_config_value_names_file_line_and_key(tmp_path):
     with pytest.raises(ValueError) as info:
         load_config_file(str(path))
     assert str(info.value) == f"{path}:3: t_max: invalid literal for int() with base 10: '2.5'"
+
+
+def test_repeated_config_key_names_both_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("t_max=1\n# later\nseed = 3\nt_max=10\n")
+    with pytest.raises(ValueError) as info:
+        load_config_file(str(path))
+    assert str(info.value) == f"{path}:4: duplicate key 't_max' (first on line 1)"
 
 
 def test_fewer_candidates_than_parallels_is_rejected():

@@ -47,8 +47,8 @@ def test_random_points_match_brute_force():
 
 def test_empty_and_invalid_inputs():
     pts = np.zeros((3, 3))
-    assert coverage(pts, np.empty((0, 3))) == 0.0
-    assert coverage(np.empty((0, 3)), pts) == 0.0
+    assert coverage(pts, np.empty((0, 3)), 0.005) == 0.0
+    assert coverage(np.empty((0, 3)), pts, 0.005) == 0.0
     with pytest.raises(ValueError):
         coverage(pts, pts, threshold=0.0)
 

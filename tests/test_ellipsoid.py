@@ -5,7 +5,7 @@ import pytest
 import scipy.spatial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scalar_reference import fit_gmm_loop, responsibilities
+from scalar_reference import fit_gmm_loop, quadric, responsibilities
 from test_gmm_pinned import INPUTS as GMM_PINNED_INPUTS
 from test_gmm_pinned import REG_FLOOR as GMM_REG_FLOOR
 from test_mvee_pinned import INPUTS as PINNED_INPUTS
@@ -290,18 +290,20 @@ def test_mvee_quadric_consistency():
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     surface = ell.center + u @ inv_sqrt
     x_h = np.column_stack([surface, np.ones(100)])
-    residual = np.einsum("ij,jk,ik->i", x_h, ell.quadric, x_h)
-    assert np.abs(residual).max() <= 1e-8 * np.linalg.norm(ell.quadric)
+    q = quadric(ell)
+    residual = np.einsum("ij,jk,ik->i", x_h, q, x_h)
+    assert np.abs(residual).max() <= 1e-8 * np.linalg.norm(q)
 
 
 def test_ellipsoid_quadric_block_structure():
     a = np.diag([4.0, 1.0, 0.25])
     c = np.array([0.5, -1.0, 2.0])
     ell = Ellipsoid(center=c, shape=a, kind="occupied", member_count=3)
-    np.testing.assert_allclose(ell.quadric[:3, :3], a)
-    np.testing.assert_allclose(ell.quadric[:3, 3], -a @ c)
-    np.testing.assert_allclose(ell.quadric[3, 3], c @ a @ c - 1.0)
-    np.testing.assert_allclose(ell.quadric @ ell.quadric_inv, np.eye(4), atol=1e-9)
+    q = quadric(ell)
+    np.testing.assert_allclose(q[:3, :3], a)
+    np.testing.assert_allclose(q[:3, 3], -a @ c)
+    np.testing.assert_allclose(q[3, 3], c @ a @ c - 1.0)
+    np.testing.assert_allclose(q @ ell.quadric_inv, np.eye(4), atol=1e-9)
 
 
 # ---- refit_all ---------------------------------------------------------------

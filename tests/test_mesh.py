@@ -226,6 +226,15 @@ def test_degenerate_faces_dropped(tmp_path):
     assert mesh.n_triangles == 1
 
 
+def test_small_faces_are_kept(tmp_path):
+    """Faces are dropped by shape, not size: a 2.5 cm sphere with 0.4 mm
+    rings keeps every face through `save_obj` and `load_mesh`."""
+    mesh = make_sphere(0.025, 200, 400)
+    path = tmp_path / "small_sphere.obj"
+    save_obj(str(path), mesh)
+    assert load_mesh(str(path)).n_triangles == mesh.n_triangles == 159_200
+
+
 def test_obj_save_load_round_trip(tmp_path):
     mesh = make_torus()
     path = tmp_path / "t.obj"

@@ -206,7 +206,7 @@ def test_cached_rays_rotate_to_the_rays_built_per_call(stride):
     """Rotating the cached camera-frame rays gives bit for bit the rays built
     from the pixel grid for each view; equal intrinsics share one
     read-only array."""
-    intr = CameraIntrinsics(fx=58.0, fy=57.5, cx=31.5, cy=24.0, width=64, height=48)
+    intr = CameraIntrinsics(fx=58.0, fy=57.5, cx=31.5, cy=24.0, width=64, height=48, max_range=2.0)
     rays = _camera_rays(intr, stride)
     assert _camera_rays(CameraIntrinsics(**vars(intr)), stride) is rays
     assert not rays.flags.writeable

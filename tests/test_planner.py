@@ -14,8 +14,10 @@ from nbvplan.planner import (
     select_next_view,
     should_terminate,
 )
+from nbvplan.render import render_depth
 from nbvplan.shapes import make_shape
-from nbvplan.views import CandidateView
+from nbvplan.views import UP, CandidateView
+from nbvplan.voxel import VoxelState, traverse_rays
 
 POSE = look_at([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
@@ -217,3 +219,60 @@ def test_an_all_miss_iteration_leaves_the_grid_and_refits(monkeypatch, caplog):
     assert all(a is b for a, b in zip(state.point_chunks, chunks))
     assert len(refits) == 1 and state.e_o is refits[0][0] and state.e_f is refits[0][1]
     assert state.iteration == 1 and len(state.timings) == 1
+
+
+# ---- ROADMAP item 2: free space from no-return pixels, a frontier that drains --
+
+
+def _crossings(grid, origin, deltas):
+    """How many of the segments from `origin` by each row of `deltas` cross each voxel."""
+    counts = np.zeros(grid.n_voxels, dtype=int)
+    for _, flat, valid in traverse_rays(grid, np.broadcast_to(origin, deltas.shape), deltas, 1.0):
+        counts += np.bincount(flat[valid], minlength=grid.n_voxels)
+    return counts
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: no-return pixels are not integrated as free-space rays",
+)
+def test_a_no_return_ray_of_the_opposite_view_empties_a_shadow_voxel():
+    """Take the voxel outside the sphere that the first frame left Unknown,
+    that no return ray of the opposite view crosses, and that the most of
+    that view's no-return pixel rays cross: once the view is integrated, it
+    should be Empty."""
+    config = RunConfig(t_max=1, candidates=64)
+    mesh = make_shape("sphere")
+    state = planner.initialize(mesh, config)
+    grid = state.grid
+    polar = np.deg2rad(config.initial_polar_deg)
+    opposite = -config.initial_radius_value * np.array([np.sin(polar), 0.0, np.cos(polar)])
+    pose = look_at(opposite, np.zeros(3), UP)
+
+    frame = render_depth(mesh, pose, config.intrinsics())
+    rays = config.intrinsics().pixel_rays(*np.indices(frame.depths.shape)) @ pose.rotation.T
+    hit = frame.hit_mask
+    misses = _crossings(grid, pose.translation, rays[~hit] * config.max_range)
+    returns = _crossings(grid, pose.translation, rays[hit] * frame.depths[hit][:, None])
+    centers = grid.voxel_centers(grid.unflat(np.arange(grid.n_voxels)))
+    outside = np.linalg.norm(centers, axis=1) > 0.15 + grid.resolution  # the sphere's radius is 0.15
+    shadow = np.flatnonzero((grid.states == VoxelState.UNKNOWN) & outside & (returns == 0) & (misses > 0))
+    center = centers[shadow[np.argmax(misses[shadow])]]
+
+    obs, _ = planner._observe(state, pose, frame_seed=1)
+    planner._integrate_and_refit(state, obs, pose.optical_axis)
+    grid = state.grid  # integration may have grown the grid
+    assert grid.states[grid.flat_index(grid.voxel_of(center[None]))[0]] == VoxelState.EMPTY
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: a Frontier shell remains at the end of a sphere run",
+)
+def test_a_sphere_run_ends_with_no_frontier():
+    """At 3 cm, t_max=1 and 64 candidates, 108 Frontier voxels remain after
+    the 10 iterations today."""
+    state = planner.initialize(make_shape("sphere"), RunConfig(t_max=1, candidates=64))
+    while not should_terminate(state):
+        planner.run_iteration(state)
+    assert state.grid.state_counts()["frontier"] == 0

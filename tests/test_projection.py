@@ -15,6 +15,8 @@ from scalar_reference import (
     clipped_ellipse_area,
     exact_ellipse_area,
     project_reference,
+    projection_matrix,
+    quadric,
     rasterized_ellipse_area,
 )
 
@@ -148,7 +150,7 @@ def test_conic_consistency_on_silhouette():
     """Points on the tangency curve (polar plane of the camera center cut with
     the ellipsoid) must project onto the conic: |x^T Phi x| <= 1e-6 relative."""
     rng = np.random.default_rng(12)
-    intr = CameraIntrinsics(fx=500, fy=480, cx=320, cy=240, width=640, height=480)
+    intr = CameraIntrinsics(fx=500, fy=480, cx=320, cy=240, width=640, height=480, max_range=2.0)
     checked = 0
     for trial in range(100):
         q_rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -163,7 +165,8 @@ def test_conic_consistency_on_silhouette():
 
         # polar plane of the camera center: pi = Q @ O_h
         o_h = np.append(pose.translation, 1.0)
-        plane = ell.quadric @ o_h
+        q = quadric(ell)
+        plane = q @ o_h
         n_vec, d0 = plane[:3], plane[3]
         p0 = -d0 * n_vec / (n_vec @ n_vec)
         b1 = np.linalg.svd(n_vec[None, :])[2][1]
@@ -171,7 +174,7 @@ def test_conic_consistency_on_silhouette():
         # restrict the quadric to the plane -> 2D conic in (s, t)
         def f(s, t):
             x = np.append(p0 + s * b1 + t * b2, 1.0)
-            return x @ ell.quadric @ x
+            return x @ q @ x
         # f(s,t) = A s^2 + B st + C t^2 + D s + E t + F, coefficients via
         # finite evaluation (exact for quadratics)
         f_const = f(0, 0)
@@ -193,7 +196,7 @@ def test_conic_consistency_on_silhouette():
         st_pts = sc[:, None] + (vecs * radii) @ np.vstack([np.cos(theta), np.sin(theta)])
         pts3 = p0 + np.outer(st_pts[0], b1) + np.outer(st_pts[1], b2)
 
-        p_mat = pose.projection_matrix(intr)
+        p_mat = projection_matrix(pose, intr)
         img_h = (p_mat @ np.column_stack([pts3, np.ones(64)]).T).T
         img = img_h[:, :2] / img_h[:, 2:3]
         x_h = np.column_stack([img, np.ones(64)])
@@ -206,7 +209,7 @@ def test_conic_consistency_on_silhouette():
 
 # ---- closed form vs the LAPACK reference -------------------------------------
 
-SENSOR = CameraIntrinsics(fx=580.0, fy=580.0, cx=319.5, cy=239.5, width=640, height=480)
+SENSOR = CameraIntrinsics(fx=580.0, fy=580.0, cx=319.5, cy=239.5, width=640, height=480, max_range=2.0)
 
 # Rotations whose rows are signed unit axes: with the camera at the origin
 # and dyadic semi-axes every product in the dual conic is exact.
@@ -382,7 +385,7 @@ def test_evaluate_all_requires_candidates(intrinsics):
 
 
 def test_clipped_area_matches_raster_high_res():
-    intr = CameraIntrinsics(fx=900, fy=900, cx=512, cy=384, width=1024, height=768)
+    intr = CameraIntrinsics(fx=900, fy=900, cx=512, cy=384, width=1024, height=768, max_range=2.0)
     pose = Pose(rotation=np.eye(3), translation=np.zeros(3))
     rng = np.random.default_rng(17)
     ells = []

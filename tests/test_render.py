@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from nbvplan import render
 from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose, look_at
 from nbvplan.mesh import TriangleMesh
-from nbvplan.render import frame_to_points, project_points, render_depth
+from nbvplan.render import frame_to_points, render_depth
 from nbvplan.shapes import make_sphere
-from scalar_reference import point_to_mesh_distance, render_depth_loop
+from scalar_reference import point_to_mesh_distance, project_points, render_depth_loop
 
 # Power-of-two focal lengths make a vertex at x = (c - cx) / fx * z, with z a
 # power of two, project exactly onto the pixel centre c.
