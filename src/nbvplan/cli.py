@@ -19,8 +19,9 @@ pass takes milliseconds, so it is repeated at least 5 times and for at least
 of the passes.
 
 Any config-file key can be overridden by the flag of the same name.  Bad
-input (a missing or malformed file, an invalid value, a mesh the first view
-does not see) prints `error: ...` and exits with status 1.
+input (a missing or malformed file, a path that cannot be read or written, an
+invalid value, a mesh the first view does not see) prints `error: ...` and
+exits with status 1.
 
 NBV_LOG is read here and nowhere else: it sets the log level.  It takes
 DEBUG, INFO, WARNING, ERROR or CRITICAL in any case, or 1 for INFO; unset or
@@ -189,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _setup_logging()
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -111,6 +111,17 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def spherical_direction(polar, azimuth) -> np.ndarray:
+    """Unit vectors (sin p cos a, sin p sin a, cos p), stacked on a new last axis.
+
+    The polar angle p is measured from +z and the azimuth a in the x-y plane
+    from +x toward +y; `polar` and `azimuth` broadcast against each other.
+    """
+    sin_polar = np.sin(polar)
+    components = sin_polar * np.cos(azimuth), sin_polar * np.sin(azimuth), np.cos(polar)
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
 def look_at_many(positions: np.ndarray, target: np.ndarray, up: np.ndarray) -> list[Pose]:
     """Camera poses at each row of `positions` (N,3), all aimed at `target`.
 

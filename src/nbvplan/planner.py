@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import RunConfig
 from .ellipsoid import Ellipsoid, refit_all
-from .geometry import Pose, look_at
+from .geometry import Pose, look_at, spherical_direction
 from .mesh import TriangleMesh
 from .oracle import oracle_scores
 from .projection import evaluate_all
@@ -196,9 +196,7 @@ def initialize(mesh: TriangleMesh, config: RunConfig) -> PlannerState:
     polar = np.deg2rad(config.initial_polar_deg)
     azimuth = np.deg2rad(config.initial_azimuth_deg)
     r0 = config.initial_radius_value
-    position = r0 * np.array(
-        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]
-    )
+    position = r0 * spherical_direction(polar, azimuth)
     pose = look_at(position, np.zeros(3), UP)
 
     obs, _ = _observe(state, pose, frame_seed=config.seed)

@@ -3,43 +3,46 @@
 All generators return watertight triangle meshes centered at the origin with
 every face on the outer surface, so full point-cloud coverage is attainable.
 The L- and U-prisms are deliberately non-convex (strong self-occlusion).
+Every quad face becomes two triangles through `_split_quads`; the sphere and
+the torus lay out their quads with `_quad_grid`, in array passes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .geometry import spherical_direction
 from .mesh import TriangleMesh
+
+
+def _split_quads(quads) -> np.ndarray:
+    """Triangles (a, b, c) and (a, c, d) of each quad (a, b, c, d), in quad order."""
+    return np.asarray(quads).reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+
+
+def _quad_grid(rows: np.ndarray) -> np.ndarray:
+    """Quads (a_j, b_j, b_j+1, a_j+1) between consecutive rows a, b of vertex
+    indices, with the column index j+1 wrapping to 0."""
+    nxt = np.roll(rows, -1, axis=1)
+    return np.stack([rows[:-1], rows[1:], nxt[1:], nxt[:-1]], axis=-1)
 
 
 def make_sphere(radius: float = 0.15, rings: int = 24, segments: int = 48) -> TriangleMesh:
     """UV sphere with pole fans."""
-    verts = [np.array([0.0, 0.0, radius]), np.array([0.0, 0.0, -radius])]
-    ring_start = []
-    for i in range(1, rings):
-        polar = np.pi * i / rings
-        ring_start.append(len(verts))
-        for j in range(segments):
-            az = 2.0 * np.pi * j / segments
-            verts.append(
-                radius
-                * np.array([np.sin(polar) * np.cos(az), np.sin(polar) * np.sin(az), np.cos(polar)])
-            )
-    tris = []
-    top = ring_start[0]
-    for j in range(segments):
-        tris.append([0, top + j, top + (j + 1) % segments])
-    for i in range(len(ring_start) - 1):
-        a = ring_start[i]
-        b = ring_start[i + 1]
-        for j in range(segments):
-            j2 = (j + 1) % segments
-            tris.append([a + j, b + j, b + j2])
-            tris.append([a + j, b + j2, a + j2])
-    bottom = ring_start[-1]
-    for j in range(segments):
-        tris.append([1, bottom + (j + 1) % segments, bottom + j])
-    return TriangleMesh(vertices=np.array(verts), triangles=np.array(tris))
+    polar = np.pi * np.arange(1, rings) / rings
+    azimuth = 2.0 * np.pi * np.arange(segments) / segments
+    ring_verts = radius * spherical_direction(polar[:, None], azimuth)
+    verts = np.vstack([[0.0, 0.0, radius], [0.0, 0.0, -radius], ring_verts.reshape(-1, 3)])
+    rows = 2 + np.arange((rings - 1) * segments).reshape(rings - 1, segments)
+    nxt = np.roll(rows, -1, axis=1)
+    tris = np.vstack(
+        [
+            np.stack([np.zeros(segments, dtype=int), rows[0], nxt[0]], axis=1),
+            _split_quads(_quad_grid(rows)),
+            np.stack([np.ones(segments, dtype=int), nxt[-1], rows[-1]], axis=1),
+        ]
+    )
+    return TriangleMesh(vertices=verts, triangles=tris)
 
 
 def make_cube(size: float = 0.24) -> TriangleMesh:
@@ -58,11 +61,7 @@ def make_cube(size: float = 0.24) -> TriangleMesh:
         [1, 2, 6, 5],  # +x
         [3, 0, 4, 7],  # -x
     ]
-    tris = []
-    for q in quads:
-        tris.append([q[0], q[1], q[2]])
-        tris.append([q[0], q[2], q[3]])
-    return TriangleMesh(vertices=verts, triangles=np.array(tris))
+    return TriangleMesh(vertices=verts, triangles=_split_quads(quads))
 
 
 def make_torus(
@@ -71,26 +70,14 @@ def make_torus(
     n_major: int = 48,
     n_minor: int = 24,
 ) -> TriangleMesh:
-    verts = []
-    for i in range(n_major):
-        u = 2.0 * np.pi * i / n_major
-        cu, su = np.cos(u), np.sin(u)
-        for j in range(n_minor):
-            v = 2.0 * np.pi * j / n_minor
-            w = major_radius + minor_radius * np.cos(v)
-            verts.append([w * cu, w * su, minor_radius * np.sin(v)])
-    tris = []
-    for i in range(n_major):
-        i2 = (i + 1) % n_major
-        for j in range(n_minor):
-            j2 = (j + 1) % n_minor
-            a = i * n_minor + j
-            b = i2 * n_minor + j
-            c = i2 * n_minor + j2
-            d = i * n_minor + j2
-            tris.append([a, b, c])
-            tris.append([a, c, d])
-    return TriangleMesh(vertices=np.array(verts), triangles=np.array(tris))
+    u = 2.0 * np.pi * np.arange(n_major)[:, None] / n_major
+    v = 2.0 * np.pi * np.arange(n_minor) / n_minor
+    w = major_radius + minor_radius * np.cos(v)
+    components = w * np.cos(u), w * np.sin(u), minor_radius * np.sin(v)
+    verts = np.stack(np.broadcast_arrays(*components), axis=-1)
+    rows = np.arange(n_major * n_minor).reshape(n_major, n_minor)
+    tris = _split_quads(_quad_grid(np.vstack([rows, rows[:1]])))
+    return TriangleMesh(vertices=verts.reshape(-1, 3), triangles=tris)
 
 
 def _cell_prism(cells: set[tuple[int, int]], cell: float, depth: float) -> TriangleMesh:
@@ -101,7 +88,7 @@ def _cell_prism(cells: set[tuple[int, int]], cell: float, depth: float) -> Trian
     """
     verts: list[tuple[float, float, float]] = []
     index: dict[tuple[float, float, float], int] = {}
-    tris: list[list[int]] = []
+    quads: list[list[int]] = []
     z0, z1 = -depth / 2.0, depth / 2.0
 
     def vid(x, y, z):
@@ -111,10 +98,8 @@ def _cell_prism(cells: set[tuple[int, int]], cell: float, depth: float) -> Trian
             verts.append(key)
         return index[key]
 
-    def quad(p0, p1, p2, p3):
-        i0, i1, i2, i3 = vid(*p0), vid(*p1), vid(*p2), vid(*p3)
-        tris.append([i0, i1, i2])
-        tris.append([i0, i2, i3])
+    def quad(*corners):
+        quads.append([vid(*p) for p in corners])
 
     for (i, j) in cells:
         x0, y0 = i * cell, j * cell
@@ -130,7 +115,7 @@ def _cell_prism(cells: set[tuple[int, int]], cell: float, depth: float) -> Trian
         if (i + 1, j) not in cells:
             quad((x1, y0, z0), (x1, y1, z0), (x1, y1, z1), (x1, y0, z1))
 
-    mesh = TriangleMesh(vertices=np.array(verts, dtype=float), triangles=np.array(tris))
+    mesh = TriangleMesh(vertices=np.array(verts, dtype=float), triangles=_split_quads(quads))
     center = (mesh.vertices.min(axis=0) + mesh.vertices.max(axis=0)) / 2.0
     mesh.vertices = mesh.vertices - center
     return mesh

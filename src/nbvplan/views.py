@@ -4,9 +4,10 @@ Views live on `alpha` equally spaced parallels of a partial sphere around
 the bounding-box center, with per-parallel counts proportional to
 circumference (largest-remainder rounding) and all optical axes aimed at the
 center.  The world up axis is +z: polar angles are measured from it, and
-azimuth lies in the x-y plane, counted from +x toward +y.  The sphere radius
-is the camera working distance plus half the bounding-box diagonal, so it
-tracks the box as the scan grows.
+azimuth lies in the x-y plane, counted from +x toward +y;
+`geometry.spherical_direction` turns the two angles into a direction.  The
+sphere radius is the camera working distance plus half the bounding-box
+diagonal, so it tracks the box as the scan grows.
 
 Every view's ring, azimuth, polar angle and position is computed in one array
 pass, and `geometry.look_at_many` builds and checks all the rotations at
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, look_at_many
+from .geometry import Pose, look_at_many, spherical_direction
 
 UP = np.array([0.0, 0.0, 1.0])  # world up axis
 
@@ -106,11 +107,7 @@ def sample_candidates(
     phase = (ring * _GOLDEN_ANGLE) % (2.0 * np.pi)
     azimuth = (phase + 2.0 * np.pi * k / count) % (2.0 * np.pi)
     polar = polars[ring]
-    local = np.stack(
-        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)],
-        axis=1,
-    )
-    positions = center + radius * local
+    positions = center + radius * spherical_direction(polar, azimuth)
     poses = look_at_many(positions, center, UP)
     return [
         CandidateView(pose=pose, radius=radius, polar=p, azimuth=a)

@@ -140,6 +140,25 @@ def test_missing_mesh_is_a_clear_error(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: mesh not found")
 
 
+@pytest.mark.parametrize("case", ["mesh_is_dir", "config_is_dir", "out_under_file", "out_is_file"])
+def test_unusable_path_is_a_clear_error(case, mesh_dir, tmp_path, capsys):
+    folder = tmp_path / "d.obj"
+    folder.mkdir()
+    plain = tmp_path / "f"
+    plain.write_text("")
+    mesh, out = str(mesh_dir / "cube.obj"), str(tmp_path / "run")
+    bad, extra = {
+        "mesh_is_dir": (folder, ["--mesh", str(folder), "--out", out]),
+        "config_is_dir": (folder, ["--mesh", mesh, "--out", out, "--config", str(folder)]),
+        "out_under_file": (plain, ["--mesh", mesh, "--out", str(plain / "x")]),
+        "out_is_file": (plain, ["--mesh", mesh, "--out", str(plain)]),
+    }[case]
+    assert main(["run"] + extra + TINY) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["run", "bench"])
 def test_mesh_outside_first_view_is_a_clear_error(command, tmp_path, capsys):
     cube = make_shape("cube")

@@ -281,9 +281,18 @@ def test_sample_surface_area_weighting():
     assert frac_small < 0.01
 
 
-@pytest.mark.parametrize("name", ["sphere", "cube", "torus", "l_prism", "u_prism"])
+# non-default sizes: the save_obj digests pin only the default meshes
+OTHER_SIZES = {
+    "sphere_2x3": lambda: make_sphere(0.1, rings=2, segments=3),
+    "sphere_5x7": lambda: make_sphere(0.05, rings=5, segments=7),
+    "torus_3x3": lambda: make_torus(0.1, 0.04, n_major=3, n_minor=3),
+    "torus_7x5": lambda: make_torus(0.2, 0.03, n_major=7, n_minor=5),
+}
+
+
+@pytest.mark.parametrize("name", ["sphere", "cube", "torus", "l_prism", "u_prism", *OTHER_SIZES])
 def test_builtin_shapes_are_clean(name):
-    mesh = make_shape(name)
+    mesh = OTHER_SIZES[name]() if name in OTHER_SIZES else make_shape(name)
     assert mesh.n_triangles > 0
     assert mesh.triangle_areas().min() > 1e-10
     # watertight: every edge shared by exactly two triangles
@@ -293,3 +302,10 @@ def test_builtin_shapes_are_clean(name):
             key = (min(a, b), max(a, b))
             edges[key] = edges.get(key, 0) + 1
     assert set(edges.values()) == {2}
+    # oriented: each directed edge occurs once, so the two triangles on an
+    # edge traverse it in opposite directions
+    directed = np.stack([mesh.triangles, np.roll(mesh.triangles, -1, axis=1)], axis=-1)
+    assert len(np.unique(directed.reshape(-1, 2), axis=0)) == 3 * mesh.n_triangles
+    # outward: the signed volume, a sum of corner triple products, is positive
+    v0, v1, v2 = (mesh.triangle_corners()[:, k] for k in range(3))
+    assert (v0 * np.cross(v1, v2)).sum() / 6.0 > 0

@@ -113,25 +113,28 @@ def test_culled_rendering_matches_bruteforce():
     pose = Pose(rotation=np.eye(3), translation=np.zeros(3))
     frame = render_depth(mesh, pose, intr)
 
-    # reference: every ray against every triangle, no culling
-    ref = np.full((60, 80), np.inf)
+    # reference: every ray against every triangle, no culling, as one broadcast
+    # Möller–Trumbore pass; `dot` reduces each 3-vector as `np.dot` does one
+    def dot(a, b):
+        return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+    r, c = np.mgrid[0:60, 0:80]
+    d = np.stack([(c - intr.cx) / intr.fx, (r - intr.cy) / intr.fy, np.ones((60, 80))], axis=-1)
+    d = d[:, :, None, :]  # (60, 80, 1, 3) against F triangles
     corners = mesh.triangle_corners()
-    for r in range(60):
-        for c in range(80):
-            d = np.array([(c - intr.cx) / intr.fx, (r - intr.cy) / intr.fy, 1.0])
-            for v0, v1, v2 in corners:
-                e1, e2 = v1 - v0, v2 - v0
-                pvec = np.cross(d, e2)
-                det = e1 @ pvec
-                if abs(det) <= 1e-9:
-                    continue
-                tvec = -v0
-                bu = (tvec @ pvec) / det
-                qvec = np.cross(tvec, e1)
-                bv = (d @ qvec) / det
-                t = (e2 @ qvec) / det
-                if bu >= -1e-10 and bv >= -1e-10 and bu + bv <= 1 + 1e-10 and t > 1e-9:
-                    ref[r, c] = min(ref[r, c], t * np.linalg.norm(d))
+    v0, v1, v2 = corners[:, 0], corners[:, 1], corners[:, 2]
+    e1, e2 = v1 - v0, v2 - v0
+    pvec = np.cross(d, e2)
+    det = dot(e1, pvec)
+    tvec = -v0
+    qvec = np.cross(tvec, e1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # det ~ 0 is masked below
+        bu = dot(tvec, pvec) / det
+        bv = dot(d, qvec) / det
+        t = dot(e2, qvec) / det
+        depth = t * np.sqrt(dot(d, d))
+    hit = (np.abs(det) > 1e-9) & (bu >= -1e-10) & (bv >= -1e-10) & (bu + bv <= 1 + 1e-10) & (t > 1e-9)
+    ref = np.where(hit, depth, np.inf).min(axis=-1)
     ref[ref > intr.max_range] = np.inf
     np.testing.assert_allclose(frame.depths, ref, rtol=1e-12, atol=1e-12)
 
