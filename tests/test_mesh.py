@@ -307,5 +307,5 @@ def test_builtin_shapes_are_clean(name):
     directed = np.stack([mesh.triangles, np.roll(mesh.triangles, -1, axis=1)], axis=-1)
     assert len(np.unique(directed.reshape(-1, 2), axis=0)) == 3 * mesh.n_triangles
     # outward: the signed volume, a sum of corner triple products, is positive
-    v0, v1, v2 = (mesh.triangle_corners()[:, k] for k in range(3))
+    v0, v1, v2 = mesh.triangle_corners().transpose(1, 0, 2)
     assert (v0 * np.cross(v1, v2)).sum() / 6.0 > 0
