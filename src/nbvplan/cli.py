@@ -41,7 +41,7 @@ import time
 
 import numpy as np
 
-from .config import FIELD_PARSERS, RunConfig, load_config_file, make_config
+from .config import FIELD_PARSERS, RunConfig, load_config_file
 from .harness import coverage_quality, run, summarize, write_summary
 from .mesh import load_mesh
 from .oracle import oracle_evaluate, rank_agreement
@@ -80,8 +80,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_values = load_config_file(args.config) if args.config else None
-    config = make_config(file_values, {k: v for k, v in vars(args).items() if k in FIELD_PARSERS})
+    file_values = load_config_file(args.config) if args.config else {}
+    flags = {k: v for k, v in vars(args).items() if k in FIELD_PARSERS}
+    config = RunConfig(**{**file_values, **flags})
     if not config.mesh:
         raise ValueError("--mesh is required")
     return config
@@ -115,6 +116,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     """Paired projection-vs-oracle timing and rank agreement on one mid-scan scene."""
     config = _config_from_args(args)
+    os.makedirs(config.out, exist_ok=True)
     state = initialize(load_mesh(config.mesh), config)
     for _ in range(2):  # a couple of steps so the scene is genuinely mid-scan
         run_iteration(state)
@@ -129,7 +131,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         proj_times.append(time.perf_counter() - t0)
     t_proj = float(np.median(proj_times))
 
-    os.makedirs(config.out, exist_ok=True)
     rows = []
     t_oracle = 0.0
     for i, v in enumerate(candidates):

@@ -7,6 +7,7 @@ become dashes); unknown keys and a key given twice in one file are errors.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass
 
@@ -26,7 +27,6 @@ class RunConfig:
     alpha: int = 8                  # sampling parallels
     candidates: int = 800           # total candidate views N
     d_c: float = 0.4                # camera working distance (m)
-    gamma: float | None = None      # frontier sphere radius; default 2*resolution
     iterations: int = 10
     seed: int = 7
     evaluator: str = "projection"
@@ -45,13 +45,15 @@ class RunConfig:
     stride: int = 4                 # oracle pixel stride
     coverage_threshold: float = 0.005
     coverage_samples: int = 10000
-    initial_radius: float | None = None  # default d_c + 0.15
     initial_polar_deg: float = 60.0
     initial_azimuth_deg: float = 0.0
 
     def __post_init__(self):
         if self.evaluator not in EVALUATORS:
             raise ValueError(f"evaluator must be one of {EVALUATORS}")
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         for name in (
             "resolution", "t_max", "beta", "alpha", "candidates", "d_c",
             "iterations", "width", "height", "fx", "fy", "max_range",
@@ -60,20 +62,9 @@ class RunConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("gamma", "initial_radius"):
-            if getattr(self, name) is not None and getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         self.sampling()  # mode, and at least one candidate per parallel
-
-    @property
-    def gamma_value(self) -> float:
-        return self.gamma if self.gamma is not None else 2.0 * self.resolution
-
-    @property
-    def initial_radius_value(self) -> float:
-        return self.initial_radius if self.initial_radius is not None else self.d_c + 0.15
 
     def intrinsics(self) -> CameraIntrinsics:
         return CameraIntrinsics(
@@ -93,11 +84,7 @@ class RunConfig:
         )
 
 
-def _optional_float(raw: str) -> float | None:
-    return None if raw.lower() in ("none", "") else float(raw)
-
-
-_PARSERS = {int: int, float: float, float | None: _optional_float, str: str}
+_PARSERS = {int: int, float: float, str: str}
 
 # One parser per RunConfig field, from its resolved type; shared by config
 # files and CLI flags.  A field of a type without a parser fails at import.
@@ -129,11 +116,3 @@ def load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     return values
 
-
-def make_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, then config file values, then CLI overrides."""
-    merged = {**(file_values or {}), **(overrides or {})}
-    unknown = set(merged) - set(FIELD_PARSERS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(**merged)

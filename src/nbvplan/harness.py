@@ -79,7 +79,7 @@ def _within(model_points: np.ndarray, acquired: np.ndarray, threshold: float) ->
 
 def coverage(model_points: np.ndarray, acquired: np.ndarray, threshold: float) -> float:
     """Fraction of model samples with an acquired point within `threshold` (m)."""
-    if threshold <= 0:
+    if not threshold > 0:  # also rejects NaN
         raise ValueError("threshold must be positive")
     model_points = np.asarray(model_points, dtype=float).reshape(-1, 3)
     acquired = np.asarray(acquired, dtype=float).reshape(-1, 3)

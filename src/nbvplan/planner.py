@@ -169,16 +169,17 @@ def _integrate_and_refit(state: PlannerState, obs: Observation | None, view_dir:
     """Integrate `obs` (None for an all-miss frame), then refit both ellipsoid sets."""
     cfg = state.config
     if obs is not None:
+        gamma = 2.0 * cfg.resolution  # the box keeps this radius around each Frontier voxel
         if state.grid.bbox is None:
             # Rule 2 is inert until the box exists: initialize it from the
             # frame's Occupied cells, so the one integration pass also marks
             # the occlusion shadow inside the new box.
             mark_occupied(state.grid, obs.points)
-            update_bbox(state.grid, view_dir, first_frame=True, gamma=cfg.gamma_value)
+            update_bbox(state.grid, view_dir, first_frame=True, gamma=gamma)
             integrate_observation(state.grid, obs)
         else:
             integrate_observation(state.grid, obs)
-            update_bbox(state.grid, view_dir, first_frame=False, gamma=cfg.gamma_value)
+            update_bbox(state.grid, view_dir, first_frame=False, gamma=gamma)
         update_frontier(state.grid)
     seed = cfg.seed + 7919 * (state.iteration + 1)
     state.e_o, state.e_f = refit_all(state.grid, t_max=cfg.t_max, seed=seed)
@@ -195,7 +196,7 @@ def initialize(mesh: TriangleMesh, config: RunConfig) -> PlannerState:
 
     polar = np.deg2rad(config.initial_polar_deg)
     azimuth = np.deg2rad(config.initial_azimuth_deg)
-    r0 = config.initial_radius_value
+    r0 = config.d_c + 0.15  # the first view stands just beyond the working distance
     position = r0 * spherical_direction(polar, azimuth)
     pose = look_at(position, np.zeros(3), UP)
 

@@ -467,7 +467,7 @@ def update_bbox(
     grid: VoxelGrid,
     view_direction: np.ndarray,
     first_frame: bool,
-    gamma: float = 0.0,
+    gamma: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recompute the adaptive bounding box B and store it on the grid.
 

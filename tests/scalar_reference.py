@@ -439,7 +439,7 @@ def neighbor_any(mask3: np.ndarray) -> np.ndarray:
     return out
 
 
-def update_bbox_by_indices(grid: VoxelGrid, view_direction, first_frame: bool, gamma: float = 0.0):
+def update_bbox_by_indices(grid: VoxelGrid, view_direction, first_frame: bool, gamma: float):
     """`voxel.update_bbox` from the flat index of every Occupied, Unknown and
     Frontier cell; returns (bmin, bmax) and leaves the grid's box alone."""
 

@@ -180,6 +180,25 @@ def test_fewer_candidates_than_parallels_fails_before_rendering(mesh_dir, tmp_pa
     assert renders == []
 
 
+def test_non_finite_setting_fails_before_the_run(mesh_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["run", "--mesh", str(mesh_dir / "cube.obj"), "--out", str(out), "--iterations", "2"] + TINY
+    assert main(argv + ["--coverage-threshold", "nan"]) == 1
+    assert capsys.readouterr().err == "error: coverage_threshold must be finite\n"
+    assert not out.exists()
+
+
+def test_bench_checks_out_before_scanning(mesh_dir, tmp_path, capsys, monkeypatch):
+    plain = tmp_path / "f"
+    plain.write_text("")
+    scans = []
+    monkeypatch.setattr(cli, "initialize", lambda *args: scans.append(args))
+    assert main(["bench", "--mesh", str(mesh_dir / "cube.obj"), "--out", str(plain)] + TINY) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(plain) in err
+    assert scans == []
+
+
 def test_debug_dumps_restart_with_each_run(mesh_dir, tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="nbvplan")
     config = RunConfig(

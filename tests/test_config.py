@@ -4,15 +4,15 @@ import dataclasses
 import pytest
 
 from nbvplan import cli
-from nbvplan.config import RunConfig, load_config_file, make_config
+from nbvplan.config import FIELD_PARSERS, RunConfig, load_config_file
 
 # A valid, non-default value of the field's own type for every RunConfig field.
 NON_DEFAULT = dict(
     mesh="part.obj", mode="hemisphere", resolution=0.02, t_max=2, beta=3, alpha=5,
-    candidates=50, d_c=0.3, gamma=0.05, iterations=4, seed=11, evaluator="oracle",
+    candidates=50, d_c=0.3, iterations=4, seed=11, evaluator="oracle",
     out="elsewhere", width=320, height=240, fx=300.0, fy=310.0, max_range=3.0,
     noise_sigma=0.001, workspace_half=0.5, stride=8, coverage_threshold=0.004,
-    coverage_samples=500, initial_radius=0.6, initial_polar_deg=45.0,
+    coverage_samples=500, initial_polar_deg=45.0,
     initial_azimuth_deg=30.0,
 )
 
@@ -32,9 +32,7 @@ def test_non_default_values_cover_every_field():
 def test_config_file_values_keep_field_types(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("".join(f"{k} = {v}  # note\n" for k, v in NON_DEFAULT.items()))
-    _assert_non_default(make_config(load_config_file(str(path))))
-    path.write_text("gamma = none\n")
-    assert make_config(load_config_file(str(path))).gamma is None
+    _assert_non_default(RunConfig(**load_config_file(str(path))))
 
 
 def test_cli_flags_keep_field_types():
@@ -44,21 +42,24 @@ def test_cli_flags_keep_field_types():
     _assert_non_default(cli._config_from_args(parser.parse_args(argv)))
 
 
-def test_flag_none_resets_a_config_file_value(tmp_path):
+def test_flag_overrides_a_config_file_value(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("gamma = 0.1\n")
+    path.write_text("t_max = 2\nseed = 3\n")
     parser = argparse.ArgumentParser()
     cli._add_config_flags(parser)
-    args = parser.parse_args(["--config", str(path), "--mesh", "m.obj", "--gamma", "none"])
-    assert cli._config_from_args(args).gamma is None
+    args = parser.parse_args(["--config", str(path), "--mesh", "m.obj", "--t-max", "5"])
+    config = cli._config_from_args(args)
+    assert (config.t_max, config.seed) == (5, 3)
 
 
-@pytest.mark.parametrize("radius", [-0.5, 0.0])
-def test_non_positive_initial_radius_is_rejected(radius):
-    # A negative radius would put the first camera at the antipode of the
-    # configured polar/azimuth.
-    with pytest.raises(ValueError, match="initial_radius must be positive"):
-        RunConfig(initial_radius=radius)
+FLOAT_FIELDS = [name for name, parse in FIELD_PARSERS.items() if parse is float]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_float_setting_is_rejected(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        RunConfig(**{name: value})
 
 
 def test_bad_config_value_names_file_line_and_key(tmp_path):

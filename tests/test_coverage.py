@@ -53,6 +53,12 @@ def test_empty_and_invalid_inputs():
         coverage(pts, pts, threshold=0.0)
 
 
+def test_nan_threshold_is_rejected():
+    pts = np.zeros((3, 3))
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        coverage(pts, pts, threshold=float("nan"))
+
+
 @pytest.mark.parametrize("shape", ["torus", "l_prism"])
 def test_run_coverage_equals_coverage_of_all_points(shape, mesh_dir, tmp_path, monkeypatch):
     """`run` queries each new frame's points with the samples not yet

@@ -246,7 +246,7 @@ def test_a_no_return_ray_of_the_opposite_view_empties_a_shadow_voxel():
     state = planner.initialize(mesh, config)
     grid = state.grid
     polar = np.deg2rad(config.initial_polar_deg)
-    opposite = -config.initial_radius_value * np.array([np.sin(polar), 0.0, np.cos(polar)])
+    opposite = -(config.d_c + 0.15) * np.array([np.sin(polar), 0.0, np.cos(polar)])
     pose = look_at(opposite, np.zeros(3), UP)
 
     frame = render_depth(mesh, pose, config.intrinsics())

@@ -562,14 +562,14 @@ def test_dilation_matches_26_offsets(shape, density, seed):
 def test_bbox_requires_occupied():
     grid = unit_grid()
     with pytest.raises(ValueError):
-        update_bbox(grid, [1, 0, 0], first_frame=True)
+        update_bbox(grid, [1, 0, 0], first_frame=True, gamma=0.0)
 
 
 def test_bbox_first_frame_doubles_diagonal_along_view():
     grid = VoxelGrid(origin=np.zeros(3), resolution=1.0, dims=(20, 20, 20))
     g3 = grid.grid3d()
     g3[5:8, 5:8, 5:8] = VoxelState.OCCUPIED  # cube of cells, bbox [5,8]^3
-    bmin, bmax = update_bbox(grid, [1.0, 0.0, 0.0], first_frame=True)
+    bmin, bmax = update_bbox(grid, [1.0, 0.0, 0.0], first_frame=True, gamma=0.0)
     base_diag = np.sqrt(27.0)
     new_diag = np.linalg.norm(bmax - bmin)
     assert new_diag == pytest.approx(2.0 * base_diag, rel=1e-9)
@@ -583,7 +583,7 @@ def test_bbox_later_no_unknown_no_frontier():
     grid = VoxelGrid(origin=np.zeros(3), resolution=1.0, dims=(10, 10, 10))
     g3 = grid.grid3d()
     g3[2:4, 3:5, 4:6] = VoxelState.OCCUPIED
-    bmin, bmax = update_bbox(grid, [0, 0, 1.0], first_frame=False)
+    bmin, bmax = update_bbox(grid, [0, 0, 1.0], first_frame=False, gamma=0.0)
     np.testing.assert_allclose(bmin, [4.0, 3.0, 2.0])  # x,y,z from (z,y,x) slices
     np.testing.assert_allclose(bmax, [6.0, 5.0, 4.0])
 
@@ -610,7 +610,7 @@ def test_bbox_contains_occupied_every_frame():
         direction /= np.linalg.norm(direction)
         obs = _observe_sphere(grid, mesh, 0.6 * direction)
         integrate_observation(grid, obs)
-        bmin, bmax = update_bbox(grid, -direction, first_frame=first)
+        bmin, bmax = update_bbox(grid, -direction, first_frame=first, gamma=2.0 * grid.resolution)
         if first:
             integrate_observation(grid, obs)
             first = False
