@@ -25,9 +25,9 @@ exits with status 1.
 
 NBV_LOG is read here and nowhere else: it sets the log level.  It takes
 DEBUG, INFO, WARNING, ERROR or CRITICAL in any case, or 1 for INFO; unset or
-empty means WARNING, and any other value is an error.  At INFO and above the
-run logs its progress, and `harness.run` writes voxel and ellipsoid dumps
-next to records.csv.
+empty means WARNING, and any other value is an error.  At INFO and below
+(INFO or DEBUG) the run logs its progress, and `harness.run` writes voxel
+and ellipsoid dumps next to records.csv.
 """
 
 from __future__ import annotations

@@ -115,7 +115,7 @@ def fit_gmm(
     points: np.ndarray,
     t: int,
     seed: int,
-    reg_floor: float = 1e-6,
+    reg_floor: float,
 ) -> tuple[GmmModel, np.ndarray]:
     """EM fit of a `t`-component full-covariance mixture in 3D.
 
@@ -191,7 +191,7 @@ def select_components(
     points: np.ndarray,
     t_max: int,
     seed: int,
-    reg_floor: float = 1e-6,
+    reg_floor: float,
 ) -> tuple[int, GmmModel, np.ndarray]:
     """Fit T = 1..min(t_max, N) and keep the smallest-BIC model and labels.
 
@@ -351,37 +351,32 @@ def fit_mvee(
     )
 
 
-# ---- full refit over the voxel grid ----------------------------------------
+# ---- full refit of both voxel classes ---------------------------------------
 
 
 def refit_all(
-    grid,
+    occupied: np.ndarray,
+    frontier: np.ndarray,
+    resolution: float,
     t_max: int,
     seed: int,
 ) -> tuple[list[Ellipsoid], list[Ellipsoid]]:
-    """Cluster Occupied and Frontier voxel centers and fit each cluster.
+    """Cluster the Occupied and Frontier voxel centers, (N, 3) each, and fit each cluster.
 
     Returns (occupied ellipsoids, frontier ellipsoids); the frontier list is
-    empty when the grid has no Frontier voxels.  The covariance floor and the
-    degeneracy inflation radius derive from the grid resolution; each MVEE
-    is fit to `fit_mvee`'s default tolerance.
+    empty when `frontier` is.  The covariance floor and the degeneracy
+    inflation radius derive from the voxel size `resolution`; each MVEE is
+    fit to `fit_mvee`'s default tolerance.
     """
-    from .voxel import VoxelState
-
-    reg_floor = (grid.resolution / 4.0) ** 2
-    inflation = grid.resolution / 2.0
+    if len(occupied) == 0:
+        raise ValueError("refit_all requires at least one Occupied voxel")
+    reg_floor = (resolution / 4.0) ** 2
+    inflation = resolution / 2.0
 
     out: dict[str, list[Ellipsoid]] = {"occupied": [], "frontier": []}
-    for kind, state, sub in (
-        ("occupied", VoxelState.OCCUPIED, 0),
-        ("frontier", VoxelState.FRONTIER, 1),
-    ):
-        flat = grid.indices_in_state(state)
-        if kind == "occupied" and len(flat) == 0:
-            raise ValueError("refit_all requires at least one Occupied voxel")
-        if len(flat) == 0:
+    for kind, centers, sub in (("occupied", occupied, 0), ("frontier", frontier, 1)):
+        if len(centers) == 0:
             continue
-        centers = grid.voxel_centers(grid.unflat(flat))
         _, _, labels = select_components(
             centers, t_max=t_max, seed=seed * 2 + sub, reg_floor=reg_floor
         )
@@ -395,15 +390,3 @@ def refit_all(
                 )
             )
     return out["occupied"], out["frontier"]
-
-
-def dump_ellipsoids(path: str, iteration: int, ellipsoids: list[Ellipsoid]) -> None:
-    """Append a per-iteration text record of each ellipsoid."""
-    with open(path, "a") as fh:
-        for e in ellipsoids:
-            a = " ".join(f"{v:.9g}" for v in e.shape.reshape(-1))
-            c = " ".join(f"{v:.9g}" for v in e.center)
-            fh.write(
-                f"iter={iteration} kind={e.kind} index={e.cluster_index} "
-                f"members={e.member_count} center={c} shape={a}\n"
-            )

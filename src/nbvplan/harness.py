@@ -1,4 +1,9 @@
-"""End-to-end runs: execute the planning loop, compute metrics, emit artifacts.
+"""End-to-end runs: execute the planning loop, compute metrics, write run files.
+
+`run` writes every file of a run under `config.out`: records.csv and
+final.ply (the acquired points), and, when the `nbvplan` logger is enabled
+for INFO, voxels_<iteration>.ply (each classified voxel's center and state)
+and ellipsoids.txt (one line per ellipsoid per iteration).
 
 Metrics follow the two-number protocol: point-cloud coverage (fraction of
 10,000 area-uniform model samples with an acquired point within 5 mm) and
@@ -23,10 +28,11 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .config import RunConfig
-from .ellipsoid import dump_ellipsoids
+from .ellipsoid import Ellipsoid
 from .mesh import load_mesh, sample_surface_points, save_ply_points
 from .planner import PlannerState, initialize, run_iteration, should_terminate
 from .views import CandidateView
+from .voxel import VoxelGrid, VoxelState
 
 log = logging.getLogger("nbvplan")
 
@@ -106,12 +112,7 @@ def _record_for(state: PlannerState, chosen: CandidateView, cov: float) -> Itera
 
 
 def run(config: RunConfig) -> tuple[list[IterationRecord], PlannerState]:
-    """Execute the full loop; writes records.csv and final.ply under config.out.
-
-    When the `nbvplan` logger is enabled for INFO, each iteration also
-    writes voxels_<iteration>.ply and appends to ellipsoids.txt, which the
-    run starts empty.
-    """
+    """Execute the full loop and write the run files; ellipsoids.txt starts empty."""
     dumps = log.isEnabledFor(logging.INFO)
     mesh = load_mesh(config.mesh)
     model_points = sample_surface_points(mesh, config.coverage_samples, seed=config.seed)
@@ -140,8 +141,8 @@ def run(config: RunConfig) -> tuple[list[IterationRecord], PlannerState]:
             rec.n_eo, rec.n_ef,
         )
         if dumps:
-            state.grid.dump_ply(os.path.join(config.out, f"voxels_{state.iteration:02d}.ply"))
-            dump_ellipsoids(ellipsoids_path, state.iteration, state.e_o + state.e_f)
+            _dump_voxels(os.path.join(config.out, f"voxels_{state.iteration:02d}.ply"), state.grid)
+            _dump_ellipsoids(ellipsoids_path, state.iteration, state.e_o + state.e_f)
 
     write_records(os.path.join(config.out, "records.csv"), records)
     save_ply_points(os.path.join(config.out, "final.ply"), state.acquired_points)
@@ -154,6 +155,24 @@ def write_records(path: str, records: list[IterationRecord]) -> None:
         writer.writeheader()
         for rec in records:
             writer.writerow(rec.row())
+
+
+def _dump_voxels(path: str, grid: VoxelGrid) -> None:
+    """Write the center and state of every classified voxel as PLY."""
+    flat = np.nonzero(grid.states != int(VoxelState.NONE))[0]
+    save_ply_points(path, grid.voxel_centers(grid.unflat(flat)), states=grid.states[flat])
+
+
+def _dump_ellipsoids(path: str, iteration: int, ellipsoids: list[Ellipsoid]) -> None:
+    """Append a per-iteration text record of each ellipsoid."""
+    with open(path, "a") as fh:
+        for e in ellipsoids:
+            a = " ".join(f"{v:.9g}" for v in e.shape.reshape(-1))
+            c = " ".join(f"{v:.9g}" for v in e.center)
+            fh.write(
+                f"iter={iteration} kind={e.kind} index={e.cluster_index} "
+                f"members={e.member_count} center={c} shape={a}\n"
+            )
 
 
 def read_records(path: str) -> list[dict]:

@@ -31,6 +31,8 @@ from .views import UP, CandidateView, assign_partitions, sample_candidates, samp
 from .voxel import (
     Observation,
     VoxelGrid,
+    VoxelState,
+    initial_bbox,
     integrate_observation,
     mark_occupied,
     preprocess_points,
@@ -165,24 +167,15 @@ def _observe(state: PlannerState, pose: Pose, frame_seed: int) -> tuple[Observat
     return Observation(points=deduped, sensor_origin=pose.translation), render_s
 
 
-def _integrate_and_refit(state: PlannerState, obs: Observation | None, view_dir: np.ndarray) -> None:
-    """Integrate `obs` (None for an all-miss frame), then refit both ellipsoid sets."""
-    cfg = state.config
-    if obs is not None:
-        gamma = 2.0 * cfg.resolution  # the box keeps this radius around each Frontier voxel
-        if state.grid.bbox is None:
-            # Rule 2 is inert until the box exists: initialize it from the
-            # frame's Occupied cells, so the one integration pass also marks
-            # the occlusion shadow inside the new box.
-            mark_occupied(state.grid, obs.points)
-            update_bbox(state.grid, view_dir, first_frame=True, gamma=gamma)
-            integrate_observation(state.grid, obs)
-        else:
-            integrate_observation(state.grid, obs)
-            update_bbox(state.grid, view_dir, first_frame=False, gamma=gamma)
-        update_frontier(state.grid)
+def _refit(state: PlannerState) -> None:
+    """Refit both ellipsoid sets to the grid's Occupied and Frontier voxel centers."""
+    cfg, grid = state.config, state.grid
+    occupied, frontier = (
+        grid.voxel_centers(grid.unflat(grid.indices_in_state(kind)))
+        for kind in (VoxelState.OCCUPIED, VoxelState.FRONTIER)
+    )
     seed = cfg.seed + 7919 * (state.iteration + 1)
-    state.e_o, state.e_f = refit_all(state.grid, t_max=cfg.t_max, seed=seed)
+    state.e_o, state.e_f = refit_all(occupied, frontier, grid.resolution, t_max=cfg.t_max, seed=seed)
     state.empty_frontier_streak = 0 if state.e_f else state.empty_frontier_streak + 1
 
 
@@ -203,15 +196,20 @@ def initialize(mesh: TriangleMesh, config: RunConfig) -> PlannerState:
     obs, _ = _observe(state, pose, frame_seed=config.seed)
     if obs is None:
         raise ValueError("initial observation saw nothing: is the mesh inside the first view?")
-    _integrate_and_refit(state, obs, pose.optical_axis)
+    # Rule 2 is inert until the box exists: initialize it from the frame's
+    # Occupied cells, so the one integration pass also marks the occlusion
+    # shadow inside the new box.
+    mark_occupied(grid, obs.points)
+    initial_bbox(grid, pose.optical_axis)
+    integrate_observation(grid, obs)
+    update_frontier(grid)
+    _refit(state)
     return state
 
 
 def candidate_views(state: PlannerState) -> list[CandidateView]:
     """Sector-tagged candidates on the sampling sphere around the current bbox."""
     cfg = state.config
-    if state.grid.bbox is None:
-        raise RuntimeError("planner state not initialized")
     bmin, bmax = state.grid.bbox
     candidates = sample_candidates(
         cfg.sampling(), 0.5 * (bmin + bmax), sampling_radius(state.grid.bbox, cfg.d_c)
@@ -247,7 +245,11 @@ def run_iteration(state: PlannerState) -> CandidateView:
         chosen = select_next_view(candidates, state.ledger, iteration=state.iteration)
 
     obs, render_s = _observe(state, chosen.pose, frame_seed=cfg.seed + state.iteration + 1)
-    _integrate_and_refit(state, obs, chosen.pose.optical_axis)
+    if obs is not None:  # an all-miss frame leaves the grid as it was
+        integrate_observation(state.grid, obs)
+        update_bbox(state.grid)
+        update_frontier(state.grid)
+    _refit(state)
     state.timings.append(IterationTiming(compute_s=time.perf_counter() - t0 - render_s))
     state.iteration += 1
     return chosen

@@ -202,13 +202,6 @@ class VoxelGrid:
         sel = self.states[self.bbox_mask()]
         return {s.name.lower(): int(np.count_nonzero(sel == int(s))) for s in VoxelState}
 
-    def dump_ply(self, path: str) -> None:
-        from .mesh import save_ply_points
-
-        flat = np.nonzero(self.states != int(VoxelState.NONE))[0]
-        centers = self.voxel_centers(self.unflat(flat))
-        save_ply_points(path, centers, states=self.states[flat])
-
 
 # ---- ray traversal --------------------------------------------------------
 
@@ -463,49 +456,49 @@ def cells_bbox(grid: VoxelGrid, mask: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return grid.origin + lo * grid.resolution, grid.origin + (hi + 1) * grid.resolution
 
 
-def update_bbox(
-    grid: VoxelGrid,
-    view_direction: np.ndarray,
-    first_frame: bool,
-    gamma: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute the adaptive bounding box B and store it on the grid.
+def initial_bbox(grid: VoxelGrid, view_direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Set the first frame's adaptive bounding box B on the grid: the Occupied-cell
+    bbox swept along the viewing direction until its diagonal doubles (growth
+    entirely on the far side)."""
+    occupied = cells_bbox(grid, grid.states == int(VoxelState.OCCUPIED))
+    if occupied is None:
+        raise ValueError("initial_bbox requires at least one Occupied voxel")
+    bmin, bmax = occupied
+    d = np.asarray(view_direction, dtype=float).reshape(3)
+    norm = np.linalg.norm(d)
+    if norm == 0:
+        raise ValueError("view_direction must be nonzero")
+    d = d / norm
+    ext = bmax - bmin
+    e2 = float(ext @ ext)
+    a = np.abs(d)
+    b = float(ext @ a)
+    # Sweep length s with |ext + s*|d|| = 2|ext|  (a is unit).
+    s = -b + np.sqrt(b * b + 3.0 * e2)
+    bmin = bmin + np.minimum(0.0, s * d)
+    bmax = bmax + np.maximum(0.0, s * d)
+    grid.set_bbox(bmin, bmax)
+    return bmin, bmax
 
-    First frame: B is the Occupied-cell bbox swept along the viewing
-    direction until its diagonal doubles (growth entirely on the far side).
-    Later frames: B covers Occupied cells, Unknown cells, and a sphere of
-    radius `gamma` around every Frontier voxel center.
-    """
+
+def update_bbox(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Set a later frame's adaptive bounding box B on the grid: it covers the
+    Occupied and Unknown cells and a sphere of radius gamma = 2 voxels around
+    every Frontier voxel center."""
+    gamma = 2.0 * grid.resolution
     occupied = cells_bbox(grid, grid.states == int(VoxelState.OCCUPIED))
     if occupied is None:
         raise ValueError("update_bbox requires at least one Occupied voxel")
     bmin, bmax = occupied
-
-    if first_frame:
-        d = np.asarray(view_direction, dtype=float).reshape(3)
-        norm = np.linalg.norm(d)
-        if norm == 0:
-            raise ValueError("view_direction must be nonzero")
-        d = d / norm
-        ext = bmax - bmin
-        e2 = float(ext @ ext)
-        a = np.abs(d)
-        b = float(ext @ a)
-        # Sweep length s with |ext + s*|d|| = 2|ext|  (a is unit).
-        s = -b + np.sqrt(b * b + 3.0 * e2)
-        bmin = bmin + np.minimum(0.0, s * d)
-        bmax = bmax + np.maximum(0.0, s * d)
-    else:
-        unknown = cells_bbox(grid, grid.states == int(VoxelState.UNKNOWN))
-        if unknown is not None:
-            bmin = np.minimum(bmin, unknown[0])
-            bmax = np.maximum(bmax, unknown[1])
-        # a voxel center origin + (i + 0.5) * res rises with i, so the extreme
-        # centers are those of the extreme indices
-        frontier = _index_range(grid, grid.states == int(VoxelState.FRONTIER))
-        if frontier is not None:
-            bmin = np.minimum(bmin, grid.voxel_centers(frontier[0])[0] - gamma)
-            bmax = np.maximum(bmax, grid.voxel_centers(frontier[1])[0] + gamma)
-
+    unknown = cells_bbox(grid, grid.states == int(VoxelState.UNKNOWN))
+    if unknown is not None:
+        bmin = np.minimum(bmin, unknown[0])
+        bmax = np.maximum(bmax, unknown[1])
+    # a voxel center origin + (i + 0.5) * res rises with i, so the extreme
+    # centers are those of the extreme indices
+    frontier = _index_range(grid, grid.states == int(VoxelState.FRONTIER))
+    if frontier is not None:
+        bmin = np.minimum(bmin, grid.voxel_centers(frontier[0])[0] - gamma)
+        bmax = np.maximum(bmax, grid.voxel_centers(frontier[1])[0] + gamma)
     grid.set_bbox(bmin, bmax)
     return bmin, bmax

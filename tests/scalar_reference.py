@@ -23,7 +23,8 @@ must match voxel for voxel.  `integrate_walk_to_exit` and
 `oracle_evaluate` must give the same states and counts.  `neighbor_any` is
 the 26-offset neighborhood test that the separable dilation in
 `update_frontier` replaces, and `update_bbox_by_indices` the per-cell box
-that the per-axis projections in `update_bbox` replace, bit for bit.
+that the per-axis projections in `initial_bbox` and `update_bbox`
+replace, bit for bit.
 `point_to_mesh_distance` is the exact O(N*F) point-to-triangle distance
 used to validate sampling and rendering.
 `render_depth_loop` is the per-triangle Moller-Trumbore loop that the grouped
@@ -440,7 +441,8 @@ def neighbor_any(mask3: np.ndarray) -> np.ndarray:
 
 
 def update_bbox_by_indices(grid: VoxelGrid, view_direction, first_frame: bool, gamma: float):
-    """`voxel.update_bbox` from the flat index of every Occupied, Unknown and
+    """`voxel.initial_bbox` (`first_frame`) or `voxel.update_bbox` (with
+    `gamma` = 2 voxels) from the flat index of every Occupied, Unknown and
     Frontier cell; returns (bmin, bmax) and leaves the grid's box alone."""
 
     def box(flat):
@@ -792,7 +794,7 @@ def fit_gmm_loop(
     points: np.ndarray,
     t: int,
     seed: int,
-    reg_floor: float = 1e-6,
+    reg_floor: float,
 ) -> tuple[GmmModel, np.ndarray]:
     """EM with one Gaussian log-density and one M-step scatter per component."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)

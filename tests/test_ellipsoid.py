@@ -63,7 +63,7 @@ def test_gmm_separated_clusters_recovered():
 
 def test_gmm_infeasible_raises():
     with pytest.raises(InfeasibleModelError):
-        fit_gmm(np.zeros((2, 3)), t=3, seed=0)
+        fit_gmm(np.zeros((2, 3)), t=3, seed=0, reg_floor=1e-6)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -79,7 +79,7 @@ def test_gmm_loglik_monotone(seed):
 def test_gmm_responsibilities_normalized():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(150, 3))
-    model, _ = fit_gmm(pts, t=3, seed=5)
+    model, _ = fit_gmm(pts, t=3, seed=5, reg_floor=1e-6)
     resp = responsibilities(model, pts)
     np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-9)
     assert abs(model.weights.sum() - 1.0) < 1e-9
@@ -153,7 +153,7 @@ def test_gmm_equals_the_per_component_loop_on_pinned_inputs(name):
 def test_gmm_logs_each_fit_at_debug(caplog):
     pts = np.random.default_rng(4).normal(size=(60, 3))
     with caplog.at_level(logging.DEBUG, logger="nbvplan"):
-        fit_gmm(pts, t=2, seed=0)
+        fit_gmm(pts, t=2, seed=0, reg_floor=1e-6)
     [record] = [r for r in caplog.records if r.getMessage().startswith("fit_gmm:")]
     assert record.levelno == logging.DEBUG
     message = record.getMessage()
@@ -164,7 +164,7 @@ def test_gmm_debug_line_names_a_cap_hit(monkeypatch, caplog):
     monkeypatch.setattr(ellipsoid, "EM_MAX_ITER", 2)
     pts = np.random.default_rng(4).normal(size=(60, 3))
     with caplog.at_level(logging.DEBUG, logger="nbvplan"):
-        model, _ = fit_gmm(pts, t=3, seed=0)
+        model, _ = fit_gmm(pts, t=3, seed=0, reg_floor=1e-6)
     assert len(model.ll_trace) == 2
     [record] = [r for r in caplog.records if r.getMessage().startswith("fit_gmm:")]
     assert "2 steps (hit the cap)" in record.getMessage()
@@ -175,7 +175,7 @@ def test_gmm_debug_line_names_a_cap_hit(monkeypatch, caplog):
 
 def test_bic_direct_substitution():
     # k ln(n) - 2 ln L; with T=1 components k = 9
-    model, _ = fit_gmm(np.random.default_rng(0).normal(size=(50, 3)), t=1, seed=0)
+    model, _ = fit_gmm(np.random.default_rng(0).normal(size=(50, 3)), t=1, seed=0, reg_floor=1e-6)
     model.log_likelihood = -200.0
     assert bic(model, 100) == pytest.approx(9 * np.log(100) + 400.0, abs=1e-9)
     # ln(1) = 0 -> BIC = -2 ln L regardless of k
@@ -185,8 +185,8 @@ def test_bic_direct_substitution():
 def test_bic_k_linearity():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(60, 3))
-    m1, _ = fit_gmm(pts, t=1, seed=0)
-    m2, _ = fit_gmm(pts, t=2, seed=0)
+    m1, _ = fit_gmm(pts, t=1, seed=0, reg_floor=1e-6)
+    m2, _ = fit_gmm(pts, t=2, seed=0, reg_floor=1e-6)
     m2.log_likelihood = m1.log_likelihood  # same likelihood, k grows by 10
     assert bic(m2, 60) - bic(m1, 60) == pytest.approx(10 * np.log(60), abs=1e-9)
 
@@ -216,8 +216,8 @@ def test_select_clamps_to_point_count():
 def test_select_deterministic():
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(200, 3))
-    a = select_components(pts, t_max=6, seed=11)
-    b = select_components(pts, t_max=6, seed=11)
+    a = select_components(pts, t_max=6, seed=11, reg_floor=1e-6)
+    b = select_components(pts, t_max=6, seed=11, reg_floor=1e-6)
     assert a[0] == b[0]
     np.testing.assert_array_equal(a[1].means, b[1].means)
     np.testing.assert_array_equal(a[2], b[2])
@@ -313,43 +313,40 @@ def test_ellipsoid_quadric_block_structure():
 # ---- refit_all ---------------------------------------------------------------
 
 
-def blob_grid(with_frontier=False):
+def blob_centers(with_frontier=False):
+    """Occupied and Frontier voxel centers of a 3 cm grid holding a 5^3
+    Occupied blob and, if asked, a Frontier slab beside it."""
     grid = VoxelGrid(origin=np.zeros(3), resolution=0.03, dims=(20, 20, 20))
     g3 = grid.grid3d()
     g3[4:9, 4:9, 4:9] = VoxelState.OCCUPIED
     if with_frontier:
         g3[4:9, 4:9, 12:16] = VoxelState.FRONTIER
-    grid.set_bbox(*grid.span)
-    return grid
+    return tuple(
+        grid.voxel_centers(grid.unflat(grid.indices_in_state(s)))
+        for s in (VoxelState.OCCUPIED, VoxelState.FRONTIER)
+    )
 
 
 def test_refit_blob_no_frontier():
-    e_o, e_f = refit_all(blob_grid(), t_max=5, seed=0)
+    e_o, e_f = refit_all(*blob_centers(), 0.03, t_max=5, seed=0)
     assert len(e_o) >= 1
     assert e_f == []
     assert all(e.kind == "occupied" for e in e_o)
 
 
 def test_refit_requires_occupied():
-    grid = VoxelGrid(origin=np.zeros(3), resolution=0.03, dims=(8, 8, 8))
     with pytest.raises(ValueError):
-        refit_all(grid, t_max=5, seed=0)
+        refit_all(np.empty((0, 3)), np.empty((0, 3)), 0.03, t_max=5, seed=0)
 
 
 def test_refit_containment_sweep():
-    grid = blob_grid(with_frontier=True)
-    e_o, e_f = refit_all(grid, t_max=6, seed=3)
+    occupied, frontier = blob_centers(with_frontier=True)
+    e_o, e_f = refit_all(occupied, frontier, 0.03, t_max=6, seed=3)
     assert len(e_f) >= 1
-    for kind, state, ells in (
-        ("occupied", VoxelState.OCCUPIED, e_o),
-        ("frontier", VoxelState.FRONTIER, e_f),
-    ):
-        centers = grid.voxel_centers(grid.unflat(grid.indices_in_state(state)))
+    for kind, centers, ells in (("occupied", occupied, e_o), ("frontier", frontier, e_f)):
         forms = np.min([e.form(centers) for e in ells], axis=0)
         assert forms.max() <= 1.0 + 1e-3 + 1e-9, kind
-    assert sum(e.member_count for e in e_o) == len(
-        grid.indices_in_state(VoxelState.OCCUPIED)
-    )
+    assert sum(e.member_count for e in e_o) == len(occupied)
 
 
 # ---- MVEE solver convergence ------------------------------------------------

@@ -17,7 +17,7 @@ from nbvplan.planner import (
 from nbvplan.render import render_depth
 from nbvplan.shapes import make_shape
 from nbvplan.views import UP, CandidateView
-from nbvplan.voxel import VoxelState, traverse_rays
+from nbvplan.voxel import VoxelState, integrate_observation, traverse_rays, update_bbox, update_frontier
 
 POSE = look_at([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
@@ -260,7 +260,9 @@ def test_a_no_return_ray_of_the_opposite_view_empties_a_shadow_voxel():
     center = centers[shadow[np.argmax(misses[shadow])]]
 
     obs, _ = planner._observe(state, pose, frame_seed=1)
-    planner._integrate_and_refit(state, obs, pose.optical_axis)
+    integrate_observation(state.grid, obs)
+    update_bbox(state.grid)
+    update_frontier(state.grid)
     grid = state.grid  # integration may have grown the grid
     assert grid.states[grid.flat_index(grid.voxel_of(center[None]))[0]] == VoxelState.EMPTY
 
