@@ -15,8 +15,9 @@ padded to 10 iterations by repeating its last record.
 same candidates and reports how well the two agree: the Spearman rho of F
 against the oracle's visible frontier, and the top-1 regret.  One scoring
 pass takes milliseconds, so it is repeated at least 5 times and for at least
-0.2 s, and the median is reported with the repeat count and the total time
-of the passes.
+0.2 s, and the median is reported with the repeat count, the total time of
+the passes and the projection throughput (candidates scored per second of
+the median pass).
 
 Any config-file key can be overridden by the flag of the same name.  Bad
 input (a missing or malformed file, a path that cannot be read or written, an
@@ -156,13 +157,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     counts = state.grid.state_counts()
     active = counts["occupied"] + counts["unknown"] + counts["frontier"] + counts["empty"]
     speedup = t_oracle / t_proj if t_proj > 0 else float("inf")
+    throughput = len(candidates) / t_proj if t_proj > 0 else float("inf")
     rho, regret = rank_agreement(scores, [r["visible_frontier"] for r in rows])
     print(
         f"{len(candidates)} candidates, {active} active voxels, "
         f"{len(state.e_o) + len(state.e_f)} ellipsoids (stride {config.stride})"
     )
     print(
-        f"projection {t_proj:.4f}s (median of {len(proj_times)}, {sum(proj_times)!r}s in all)  "
+        f"projection {t_proj:.4f}s (median of {len(proj_times)}, {sum(proj_times)!r}s in all) "
+        f"{throughput:.3g} candidates/s  "
         f"oracle {t_oracle:.3f}s  "
         f"speedup x{speedup:.1f}  spearman {rho:.3f}  top-1 regret {regret:.3f} "
         f"-> {bench_path}"

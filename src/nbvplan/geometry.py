@@ -8,10 +8,11 @@ they are integers.  Poses are camera-to-world transforms.
 `look_at_many` builds the rotations of a whole batch of views in one array
 pass and checks them once, as an (N,3,3) stack, against the same test a
 single `Pose` applies: every entry of R^T R - I within `ORTHONORMAL_TOL` and
-det R within 1e-6 of +1.  `look_at` is its one-row case.  Every dot product
-and norm is a stacked (N,1,3) @ (N,3,1) matmul, which reduces each row
-exactly as `np.dot` does one vector, so a batched pose is bit-identical to
-the pose the same view gets on its own.
+det R within 1e-6 of +1.  It returns the checked stack; `look_at` wraps its
+one row in a `Pose`.  Every dot product and norm is a stacked
+(N,1,3) @ (N,3,1) matmul, which reduces each row exactly as `np.dot` does
+one vector, so a batched rotation is bit-identical to the one the same view
+gets on its own.
 """
 
 from __future__ import annotations
@@ -122,13 +123,13 @@ def spherical_direction(polar, azimuth) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*components), axis=-1)
 
 
-def look_at_many(positions: np.ndarray, target: np.ndarray, up: np.ndarray) -> list[Pose]:
-    """Camera poses at each row of `positions` (N,3), all aimed at `target`.
+def look_at_many(positions: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Camera-to-world rotations (N,3,3) at each row of `positions` (N,3), aimed at `target`.
 
     Roll is pinned so the in-image up direction is the projection of `up`
     onto the image plane; when a view is parallel to `up` the world x axis
-    is used instead.  The rotations are checked once as a stack, so each
-    `Pose` is built without checking its row again.
+    is used instead.  The stack is checked once, so a `Pose` around any of
+    its rows needs no second check (`_checked_pose`).
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     target = np.asarray(target, dtype=float).reshape(3)
@@ -152,12 +153,13 @@ def look_at_many(positions: np.ndarray, target: np.ndarray, up: np.ndarray) -> l
     x = np.cross(y, z)
     rotations = np.stack([x, y, z], axis=2)
     _check_rotations(rotations)
-    return [_checked_pose(r, t) for r, t in zip(rotations, positions)]
+    return rotations
 
 
 def look_at(position: np.ndarray, target: np.ndarray, up: np.ndarray) -> Pose:
     """Camera pose at `position` with +z aimed at `target` (see `look_at_many`)."""
-    return look_at_many(np.asarray(position, dtype=float).reshape(1, 3), target, up)[0]
+    position = np.asarray(position, dtype=float).reshape(3)
+    return _checked_pose(look_at_many(position[None], target, up)[0], position)
 
 
 @dataclass

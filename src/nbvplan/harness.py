@@ -31,7 +31,7 @@ from .config import RunConfig
 from .ellipsoid import Ellipsoid
 from .mesh import load_mesh, sample_surface_points, save_ply_points
 from .planner import PlannerState, initialize, run_iteration, should_terminate
-from .views import CandidateView
+from .views import Candidate
 from .voxel import VoxelGrid, VoxelState
 
 log = logging.getLogger("nbvplan")
@@ -94,7 +94,7 @@ def coverage(model_points: np.ndarray, acquired: np.ndarray, threshold: float) -
     return float(np.count_nonzero(_within(model_points, acquired, threshold)) / len(model_points))
 
 
-def _record_for(state: PlannerState, chosen: CandidateView, cov: float) -> IterationRecord:
+def _record_for(state: PlannerState, chosen: Candidate, cov: float) -> IterationRecord:
     counts = state.grid.state_counts()
     return IterationRecord(
         iteration=state.iteration,

@@ -11,9 +11,10 @@ Only voxels inside the box of the Frontier and Occupied cells can count or
 block, so each ray is walked from its start only until it leaves that box
 padded by one voxel, and a ray that misses the padded box is not walked.
 The counts are those of walking every ray to `max_range` or the grid exit.
-`oracle_scores` builds the masks and the box once per grid for a list of
-views; `oracle_evaluate` scores one view.  The camera-frame pixel rays are
-built once per (intrinsics, stride) and only rotated per view.
+`oracle_scores` builds the masks and the box once per grid for a set of
+views, read from its rotation and position arrays; `oracle_evaluate` scores
+one view.  The camera-frame pixel rays are built once per (intrinsics,
+stride) and only rotated per view.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose
-from .views import CandidateView
+from .geometry import CameraIntrinsics
+from .views import Candidate, Candidates, CandidateView, as_candidates
 from .voxel import VoxelGrid, VoxelState, cells_bbox, first_hits, ray_box_range, traverse_rays
 
 log = logging.getLogger("nbvplan")
@@ -49,25 +50,32 @@ def _camera_rays(intrinsics: CameraIntrinsics, stride: int) -> np.ndarray:
     return rays
 
 
-def _pixel_ray_dirs(intrinsics: CameraIntrinsics, pose: Pose, stride: int) -> np.ndarray:
-    return _camera_rays(intrinsics, stride) @ pose.rotation.T
+def _pixel_ray_dirs(intrinsics: CameraIntrinsics, rotation: np.ndarray, stride: int) -> np.ndarray:
+    """World-frame unit rays through every stride-th pixel of a camera with this rotation."""
+    return _camera_rays(intrinsics, stride) @ rotation.T
 
 
 def oracle_scores(
-    views: list[CandidateView],
+    views: Candidates | list[CandidateView],
     grid: VoxelGrid,
     intrinsics: CameraIntrinsics,
     stride: int,
 ) -> list[OracleScore]:
     """`oracle_evaluate` of each view, with the grid's masks and box built once."""
+    views = as_candidates(views)
+    return _oracle_counts(views.rotations, views.positions, grid, intrinsics, stride)
+
+
+def _oracle_counts(rotations, positions, grid: VoxelGrid, intrinsics: CameraIntrinsics, stride: int):
+    """The oracle's counts for the cameras at these rotations and positions."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     frontier = grid.states == int(VoxelState.FRONTIER)
     occupied = grid.states == int(VoxelState.OCCUPIED)
     box = cells_bbox(grid, frontier | occupied)
     scores = []
-    for view in views:
-        dirs = _pixel_ray_dirs(intrinsics, view.pose, stride)
+    for rotation, position in zip(rotations, positions):
+        dirs = _pixel_ray_dirs(intrinsics, rotation, stride)
         reached = np.zeros(grid.n_voxels, dtype=bool)
         walked = visits = 0
         if box is not None:
@@ -75,7 +83,7 @@ def oracle_scores(
             # Segments of length max_range, cut where they leave the padded
             # box of the cells that can count; the traversal also clips them
             # to the grid.
-            starts = np.broadcast_to(view.pose.translation, dirs.shape)
+            starts = np.broadcast_to(position, dirs.shape)
             deltas = dirs * intrinsics.max_range
             t_in, t_out = ray_box_range(starts, deltas, bmin - grid.resolution, bmax + grid.resolution)
             t_end = np.minimum(t_out, 1.0)
@@ -95,13 +103,14 @@ def oracle_scores(
 
 
 def oracle_evaluate(
-    view: CandidateView,
+    view: CandidateView | Candidate,
     grid: VoxelGrid,
     intrinsics: CameraIntrinsics,
     stride: int,
 ) -> OracleScore:
     """Count Frontier/Occupied voxels visible from the view through pixel rays."""
-    return oracle_scores([view], grid, intrinsics, stride)[0]
+    pose = view.pose
+    return _oracle_counts([pose.rotation], [pose.translation], grid, intrinsics, stride)[0]
 
 
 def rank_agreement(scores: np.ndarray, visible_frontier: np.ndarray) -> tuple[float, float]:

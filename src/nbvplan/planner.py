@@ -14,7 +14,6 @@ exercised only through the adjacency constraint itself.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -27,7 +26,16 @@ from .mesh import TriangleMesh
 from .oracle import oracle_scores
 from .projection import evaluate_all
 from .render import frame_to_points, render_depth
-from .views import UP, CandidateView, assign_partitions, sample_candidates, sampling_radius
+from .views import (
+    UP,
+    Candidate,
+    Candidates,
+    CandidateView,
+    as_candidates,
+    assign_partitions,
+    sample_candidates,
+    sampling_radius,
+)
 from .voxel import (
     Observation,
     VoxelGrid,
@@ -100,34 +108,35 @@ def admissible_partitions(ledger: PartitionLedger) -> set[int]:
 
 
 def select_next_view(
-    scored: list[CandidateView], ledger: PartitionLedger, iteration: int = 0
-) -> CandidateView:
+    candidates: Candidates | list[CandidateView], ledger: PartitionLedger, iteration: int = 0
+) -> Candidate | CandidateView:
     """Argmax of F over the admissible partitions; marks the winner's sector.
 
+    One masked argmax over the set's `partition` and `scores` arrays (a
+    list of `CandidateView` records is stacked first) returns
+    `candidates[best]`: a handle for a set, the record itself for a list.
     Ties break toward the lower candidate index.  Raises
     InfeasiblePartitionError when no candidate sits in an admissible sector,
     and ValueError when an admissible candidate's score is missing or not
-    finite.
+    finite; scores outside the admissible sectors are not checked.
     `iteration` is unused; callers that pass it keep working.
     """
-    if not scored:
+    if not candidates:
         raise ValueError("select_next_view requires scored candidates")
+    views = as_candidates(candidates)
     allowed = admissible_partitions(ledger)
-    best = None
-    for idx, view in enumerate(scored):
-        if view.partition_index not in allowed:
-            continue
-        if view.score is None or not math.isfinite(view.score):
-            raise ValueError(f"candidate {idx} lacks a finite score: {view.score}")
-        if best is None or view.score > scored[best].score:
-            best = idx
-    if best is None:
+    admissible = np.isin(views.partition, list(allowed))
+    if not admissible.any():
         raise InfeasiblePartitionError(
             f"no candidate in admissible partitions {sorted(allowed)}"
         )
-    winner = scored[best]
-    ledger.mark(winner.partition_index)
-    return winner
+    unfit = admissible & ~np.isfinite(views.scores)
+    if unfit.any():
+        idx = int(np.argmax(unfit))
+        raise ValueError(f"candidate {idx} lacks a finite score: {candidates[idx].score}")
+    best = int(np.argmax(np.where(admissible, views.scores, -np.inf)))
+    ledger.mark(int(views.partition[best]))
+    return candidates[best]
 
 
 def should_terminate(state: PlannerState) -> bool:
@@ -207,7 +216,7 @@ def initialize(mesh: TriangleMesh, config: RunConfig) -> PlannerState:
     return state
 
 
-def candidate_views(state: PlannerState) -> list[CandidateView]:
+def candidate_views(state: PlannerState) -> Candidates:
     """Sector-tagged candidates on the sampling sphere around the current bbox."""
     cfg = state.config
     bmin, bmax = state.grid.bbox
@@ -217,21 +226,18 @@ def candidate_views(state: PlannerState) -> list[CandidateView]:
     return assign_partitions(candidates, cfg.beta)
 
 
-def _score_candidates(state: PlannerState, candidates: list[CandidateView]) -> None:
+def _score_candidates(state: PlannerState, candidates: Candidates) -> None:
     cfg = state.config
     if cfg.evaluator == "projection":
         evaluate_all(candidates, state.e_o, state.e_f, cfg.intrinsics())
-        return
-    if cfg.evaluator == "oracle":
+    elif cfg.evaluator == "oracle":
         oracle = oracle_scores(candidates, state.grid, cfg.intrinsics(), cfg.stride)
-        scores = [s.visible_frontier for s in oracle]
+        candidates.scores[:] = [s.visible_frontier for s in oracle]
     else:  # random baseline
-        scores = np.random.default_rng((cfg.seed, state.iteration)).random(len(candidates)).tolist()
-    for v, score in zip(candidates, scores):
-        v.score = float(score)
+        candidates.scores[:] = np.random.default_rng((cfg.seed, state.iteration)).random(len(candidates))
 
 
-def run_iteration(state: PlannerState) -> CandidateView:
+def run_iteration(state: PlannerState) -> Candidate:
     """One NBV step: sample, score, select, observe, update, refit."""
     cfg = state.config
     t0 = time.perf_counter()

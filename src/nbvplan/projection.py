@@ -41,8 +41,8 @@ from __future__ import annotations
 import numpy as np
 
 from .ellipsoid import Ellipsoid
-from .geometry import CameraIntrinsics, Pose
-from .views import CandidateView
+from .geometry import CameraIntrinsics
+from .views import Candidates, CandidateView, as_candidates
 
 
 def _border_area(center, axes, orientation, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -86,26 +86,28 @@ def _border_area(center, axes, orientation, intrinsics: CameraIntrinsics) -> np.
     return np.maximum(0.5 * axes[:, 0] * axes[:, 1] * twice, 0.0)
 
 
-def project(poses: list[Pose], ellipsoids: list[Ellipsoid], intrinsics: CameraIntrinsics):
+def project(
+    rotations: np.ndarray, positions: np.ndarray, ellipsoids: list[Ellipsoid], intrinsics: CameraIntrinsics
+):
     """Silhouette of every ellipsoid in every view, as arrays over (view, ellipsoid) pairs.
 
-    Returns `(cam_z, conic, center, axes, area)` with shapes (N,M), (N,M,3,3),
-    (N,M,2), (N,M,2) and (N,M): the camera-frame depth of each ellipsoid
-    center, the conic in pixel coordinates (of arbitrary scale, with a
-    positive definite 2x2 block), the ellipse center (u, v) and semi-axes
-    (major first) in px, and its area inside the image in px^2.  Pairs that project to no real ellipse
+    The N views are given by their camera-to-world rotations (N,3,3) and
+    camera centers (N,3).  Returns `(cam_z, conic, center, axes, area)`
+    with shapes (N,M), (N,M,3,3), (N,M,2), (N,M,2) and (N,M): the
+    camera-frame depth of each ellipsoid center, the conic in pixel
+    coordinates (of arbitrary scale, with a positive definite 2x2 block),
+    the ellipse center (u, v) and semi-axes (major first) in px, and its
+    area inside the image in px^2.  Pairs that project to no real ellipse
     have NaN conic, center and axes and zero area.
     """
-    rot = np.array([p.rotation for p in poses])  # camera-to-world
-    pos = np.array([p.translation for p in poses])
-    rot_t = rot.transpose(0, 2, 1)
+    rot_t = rotations.transpose(0, 2, 1)  # world-to-camera
     focal = np.diag([intrinsics.fx, intrinsics.fy, 1.0])  # K with the principal point at 0
-    cameras = focal @ np.concatenate([rot_t, -rot_t @ pos[:, :, None]], axis=2)
+    cameras = focal @ np.concatenate([rot_t, -rot_t @ positions[:, :, None]], axis=2)
     centers = np.array([e.center for e in ellipsoids])
-    cam_z = np.einsum("nmj,nj->nm", centers[None] - pos[:, None], rot[:, :, 2])
+    cam_z = np.einsum("nmj,nj->nm", centers[None] - positions[:, None], rotations[:, :, 2])
     # P Q*: one (3N,4) @ (4,4) product per ellipsoid; then (P Q*) P^T per pair
     dual = cameras.reshape(-1, 4) @ np.array([e.quadric_inv for e in ellipsoids])
-    dual = dual.reshape(len(ellipsoids), len(poses), 3, 4) @ cameras.transpose(0, 2, 1)
+    dual = dual.reshape(len(ellipsoids), len(positions), 3, 4) @ cameras.transpose(0, 2, 1)
     d00, d01, d02, d10, d11, d12, d20, d21, d22 = dual.reshape(*dual.shape[:2], 9).T  # each (N,M)
 
     # Invalid pairs run through the same arithmetic and are masked at the end.
@@ -175,25 +177,30 @@ def depth_weights(cam_z: np.ndarray, n_occupied: int, cluster_index: np.ndarray)
 
 
 def evaluate_all(
-    candidates: list[CandidateView],
+    candidates: Candidates | list[CandidateView],
     occupied: list[Ellipsoid],
     frontier: list[Ellipsoid],
     intrinsics: CameraIntrinsics,
 ) -> np.ndarray:
     """F of every candidate: weighted frontier area minus weighted occupied area.
 
-    Sets `score` on each candidate and returns the (N,) array of F in
-    candidate order.
+    Returns the (N,) array of F in candidate order.  A `Candidates` set's
+    rotation and position arrays go to `project` as they are, and F is
+    stored in its `scores`; a list of `CandidateView` records is stacked by
+    `as_candidates` and each record's `score` is set.
     """
     if not candidates:
         raise ValueError("evaluate_all requires candidates")
+    views = as_candidates(candidates)
     ellipsoids = [*occupied, *frontier]
     n = len(occupied)
-    scores = np.zeros(len(candidates))
+    scores = np.zeros(len(views))
     if ellipsoids:
-        cam_z, _, _, _, area = project([v.pose for v in candidates], ellipsoids, intrinsics)
+        cam_z, _, _, _, area = project(views.rotations, views.positions, ellipsoids, intrinsics)
         mass = area * depth_weights(cam_z, n, np.array([e.cluster_index for e in ellipsoids]))
         scores = mass[:, n:].sum(axis=1) - mass[:, :n].sum(axis=1)
-    for v, f in zip(candidates, scores):
-        v.score = float(f)
+    views.scores[:] = scores
+    if views is not candidates:
+        for v, f in zip(candidates, scores.tolist()):
+            v.score = f
     return scores

@@ -12,17 +12,24 @@ diagonal, so it tracks the box as the scan grows.
 Every view's ring, azimuth, polar angle and position is computed in one array
 pass, and `geometry.look_at_many` builds and checks all the rotations at
 once; `assign_partitions` bins every azimuth with one array floor.  The
-result is still one `CandidateView` per view, identical bit for bit to a
-view built on its own.
+result is one `Candidates` set: the rotations, positions, angles, sectors
+and scores of all views as parallel arrays, which scoring and selection
+read and write whole.  Each row is identical bit for bit to the view built
+on its own.  Indexing or iterating a set gives `Candidate` handles onto its
+rows; a handle builds its view's `Pose` only when `.pose` is read.
+`CandidateView` is the same record as a standalone object, and
+`as_candidates` stacks a list of them (or of handles) into a set.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .geometry import Pose, look_at_many, spherical_direction
+from .geometry import Pose, _checked_pose, look_at_many, spherical_direction
 
 UP = np.array([0.0, 0.0, 1.0])  # world up axis
 
@@ -72,6 +79,73 @@ class CandidateView:
         return self.pose.translation
 
 
+@dataclass(eq=False)
+class Candidates:
+    """N candidate views as parallel arrays, one row per view."""
+
+    rotations: np.ndarray    # (N,3,3) camera-to-world, checked proper rotations
+    positions: np.ndarray    # (N,3) camera centers (m)
+    radius: np.ndarray       # (N,) distance to the bbox center (m)
+    polar: np.ndarray        # (N,) rad, from the up axis
+    azimuth: np.ndarray      # (N,) rad, in [0, 2*pi)
+    partition: np.ndarray    # (N,) longitude sector, -1 until assigned
+    scores: np.ndarray       # (N,) view quality F, NaN until scored
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, index: int) -> Candidate:
+        return Candidate(self, range(len(self))[index])
+
+    def __iter__(self):
+        return map(partial(Candidate, self), range(len(self)))
+
+
+class Candidate:
+    """Row `index` of a `Candidates` set, read with the `CandidateView` field names."""
+
+    __slots__ = ("candidates", "index")
+
+    def __init__(self, candidates: Candidates, index: int):
+        self.candidates = candidates
+        self.index = index
+
+    @property
+    def pose(self) -> Pose:
+        c, i = self.candidates, self.index
+        return _checked_pose(c.rotations[i], c.positions[i])
+
+    position = property(lambda self: self.candidates.positions[self.index])
+    radius = property(lambda self: float(self.candidates.radius[self.index]))
+    polar = property(lambda self: float(self.candidates.polar[self.index]))
+    azimuth = property(lambda self: float(self.candidates.azimuth[self.index]))
+    partition_index = property(lambda self: int(self.candidates.partition[self.index]))
+    score = property(lambda self: float(self.candidates.scores[self.index]))
+
+
+def as_candidates(views: Candidates | Sequence[CandidateView | Candidate]) -> Candidates:
+    """`views` itself when it is a set, else its records stacked into a new one.
+
+    A missing score (None) becomes NaN.
+    """
+    if isinstance(views, Candidates):
+        return views
+    poses = [v.pose for v in views]
+
+    def column(name, dtype=float):
+        return np.array([getattr(v, name) for v in views], dtype=dtype)
+
+    return Candidates(
+        rotations=np.array([p.rotation for p in poses], dtype=float).reshape(-1, 3, 3),
+        positions=np.array([p.translation for p in poses], dtype=float).reshape(-1, 3),
+        radius=column("radius"),
+        polar=column("polar"),
+        azimuth=column("azimuth"),
+        partition=column("partition_index", int),
+        scores=np.array([np.nan if v.score is None else v.score for v in views], dtype=float),
+    )
+
+
 def sampling_radius(bbox: tuple[np.ndarray, np.ndarray], working_distance: float) -> float:
     """R = d_c + half the bbox diagonal."""
     bmin, bmax = (np.asarray(b, dtype=float) for b in bbox)
@@ -90,9 +164,7 @@ def _parallel_counts(polars: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def sample_candidates(
-    config: SamplingConfig, center: np.ndarray, radius: float
-) -> list[CandidateView]:
+def sample_candidates(config: SamplingConfig, center: np.ndarray, radius: float) -> Candidates:
     """Generate candidate views on the sampling sphere, all looking at `center`."""
     if radius <= 0:
         raise ValueError("sampling radius must be positive")
@@ -108,20 +180,22 @@ def sample_candidates(
     azimuth = (phase + 2.0 * np.pi * k / count) % (2.0 * np.pi)
     polar = polars[ring]
     positions = center + radius * spherical_direction(polar, azimuth)
-    poses = look_at_many(positions, center, UP)
-    return [
-        CandidateView(pose=pose, radius=radius, polar=p, azimuth=a)
-        for pose, p, a in zip(poses, polar.tolist(), azimuth.tolist())
-    ]
+    n = len(positions)
+    return Candidates(
+        rotations=look_at_many(positions, center, UP),
+        positions=positions,
+        radius=np.full(n, float(radius)),
+        polar=polar,
+        azimuth=azimuth,
+        partition=np.full(n, -1),
+        scores=np.full(n, np.nan),
+    )
 
 
-def assign_partitions(views: list[CandidateView], beta: int) -> list[CandidateView]:
-    """Bin views into `beta` longitude sectors: floor(azimuth / (2*pi/beta))."""
+def assign_partitions(candidates: Candidates, beta: int) -> Candidates:
+    """Bin views into `beta` longitude sectors, floor(azimuth / (2*pi/beta)), in place."""
     if beta < 1:
         raise ValueError("beta must be >= 1")
     width = 2.0 * np.pi / beta
-    azimuth = np.array([v.azimuth for v in views], dtype=float)
-    sector = np.minimum(azimuth // width, beta - 1).astype(int)
-    for v, index in zip(views, sector.tolist()):
-        v.partition_index = index
-    return views
+    candidates.partition[:] = np.minimum(candidates.azimuth // width, beta - 1)
+    return candidates

@@ -2,7 +2,9 @@
 
 `look_at`, `sample_candidates` and `assign_partitions` are the per-view
 loops that `geometry.look_at_many` and the array pass in `views` replace;
-the batched results must equal them bit for bit.  `exact_ellipse_area`
+the batched results must equal them bit for bit.  `select_next_view` is
+the per-view argmax loop that the masked argmax in `planner` replaces; it
+must pick the same view and raise the same errors.  `exact_ellipse_area`
 integrates an ellipse's horizontal chord, clipped to the image width, over
 the image rows with adaptive quadrature, breaking the integral where the
 ellipse meets an image side; the closed-form area in `projection.project`
@@ -58,6 +60,7 @@ from nbvplan.ellipsoid import (
 from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose
 from nbvplan.mesh import EmptyMeshError, MeshFormatError, TriangleMesh
 from nbvplan.oracle import OracleScore, _pixel_ray_dirs
+from nbvplan.planner import InfeasiblePartitionError, PartitionLedger, admissible_partitions
 from nbvplan.projection import _border_area
 from nbvplan.render import BARY_EPS, DET_EPS, T_MIN
 from nbvplan.views import _GOLDEN_ANGLE, UP, CandidateView, SamplingConfig, _parallel_counts
@@ -117,6 +120,27 @@ def assign_partitions(views: list[CandidateView], beta: int) -> list[CandidateVi
     for v in views:
         v.partition_index = min(int(v.azimuth // width), beta - 1)
     return views
+
+
+def select_next_view(scored: list[CandidateView], ledger: PartitionLedger) -> CandidateView:
+    if not scored:
+        raise ValueError("select_next_view requires scored candidates")
+    allowed = admissible_partitions(ledger)
+    best = None
+    for idx, view in enumerate(scored):
+        if view.partition_index not in allowed:
+            continue
+        if view.score is None or not math.isfinite(view.score):
+            raise ValueError(f"candidate {idx} lacks a finite score: {view.score}")
+        if best is None or view.score > scored[best].score:
+            best = idx
+    if best is None:
+        raise InfeasiblePartitionError(
+            f"no candidate in admissible partitions {sorted(allowed)}"
+        )
+    winner = scored[best]
+    ledger.mark(winner.partition_index)
+    return winner
 
 
 def _clip_polygon_axis(poly, axis: int, bound: float, keep_less: bool):
@@ -402,7 +426,7 @@ def integrate_walk_to_exit(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
 
 def oracle_walk_to_exit(view: CandidateView, grid: VoxelGrid, intrinsics: CameraIntrinsics, stride: int) -> OracleScore:
     """`oracle_evaluate` with every pixel ray walked to max_range or the grid exit."""
-    dirs = _pixel_ray_dirs(intrinsics, view.pose, stride)
+    dirs = _pixel_ray_dirs(intrinsics, view.pose.rotation, stride)
     starts = np.broadcast_to(view.pose.translation, dirs.shape)
     reached = np.zeros(grid.n_voxels, dtype=bool)
     occupied = grid.states == int(VoxelState.OCCUPIED)

@@ -120,6 +120,10 @@ def test_bench_reports_rank_agreement(mesh_dir, tmp_path, capsys, monkeypatch):
     assert float(total) >= cli.BENCH_MIN_SECONDS
     assert sum(passes) <= float(total)
     assert float(median) == pytest.approx(np.median(passes), abs=2e-4)
+    # followed by the projection throughput of the median pass, to the
+    # printed digits of both (4 decimals of the median, 3 of the rate)
+    rate = re.search(r"in all\) (\S+) candidates/s", out).group(1)
+    assert 16 / float(rate) == pytest.approx(float(median), abs=1e-4)
 
 
 def test_rank_agreement_edge_cases():

@@ -108,7 +108,7 @@ def pixel_visible_sets(grid, view, intr, stride=1):
     from nbvplan.oracle import _pixel_ray_dirs
     from nbvplan.voxel import first_hits, traverse_rays
 
-    dirs = _pixel_ray_dirs(intr, view.pose, stride)
+    dirs = _pixel_ray_dirs(intr, view.pose.rotation, stride)
     starts = np.broadcast_to(view.pose.translation, dirs.shape)
     seen_f = np.zeros(grid.n_voxels, bool)
     seen_o = np.zeros(grid.n_voxels, bool)
@@ -217,7 +217,7 @@ def test_cached_rays_rotate_to_the_rays_built_per_call(stride):
     for position in rng.normal(size=(5, 3)):
         pose = look_at(position, rng.normal(scale=0.1, size=3), [0, 0, 1])
         built = intr.pixel_rays(rr.ravel(), cc.ravel()) @ pose.rotation.T
-        assert np.array_equal(_pixel_ray_dirs(intr, pose, stride), built)
+        assert np.array_equal(_pixel_ray_dirs(intr, pose.rotation, stride), built)
 
 
 def test_oracle_skips_rays_that_miss_the_box(small_intr, caplog):

@@ -2,10 +2,14 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nbvplan import planner
+import scalar_reference as ref
+from nbvplan import geometry, planner
+from nbvplan import views as views_module
 from nbvplan.config import RunConfig
-from nbvplan.geometry import DepthFrame, look_at
+from nbvplan.geometry import DepthFrame, Pose, look_at
 from nbvplan.oracle import oracle_scores
 from nbvplan.planner import (
     InfeasiblePartitionError,
@@ -16,7 +20,7 @@ from nbvplan.planner import (
 )
 from nbvplan.render import render_depth
 from nbvplan.shapes import make_shape
-from nbvplan.views import UP, CandidateView
+from nbvplan.views import UP, CandidateView, as_candidates
 from nbvplan.voxel import VoxelState, integrate_observation, traverse_rays, update_bbox, update_frontier
 
 POSE = look_at([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0])
@@ -89,6 +93,42 @@ def test_inadmissible_scores_are_not_checked():
     assert select_next_view(scored, ledger) is scored[1]
 
 
+finite = st.sampled_from([0.0, 1.0, 2.5, -1.0]) | st.floats(-5.0, 5.0)  # ties are likely
+unfit = st.sampled_from([None, float("nan"), float("inf"), float("-inf")])
+
+
+def _outcome(select, scored, ledger):
+    """(index chosen or None, error type, error text, sectors scanned afterwards)."""
+    try:
+        winner = select(scored, ledger)
+    except (ValueError, InfeasiblePartitionError) as exc:
+        return None, type(exc), str(exc), ledger.scanned
+    return winner, None, None, ledger.scanned
+
+
+@given(data=st.data(), beta=st.integers(1, 6), n=st.integers(1, 12), with_unfit=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_masked_argmax_matches_the_per_view_loop(data, beta, n, with_unfit):
+    """On a set and on a list of records, the masked argmax picks the view
+    the per-view loop picks, marks the same sector, and raises the same
+    errors; a non-finite score outside the admissible sectors is ignored."""
+    scores = data.draw(st.lists(finite | unfit if with_unfit else finite, min_size=n, max_size=n))
+    partitions = data.draw(st.lists(st.integers(0, beta - 1), min_size=n, max_size=n))
+    scanned = data.draw(st.sets(st.integers(0, beta - 1)))
+    records = views(*zip(partitions, scores))
+    pick, error, text, marked = _outcome(ref.select_next_view, records, PartitionLedger(beta, set(scanned)))
+    want = None if pick is None else next(i for i, v in enumerate(records) if v is pick)
+
+    got = _outcome(select_next_view, records, PartitionLedger(beta, set(scanned)))
+    assert (got[0] is pick, *got[1:]) == (True, error, text, marked)
+
+    handle, *rest = _outcome(select_next_view, as_candidates(records), PartitionLedger(beta, set(scanned)))
+    assert (None if handle is None else handle.index) == want
+    assert rest[0] is error and rest[2] == marked
+    if error is ValueError:  # a missing score is NaN in a set
+        assert rest[1] == text.replace("None", "nan")
+
+
 # ---- should_terminate -------------------------------------------------------
 
 
@@ -159,7 +199,7 @@ def test_oracle_and_random_evaluators_choose_the_admissible_argmax(evaluator, mo
     assert len(scores) == 16 and all(np.isfinite(scores))
     assert allowed == {1, 3}
     admissible = [v for v in scored if v.partition_index in allowed]
-    assert chosen is max(admissible, key=lambda v: v.score)
+    assert chosen.index == max(admissible, key=lambda v: v.score).index
 
     again = [v.score for v in _first_step(evaluator, monkeypatch)[0]]
     assert again == scores  # both evaluators repeat for the same (seed, iteration)
@@ -178,8 +218,7 @@ def test_infeasible_partition_falls_back_to_every_sector(monkeypatch, caplog):
 
     def one_sector(state):
         candidates = real(state)
-        for v in candidates:
-            v.partition_index = 0
+        candidates.partition[:] = 0
         return candidates
 
     monkeypatch.setattr(planner, "candidate_views", one_sector)
@@ -192,6 +231,42 @@ def test_infeasible_partition_falls_back_to_every_sector(monkeypatch, caplog):
         "partition constraint infeasible" in r.getMessage() for r in caplog.records
     )
     assert np.isfinite(chosen.score) and state.iteration == 1
+
+
+def test_selection_builds_no_per_candidate_objects(monkeypatch):
+    """Sampling, scoring and the argmax build no `Pose` and no
+    `CandidateView`; an iteration builds one `Pose`, the winner's."""
+    config = RunConfig(width=160, height=120, fx=145.0, fy=145.0, candidates=64, t_max=1)
+    state = planner.initialize(make_shape("u_prism"), config)
+    built = []
+    checked_pose, post_init, record_init = geometry._checked_pose, Pose.__post_init__, CandidateView.__init__
+
+    def counting_checked_pose(rotation, translation):
+        built.append(("pose", translation))
+        return checked_pose(rotation, translation)
+
+    def counting_post_init(pose):
+        built.append(("pose", pose.translation))
+        post_init(pose)
+
+    def counting_record_init(view, *args, **kwargs):
+        built.append(("record", None))
+        record_init(view, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_checked_pose", counting_checked_pose)
+    monkeypatch.setattr(views_module, "_checked_pose", counting_checked_pose)
+    monkeypatch.setattr(Pose, "__post_init__", counting_post_init)
+    monkeypatch.setattr(CandidateView, "__init__", counting_record_init)
+
+    candidates = planner.candidate_views(state)
+    planner.evaluate_all(candidates, state.e_o, state.e_f, config.intrinsics())
+    ledger = PartitionLedger(beta=config.beta, scanned=set(state.ledger.scanned))
+    planner.select_next_view(candidates, ledger)
+    assert len(candidates) == 64 and built == []
+
+    chosen = planner.run_iteration(state)
+    assert [kind for kind, _ in built] == ["pose"]
+    assert np.array_equal(built[0][1], chosen.position)
 
 
 def test_an_all_miss_iteration_leaves_the_grid_and_refits(monkeypatch, caplog):

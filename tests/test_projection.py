@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nbvplan.ellipsoid import Ellipsoid
 from nbvplan.geometry import CameraIntrinsics, Pose, look_at
 from nbvplan.projection import _border_area, depth_weights, evaluate_all, project
-from nbvplan.views import CandidateView
+from nbvplan.views import CandidateView, SamplingConfig, assign_partitions, sample_candidates
 from scalar_reference import (
     POLYGON_SEGMENTS,
     clipped_ellipse_area,
@@ -36,9 +36,15 @@ def make_view(position, target=(0, 0, 0)):
     return CandidateView(pose=pose, radius=float(np.linalg.norm(position)), polar=0.0, azimuth=0.0)
 
 
+def project_poses(poses, ellipsoids, intrinsics):
+    """`project` of the views at these poses."""
+    rotations = np.array([p.rotation for p in poses])
+    return project(rotations, np.array([p.translation for p in poses]), ellipsoids, intrinsics)
+
+
 def project_one(ell, pose, intrinsics):
     """(cam_z, conic, center, axes, area) of a single (view, ellipsoid) pair."""
-    return [x[0, 0] for x in project([pose], [ell], intrinsics)]
+    return [x[0, 0] for x in project_poses([pose], [ell], intrinsics)]
 
 
 @pytest.fixture
@@ -53,7 +59,7 @@ def axis_view():
 
 def weights_of(occupied, frontier, pose, intrinsics):
     ells = occupied + frontier
-    cam_z = project([pose], ells, intrinsics)[0]
+    cam_z = project_poses([pose], ells, intrinsics)[0]
     index = np.array([e.cluster_index for e in ells])
     return cam_z[0], depth_weights(cam_z, len(occupied), index)[0]
 
@@ -141,7 +147,7 @@ def test_project_singular_dual_conic_invalid(axis_view, intrinsics):
 
 def test_projection_shrinks_with_distance(axis_view, intrinsics):
     ells = [sphere_ell([0, 0, z], 0.1) for z in (0.8, 1.0, 1.4, 2.0, 3.0)]
-    areas = project([axis_view.pose], ells, intrinsics)[4][0]
+    areas = project_poses([axis_view.pose], ells, intrinsics)[4][0]
     assert (areas > 0).all()
     assert all(a > b for a, b in zip(areas, areas[1:]))
 
@@ -280,7 +286,7 @@ def test_project_matches_lapack_reference(seed, kinds):
     poses, ells = zip(*(random_pair(rng, kind, SENSOR) for kind in kinds))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [np.diagonal(x, axis1=0, axis2=1).T for x in project(poses, ells, SENSOR)]
+        got = [np.diagonal(x, axis1=0, axis2=1).T for x in project_poses(poses, ells, SENSOR)]
     want = [np.diagonal(x, axis1=0, axis2=1).T for x in project_reference(poses, ells, SENSOR)]
     cam_z, _, center, axes, area = got
     ref_z, _, ref_center, ref_axes, ref_area = want
@@ -304,7 +310,7 @@ def test_score_is_weighted_area_sum(axis_view, intrinsics):
     occ = [sphere_ell([0.1, 0, 0.7], 0.05, "occupied")]
     places = [(0, 1.0), (-0.2, 1.3), (0.3, 1.6)]
     fr = [sphere_ell([x, 0.05, z], 0.08, "frontier", i) for i, (x, z) in enumerate(places)]
-    areas = project([axis_view.pose], occ + fr, intrinsics)[4][0]
+    areas = project_poses([axis_view.pose], occ + fr, intrinsics)[4][0]
     f = evaluate_all([axis_view], occ, fr, intrinsics)
     expected = areas[1] * 0.5 + areas[2] * 0.25 + areas[3] * 0.125 - areas[0] * 1.0
     assert f[0] == pytest.approx(expected, rel=1e-12)
@@ -361,6 +367,30 @@ def test_evaluate_all_matches_sequential(intrinsics):
     assert all(v.score == f for v, f in zip(views, batch))
 
 
+def test_evaluate_all_on_a_set_equals_its_records_bit_for_bit(intrinsics):
+    """A sampled set hands its arrays to `project`; the list of records
+    built from its rows is stacked first.  Both give the same F, stored in
+    the set's `scores` and on each record."""
+    rng = np.random.default_rng(5)
+    occ = [sphere_ell(rng.normal(scale=0.08, size=3), 0.05, "occupied", i) for i in range(4)]
+    fr = [sphere_ell(rng.normal(scale=0.08, size=3), 0.09, "frontier", i) for i in range(3)]
+    sampling = SamplingConfig(mode="full_sphere", alpha=6, n_views=150)
+    cands = assign_partitions(sample_candidates(sampling, [0.01, -0.02, 0.03], 0.45), 4)
+    records = [
+        CandidateView(
+            pose=v.pose, radius=v.radius, polar=v.polar, azimuth=v.azimuth,
+            partition_index=v.partition_index,
+        )
+        for v in cands
+    ]
+    got = evaluate_all(cands, occ, fr, intrinsics)
+    want = evaluate_all(records, occ, fr, intrinsics)
+    assert np.array_equal(got, want)
+    assert np.array_equal(cands.scores, want)
+    assert [v.score for v in cands] == [v.score for v in records] == want.tolist()
+    assert np.ptp(want) > 0
+
+
 def test_evaluate_all_no_ellipsoids(intrinsics):
     views = [make_view([0, 0, 2.0]), make_view([0, 2.0, 0.1])]
     scores = evaluate_all(views, [], [], intrinsics)
@@ -392,7 +422,7 @@ def test_clipped_area_matches_raster_high_res():
     for _ in range(12):
         center = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2), 1.0])
         ells.append(sphere_ell(center, rng.uniform(0.08, 0.25)))
-    _, conics, _, _, areas = project([pose], ells, intr)
+    _, conics, _, _, areas = project_poses([pose], ells, intr)
     checked = 0
     for conic, area in zip(conics[0], areas[0]):
         if area < 5000:
@@ -529,7 +559,7 @@ def test_projected_area_is_exact_across_a_side_and_a_corner(toward, axis_view, i
     # area, so the area does not jump where the silhouette's bounding box
     # first touches the border.
     spheres = [sphere_ell([*(s * np.array(toward)), 1.0], 0.05) for s in np.linspace(0.6, 1.4, 801)]
-    _, conics, centers, axes, areas = project([axis_view.pose], spheres, intrinsics)
+    _, conics, centers, axes, areas = project_poses([axis_view.pose], spheres, intrinsics)
     want = []
     for conic, center, ab in zip(conics[0], centers[0], axes[0]):
         orientation = 0.5 * np.arctan2(-2.0 * conic[0, 1], conic[1, 1] - conic[0, 0])

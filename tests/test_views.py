@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from nbvplan.views import (
-    CandidateView,
     SamplingConfig,
     _parallel_counts,
+    as_candidates,
     assign_partitions,
     sample_candidates,
     sampling_radius,
@@ -64,8 +64,8 @@ def test_paper_configuration_counts_and_radius():
     r = 0.87
     views = sample_candidates(cfg, center, r)
     assert len(views) == 800
-    for v in views[::37]:
-        assert np.linalg.norm(v.position - center) == pytest.approx(r, abs=1e-9)
+    for position in views.positions[::37]:
+        assert np.linalg.norm(position - center) == pytest.approx(r, abs=1e-9)
 
 
 def test_look_at_center_invariant():
@@ -99,11 +99,8 @@ def test_counts_sum_exactly(alpha, n, mode):
 def test_partition_binning():
     cfg = SamplingConfig(mode="hemisphere", alpha=1, n_views=4)
     views = sample_candidates(cfg, np.zeros(3), 1.0)
-    views[0].azimuth = np.deg2rad(10.0)
-    views[1].azimuth = np.deg2rad(100.0)
-    views[2].azimuth = np.deg2rad(350.0)
-    views[3].azimuth = 2 * np.pi - 1e-15
-    assign_partitions(views, 4)
+    views.azimuth[:] = [np.deg2rad(10.0), np.deg2rad(100.0), np.deg2rad(350.0), 2 * np.pi - 1e-15]
+    assert assign_partitions(views, 4) is views
     assert views[0].partition_index == 0
     assert views[1].partition_index == 1
     assert views[2].partition_index == 3
@@ -170,9 +167,22 @@ def test_sampling_matches_scalar_bit_for_bit(mode, alpha, n):
     got = assign_partitions(sample_candidates(cfg, center, 0.83), 4)
     want = ref.assign_partitions(ref.sample_candidates(cfg, center, 0.83), 4)
     assert len(got) == len(want) == n
-    assert np.array_equal([v.position for v in got], [v.position for v in want])
-    assert np.array_equal([v.pose.rotation for v in got], [v.pose.rotation for v in want])
-    assert [v.azimuth for v in got] == [v.azimuth for v in want]
-    assert [v.polar for v in got] == [v.polar for v in want]
-    assert [v.partition_index for v in got] == [v.partition_index for v in want]
-    assert all(v.radius == 0.83 for v in got)
+    assert got.rotations.shape == (n, 3, 3) and got.positions.shape == (n, 3)
+    assert np.array_equal(got.positions, [v.position for v in want])
+    assert np.array_equal(got.rotations, [v.pose.rotation for v in want])
+    assert got.azimuth.tolist() == [v.azimuth for v in want]
+    assert got.polar.tolist() == [v.polar for v in want]
+    assert got.partition.tolist() == [v.partition_index for v in want]
+    assert got.radius.tolist() == [0.83] * n
+    # the handles read the same rows, and a Pose built from one is that view's
+    for view, record in zip(got, want):
+        assert np.array_equal(view.pose.rotation, record.pose.rotation)
+        assert np.array_equal(view.pose.translation, record.pose.translation)
+        assert (view.azimuth, view.polar, view.partition_index) == (
+            record.azimuth, record.polar, record.partition_index
+        )
+    # stacking the records gives the set back, bit for bit
+    stacked = as_candidates(want)
+    for name in ("rotations", "positions", "radius", "polar", "azimuth", "partition"):
+        assert np.array_equal(getattr(stacked, name), getattr(got, name)), name
+    assert np.isnan(stacked.scores).all() and np.isnan(got.scores).all()
