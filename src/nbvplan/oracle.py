@@ -11,10 +11,10 @@ Only voxels inside the box of the Frontier and Occupied cells can count or
 block, so each ray is walked from its start only until it leaves that box
 padded by one voxel, and a ray that misses the padded box is not walked.
 The counts are those of walking every ray to `max_range` or the grid exit.
-`oracle_scores` builds the masks and the box once per grid for a set of
-views, read from its rotation and position arrays; `oracle_evaluate` scores
-one view.  The camera-frame pixel rays are built once per (intrinsics,
-stride) and only rotated per view.
+`oracle_scores` takes the cameras as rotation and position arrays, as
+`projection.project` does, and builds the masks and the box once per grid
+for all of them; `oracle_evaluate` scores one view.  The camera-frame pixel
+rays are built once per (intrinsics, stride) and only rotated per view.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CameraIntrinsics
-from .views import Candidate, Candidates, CandidateView, as_candidates
+from .views import Candidate
 from .voxel import VoxelGrid, VoxelState, cells_bbox, first_hits, ray_box_range, traverse_rays
 
 log = logging.getLogger("nbvplan")
@@ -56,18 +56,14 @@ def _pixel_ray_dirs(intrinsics: CameraIntrinsics, rotation: np.ndarray, stride: 
 
 
 def oracle_scores(
-    views: Candidates | list[CandidateView],
+    rotations: np.ndarray,
+    positions: np.ndarray,
     grid: VoxelGrid,
     intrinsics: CameraIntrinsics,
     stride: int,
 ) -> list[OracleScore]:
-    """`oracle_evaluate` of each view, with the grid's masks and box built once."""
-    views = as_candidates(views)
-    return _oracle_counts(views.rotations, views.positions, grid, intrinsics, stride)
-
-
-def _oracle_counts(rotations, positions, grid: VoxelGrid, intrinsics: CameraIntrinsics, stride: int):
-    """The oracle's counts for the cameras at these rotations and positions."""
+    """The oracle's counts for the cameras at (N,3,3) rotations and (N,3)
+    positions, with the grid's masks and box built once."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     frontier = grid.states == int(VoxelState.FRONTIER)
@@ -103,14 +99,14 @@ def _oracle_counts(rotations, positions, grid: VoxelGrid, intrinsics: CameraIntr
 
 
 def oracle_evaluate(
-    view: CandidateView | Candidate,
+    view: Candidate,
     grid: VoxelGrid,
     intrinsics: CameraIntrinsics,
     stride: int,
 ) -> OracleScore:
     """Count Frontier/Occupied voxels visible from the view through pixel rays."""
     pose = view.pose
-    return _oracle_counts([pose.rotation], [pose.translation], grid, intrinsics, stride)[0]
+    return oracle_scores(pose.rotation[None], pose.translation[None], grid, intrinsics, stride)[0]
 
 
 def rank_agreement(scores: np.ndarray, visible_frontier: np.ndarray) -> tuple[float, float]:

@@ -30,8 +30,6 @@ from .views import (
     UP,
     Candidate,
     Candidates,
-    CandidateView,
-    as_candidates,
     assign_partitions,
     sample_candidates,
     sampling_radius,
@@ -107,35 +105,31 @@ def admissible_partitions(ledger: PartitionLedger) -> set[int]:
     return adjacent - ledger.scanned
 
 
-def select_next_view(
-    candidates: Candidates | list[CandidateView], ledger: PartitionLedger, iteration: int = 0
-) -> Candidate | CandidateView:
+def select_next_view(candidates: Candidates, ledger: PartitionLedger, iteration: int = 0) -> Candidate:
     """Argmax of F over the admissible partitions; marks the winner's sector.
 
-    One masked argmax over the set's `partition` and `scores` arrays (a
-    list of `CandidateView` records is stacked first) returns
-    `candidates[best]`: a handle for a set, the record itself for a list.
-    Ties break toward the lower candidate index.  Raises
-    InfeasiblePartitionError when no candidate sits in an admissible sector,
-    and ValueError when an admissible candidate's score is missing or not
-    finite; scores outside the admissible sectors are not checked.
-    `iteration` is unused; callers that pass it keep working.
+    One masked argmax over the set's `partition` and `scores` arrays returns
+    the winner's handle, `candidates[best]`.  Ties break toward the lower
+    candidate index.  Raises InfeasiblePartitionError when no candidate sits
+    in an admissible sector, and ValueError when an admissible candidate's
+    score is not finite (NaN until scored); scores outside the admissible
+    sectors are not checked.  `iteration` is unused; callers that pass it
+    keep working.
     """
     if not candidates:
         raise ValueError("select_next_view requires scored candidates")
-    views = as_candidates(candidates)
     allowed = admissible_partitions(ledger)
-    admissible = np.isin(views.partition, list(allowed))
+    admissible = np.isin(candidates.partition, list(allowed))
     if not admissible.any():
         raise InfeasiblePartitionError(
             f"no candidate in admissible partitions {sorted(allowed)}"
         )
-    unfit = admissible & ~np.isfinite(views.scores)
+    unfit = admissible & ~np.isfinite(candidates.scores)
     if unfit.any():
         idx = int(np.argmax(unfit))
         raise ValueError(f"candidate {idx} lacks a finite score: {candidates[idx].score}")
-    best = int(np.argmax(np.where(admissible, views.scores, -np.inf)))
-    ledger.mark(int(views.partition[best]))
+    best = int(np.argmax(np.where(admissible, candidates.scores, -np.inf)))
+    ledger.mark(int(candidates.partition[best]))
     return candidates[best]
 
 
@@ -231,7 +225,9 @@ def _score_candidates(state: PlannerState, candidates: Candidates) -> None:
     if cfg.evaluator == "projection":
         evaluate_all(candidates, state.e_o, state.e_f, cfg.intrinsics())
     elif cfg.evaluator == "oracle":
-        oracle = oracle_scores(candidates, state.grid, cfg.intrinsics(), cfg.stride)
+        oracle = oracle_scores(
+            candidates.rotations, candidates.positions, state.grid, cfg.intrinsics(), cfg.stride
+        )
         candidates.scores[:] = [s.visible_frontier for s in oracle]
     else:  # random baseline
         candidates.scores[:] = np.random.default_rng((cfg.seed, state.iteration)).random(len(candidates))

@@ -42,7 +42,7 @@ import numpy as np
 
 from .ellipsoid import Ellipsoid
 from .geometry import CameraIntrinsics
-from .views import Candidates, CandidateView, as_candidates
+from .views import Candidates
 
 
 def _border_area(center, axes, orientation, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -177,30 +177,25 @@ def depth_weights(cam_z: np.ndarray, n_occupied: int, cluster_index: np.ndarray)
 
 
 def evaluate_all(
-    candidates: Candidates | list[CandidateView],
+    candidates: Candidates,
     occupied: list[Ellipsoid],
     frontier: list[Ellipsoid],
     intrinsics: CameraIntrinsics,
 ) -> np.ndarray:
     """F of every candidate: weighted frontier area minus weighted occupied area.
 
-    Returns the (N,) array of F in candidate order.  A `Candidates` set's
-    rotation and position arrays go to `project` as they are, and F is
-    stored in its `scores`; a list of `CandidateView` records is stacked by
-    `as_candidates` and each record's `score` is set.
+    The set's rotation and position arrays go to `project` as they are.
+    Returns the (N,) array of F in candidate order, also stored in the set's
+    `scores`.
     """
     if not candidates:
         raise ValueError("evaluate_all requires candidates")
-    views = as_candidates(candidates)
     ellipsoids = [*occupied, *frontier]
     n = len(occupied)
-    scores = np.zeros(len(views))
+    scores = np.zeros(len(candidates))
     if ellipsoids:
-        cam_z, _, _, _, area = project(views.rotations, views.positions, ellipsoids, intrinsics)
+        cam_z, _, _, _, area = project(candidates.rotations, candidates.positions, ellipsoids, intrinsics)
         mass = area * depth_weights(cam_z, n, np.array([e.cluster_index for e in ellipsoids]))
         scores = mass[:, n:].sum(axis=1) - mass[:, :n].sum(axis=1)
-    views.scores[:] = scores
-    if views is not candidates:
-        for v, f in zip(candidates, scores.tolist()):
-            v.score = f
+    candidates.scores[:] = scores
     return scores

@@ -12,18 +12,16 @@ diagonal, so it tracks the box as the scan grows.
 Every view's ring, azimuth, polar angle and position is computed in one array
 pass, and `geometry.look_at_many` builds and checks all the rotations at
 once; `assign_partitions` bins every azimuth with one array floor.  The
-result is one `Candidates` set: the rotations, positions, angles, sectors
-and scores of all views as parallel arrays, which scoring and selection
-read and write whole.  Each row is identical bit for bit to the view built
-on its own.  Indexing or iterating a set gives `Candidate` handles onto its
-rows; a handle builds its view's `Pose` only when `.pose` is read.
-`CandidateView` is the same record as a standalone object, and
-`as_candidates` stacks a list of them (or of handles) into a set.
+result is one `Candidates` set, the only candidate type: the rotations,
+positions, azimuths, sectors and scores of all views as parallel arrays,
+which scoring and selection read and write whole.  Each row is identical
+bit for bit to the view built on its own.  Indexing or iterating a set
+gives `Candidate` handles onto its rows; a handle builds its view's `Pose`
+only when `.pose` is read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -65,28 +63,12 @@ class SamplingConfig:
         return POLAR_RANGES[self.mode]
 
 
-@dataclass
-class CandidateView:
-    pose: Pose
-    radius: float            # distance to the bbox center (m)
-    polar: float             # rad, from the up axis
-    azimuth: float           # rad, in [0, 2*pi)
-    partition_index: int = -1
-    score: float | None = None
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.pose.translation
-
-
 @dataclass(eq=False)
 class Candidates:
     """N candidate views as parallel arrays, one row per view."""
 
     rotations: np.ndarray    # (N,3,3) camera-to-world, checked proper rotations
     positions: np.ndarray    # (N,3) camera centers (m)
-    radius: np.ndarray       # (N,) distance to the bbox center (m)
-    polar: np.ndarray        # (N,) rad, from the up axis
     azimuth: np.ndarray      # (N,) rad, in [0, 2*pi)
     partition: np.ndarray    # (N,) longitude sector, -1 until assigned
     scores: np.ndarray       # (N,) view quality F, NaN until scored
@@ -102,7 +84,7 @@ class Candidates:
 
 
 class Candidate:
-    """Row `index` of a `Candidates` set, read with the `CandidateView` field names."""
+    """Row `index` of a `Candidates` set: its pose, position, sector and score."""
 
     __slots__ = ("candidates", "index")
 
@@ -116,34 +98,8 @@ class Candidate:
         return _checked_pose(c.rotations[i], c.positions[i])
 
     position = property(lambda self: self.candidates.positions[self.index])
-    radius = property(lambda self: float(self.candidates.radius[self.index]))
-    polar = property(lambda self: float(self.candidates.polar[self.index]))
-    azimuth = property(lambda self: float(self.candidates.azimuth[self.index]))
     partition_index = property(lambda self: int(self.candidates.partition[self.index]))
     score = property(lambda self: float(self.candidates.scores[self.index]))
-
-
-def as_candidates(views: Candidates | Sequence[CandidateView | Candidate]) -> Candidates:
-    """`views` itself when it is a set, else its records stacked into a new one.
-
-    A missing score (None) becomes NaN.
-    """
-    if isinstance(views, Candidates):
-        return views
-    poses = [v.pose for v in views]
-
-    def column(name, dtype=float):
-        return np.array([getattr(v, name) for v in views], dtype=dtype)
-
-    return Candidates(
-        rotations=np.array([p.rotation for p in poses], dtype=float).reshape(-1, 3, 3),
-        positions=np.array([p.translation for p in poses], dtype=float).reshape(-1, 3),
-        radius=column("radius"),
-        polar=column("polar"),
-        azimuth=column("azimuth"),
-        partition=column("partition_index", int),
-        scores=np.array([np.nan if v.score is None else v.score for v in views], dtype=float),
-    )
 
 
 def sampling_radius(bbox: tuple[np.ndarray, np.ndarray], working_distance: float) -> float:
@@ -178,14 +134,11 @@ def sample_candidates(config: SamplingConfig, center: np.ndarray, radius: float)
     k = np.arange(len(ring)) - np.repeat(np.cumsum(counts) - counts, counts)
     phase = (ring * _GOLDEN_ANGLE) % (2.0 * np.pi)
     azimuth = (phase + 2.0 * np.pi * k / count) % (2.0 * np.pi)
-    polar = polars[ring]
-    positions = center + radius * spherical_direction(polar, azimuth)
+    positions = center + radius * spherical_direction(polars[ring], azimuth)
     n = len(positions)
     return Candidates(
         rotations=look_at_many(positions, center, UP),
         positions=positions,
-        radius=np.full(n, float(radius)),
-        polar=polar,
         azimuth=azimuth,
         partition=np.full(n, -1),
         scores=np.full(n, np.nan),

@@ -1,10 +1,14 @@
 """Scalar reference implementations that the batched code must reproduce.
 
-`look_at`, `sample_candidates` and `assign_partitions` are the per-view
-loops that `geometry.look_at_many` and the array pass in `views` replace;
-the batched results must equal them bit for bit.  `select_next_view` is
-the per-view argmax loop that the masked argmax in `planner` replaces; it
-must pick the same view and raise the same errors.  `exact_ellipse_area`
+`CandidateView` is one candidate view as a standalone record, the type the
+per-view loops below build and read; `stack` turns a list of records into
+the `views.Candidates` set that the program scores and selects from, a
+missing score (None) becoming NaN.  `look_at`, `sample_candidates` and
+`assign_partitions` are the per-view loops that `geometry.look_at_many` and
+the array pass in `views` replace; the batched results must equal them bit
+for bit.  `select_next_view` is the per-view argmax loop that the masked
+argmax in `planner` replaces; it must pick the same view and raise the same
+errors.  `exact_ellipse_area`
 integrates an ellipse's horizontal chord, clipped to the image width, over
 the image rows with adaptive quadrature, breaking the integral where the
 ellipse meets an image side; the closed-form area in `projection.project`
@@ -44,6 +48,7 @@ must raise the same exception with the same message.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -63,7 +68,7 @@ from nbvplan.oracle import OracleScore, _pixel_ray_dirs
 from nbvplan.planner import InfeasiblePartitionError, PartitionLedger, admissible_partitions
 from nbvplan.projection import _border_area
 from nbvplan.render import BARY_EPS, DET_EPS, T_MIN
-from nbvplan.views import _GOLDEN_ANGLE, UP, CandidateView, SamplingConfig, _parallel_counts
+from nbvplan.views import _GOLDEN_ANGLE, UP, Candidates, SamplingConfig, _parallel_counts
 from nbvplan.voxel import Observation, VoxelGrid, VoxelState, first_hits, mark_occupied, traverse_rays
 
 
@@ -89,6 +94,29 @@ def look_at(position, target, up) -> Pose:
     return Pose(rotation=np.column_stack([x, y, z]), translation=position)
 
 
+@dataclass
+class CandidateView:
+    pose: Pose
+    azimuth: float = 0.0     # rad, in [0, 2*pi)
+    partition_index: int = -1
+    score: float | None = None
+
+    @property
+    def position(self) -> np.ndarray:
+        return self.pose.translation
+
+
+def stack(views: list[CandidateView]) -> Candidates:
+    """The records as one `Candidates` set, row i from views[i]."""
+    return Candidates(
+        rotations=np.array([v.pose.rotation for v in views], dtype=float).reshape(-1, 3, 3),
+        positions=np.array([v.position for v in views], dtype=float).reshape(-1, 3),
+        azimuth=np.array([v.azimuth for v in views], dtype=float),
+        partition=np.array([v.partition_index for v in views], dtype=int),
+        scores=np.array([np.nan if v.score is None else v.score for v in views], dtype=float),
+    )
+
+
 def sample_candidates(config: SamplingConfig, center, radius: float) -> list[CandidateView]:
     center = np.asarray(center, dtype=float).reshape(3)
     lo, hi = config.polar_range
@@ -111,7 +139,7 @@ def sample_candidates(config: SamplingConfig, center, radius: float) -> list[Can
             )
             position = center + radius * local
             pose = look_at(position, center, UP)
-            views.append(CandidateView(pose=pose, radius=radius, polar=polar, azimuth=azimuth))
+            views.append(CandidateView(pose=pose, azimuth=azimuth))
     return views
 
 

@@ -17,7 +17,7 @@ from nbvplan.geometry import look_at
 from nbvplan.oracle import oracle_evaluate
 from nbvplan.planner import initialize, run_iteration
 from nbvplan.shapes import make_shape
-from nbvplan.views import CandidateView
+from scalar_reference import CandidateView
 
 # shape -> (sha256 of dims + states, [(visible_frontier, visible_occupied)] * 8)
 PINNED = {
@@ -41,7 +41,7 @@ def fixed_views():
                 [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]
             )
             pose = look_at(position, np.zeros(3), np.array([0.0, 0.0, 1.0]))
-            views.append(CandidateView(pose=pose, radius=0.5, polar=polar, azimuth=azimuth))
+            views.append(CandidateView(pose=pose, azimuth=azimuth))
     return views
 
 

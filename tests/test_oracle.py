@@ -11,17 +11,18 @@ from hypothesis import strategies as st
 
 from nbvplan.geometry import CameraIntrinsics, look_at
 from nbvplan.oracle import _camera_rays, _pixel_ray_dirs, oracle_evaluate, oracle_scores
-from nbvplan.views import CandidateView
 from nbvplan.voxel import VoxelGrid, VoxelState
-from scalar_reference import oracle_walk_to_exit, traverse_ray
+from scalar_reference import CandidateView, oracle_walk_to_exit, stack, traverse_ray
 
 
 def make_view(position, target):
-    pose = look_at(position, target, [0, 0, 1])
-    return CandidateView(
-        pose=pose, radius=float(np.linalg.norm(np.subtract(position, target))),
-        polar=0.0, azimuth=0.0,
-    )
+    return CandidateView(pose=look_at(position, target, [0, 0, 1]))
+
+
+def scores_of(views, grid, intrinsics, stride):
+    """`oracle_scores` of the set stacked from these records."""
+    views = stack(views)
+    return oracle_scores(views.rotations, views.positions, grid, intrinsics, stride)
 
 
 @pytest.fixture
@@ -240,7 +241,7 @@ def test_oracle_skips_rays_that_miss_the_box(small_intr, caplog):
 def test_oracle_scores_empty_grid_sees_nothing(small_intr):
     grid = centered_grid()
     views = [make_view([0, 0, 3.0], [0, 0, 0]), make_view([3.0, 0, 0], [0, 0, 0])]
-    scores = oracle_scores(views, grid, small_intr, stride=4)
+    scores = scores_of(views, grid, small_intr, stride=4)
     assert [s.visible_frontier for s in scores] == [0, 0]
 
 
@@ -250,7 +251,7 @@ def test_oracle_scores_facing_cluster_sees_frontier(small_intr):
     g3[8, 8, 12:15] = VoxelState.FRONTIER  # cluster on the +x side
     facing = make_view([3.0, 0.05, 0.05], [0.05, 0.05, 0.05])
     away = make_view([-3.0, 0.05, 0.05], [-6.0, 0.05, 0.05])  # looks outward
-    away_score, facing_score = oracle_scores([away, facing], grid, small_intr, stride=2)
+    away_score, facing_score = scores_of([away, facing], grid, small_intr, stride=2)
     assert facing_score.visible_frontier > 0
     assert away_score.visible_frontier == 0
 
@@ -264,7 +265,7 @@ def test_oracle_scores_counts_equal_per_candidate_evaluation(small_intr):
     block = grid.grid3d()[3:9, 4:10, 2:8]
     block[...] = rng.choice([int(s) for s in VoxelState], block.shape, p=[0.3, 0.3, 0.1, 0.2, 0.1])
     views = [make_view(p, rng.uniform(-0.3, 0.3, 3)) for p in rng.normal(scale=1.5, size=(8, 3))]
-    scores = oracle_scores(views, grid, small_intr, stride=3)
+    scores = scores_of(views, grid, small_intr, stride=3)
     assert len(scores) == len(views)
     assert sum(score.visible_frontier > 0 for score in scores) >= 4
     for view, score in zip(views, scores):

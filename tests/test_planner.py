@@ -20,17 +20,18 @@ from nbvplan.planner import (
 )
 from nbvplan.render import render_depth
 from nbvplan.shapes import make_shape
-from nbvplan.views import UP, CandidateView, as_candidates
+from nbvplan.views import UP
 from nbvplan.voxel import VoxelState, integrate_observation, traverse_rays, update_bbox, update_frontier
 
 POSE = look_at([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
 
+def records(*partitions_and_scores):
+    return [ref.CandidateView(pose=POSE, partition_index=p, score=s) for p, s in partitions_and_scores]
+
+
 def views(*partitions_and_scores):
-    return [
-        CandidateView(pose=POSE, radius=1.0, polar=0.0, azimuth=0.0, partition_index=p, score=s)
-        for p, s in partitions_and_scores
-    ]
+    return ref.stack(records(*partitions_and_scores))
 
 
 # ---- admissible_partitions --------------------------------------------------
@@ -58,7 +59,7 @@ def test_full_ledger_admits_every_sector():
 def test_ties_go_to_the_lower_index_and_the_sector_is_marked():
     ledger = PartitionLedger(beta=4, scanned={0})
     scored = views((0, 9.0), (1, 2.0), (3, 5.0), (1, 5.0), (2, 7.0))
-    assert select_next_view(scored, ledger) is scored[2]
+    assert select_next_view(scored, ledger).index == 2
     assert ledger.scanned == {0, 3}
 
 
@@ -71,16 +72,16 @@ def test_raises_when_no_candidate_is_admissible():
 
 def test_empty_candidate_list_is_an_error():
     with pytest.raises(ValueError):
-        select_next_view([], PartitionLedger(beta=4))
+        select_next_view(views(), PartitionLedger(beta=4))
 
 
-@pytest.mark.parametrize("bad", [None, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("position", [0, 1])
 def test_a_missing_or_non_finite_score_is_an_error(bad, position):
     """A NaN first admissible score used to win: `score > best` is never
-    true against NaN."""
+    true against NaN.  A set holds a missing score as NaN."""
     scored = views((1, 1.0), (1, 2.0))
-    scored[position].score = bad
+    scored.scores[position] = bad
     ledger = PartitionLedger(beta=4)
     with pytest.raises(ValueError, match="score"):
         select_next_view(scored, ledger)
@@ -90,7 +91,7 @@ def test_a_missing_or_non_finite_score_is_an_error(bad, position):
 def test_inadmissible_scores_are_not_checked():
     ledger = PartitionLedger(beta=4, scanned={0})
     scored = views((2, float("nan")), (1, 1.0))
-    assert select_next_view(scored, ledger) is scored[1]
+    assert select_next_view(scored, ledger).index == 1
 
 
 finite = st.sampled_from([0.0, 1.0, 2.5, -1.0]) | st.floats(-5.0, 5.0)  # ties are likely
@@ -109,20 +110,18 @@ def _outcome(select, scored, ledger):
 @given(data=st.data(), beta=st.integers(1, 6), n=st.integers(1, 12), with_unfit=st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_masked_argmax_matches_the_per_view_loop(data, beta, n, with_unfit):
-    """On a set and on a list of records, the masked argmax picks the view
-    the per-view loop picks, marks the same sector, and raises the same
-    errors; a non-finite score outside the admissible sectors is ignored."""
+    """On the set stacked from a list of records, the masked argmax picks
+    the view the per-view loop picks, marks the same sector, and raises the
+    same errors; a non-finite score outside the admissible sectors is
+    ignored."""
     scores = data.draw(st.lists(finite | unfit if with_unfit else finite, min_size=n, max_size=n))
     partitions = data.draw(st.lists(st.integers(0, beta - 1), min_size=n, max_size=n))
     scanned = data.draw(st.sets(st.integers(0, beta - 1)))
-    records = views(*zip(partitions, scores))
-    pick, error, text, marked = _outcome(ref.select_next_view, records, PartitionLedger(beta, set(scanned)))
-    want = None if pick is None else next(i for i, v in enumerate(records) if v is pick)
+    scored = records(*zip(partitions, scores))
+    pick, error, text, marked = _outcome(ref.select_next_view, scored, PartitionLedger(beta, set(scanned)))
+    want = None if pick is None else next(i for i, v in enumerate(scored) if v is pick)
 
-    got = _outcome(select_next_view, records, PartitionLedger(beta, set(scanned)))
-    assert (got[0] is pick, *got[1:]) == (True, error, text, marked)
-
-    handle, *rest = _outcome(select_next_view, as_candidates(records), PartitionLedger(beta, set(scanned)))
+    handle, *rest = _outcome(select_next_view, ref.stack(scored), PartitionLedger(beta, set(scanned)))
     assert (None if handle is None else handle.index) == want
     assert rest[0] is error and rest[2] == marked
     if error is ValueError:  # a missing score is NaN in a set
@@ -182,7 +181,9 @@ def _first_step(evaluator: str, monkeypatch):
     seen = []
 
     def recording_select(scored, ledger, iteration=0):
-        oracle = oracle_scores(scored, state.grid, config.intrinsics(), config.stride)
+        oracle = oracle_scores(
+            scored.rotations, scored.positions, state.grid, config.intrinsics(), config.stride
+        )
         seen.append((scored, admissible_partitions(ledger), [s.visible_frontier for s in oracle]))
         return real_select(scored, ledger, iteration)
 
@@ -234,29 +235,24 @@ def test_infeasible_partition_falls_back_to_every_sector(monkeypatch, caplog):
 
 
 def test_selection_builds_no_per_candidate_objects(monkeypatch):
-    """Sampling, scoring and the argmax build no `Pose` and no
-    `CandidateView`; an iteration builds one `Pose`, the winner's."""
+    """Sampling, scoring and the argmax build no `Pose`; an iteration
+    builds one `Pose`, the winner's."""
     config = RunConfig(width=160, height=120, fx=145.0, fy=145.0, candidates=64, t_max=1)
     state = planner.initialize(make_shape("u_prism"), config)
     built = []
-    checked_pose, post_init, record_init = geometry._checked_pose, Pose.__post_init__, CandidateView.__init__
+    checked_pose, post_init = geometry._checked_pose, Pose.__post_init__
 
     def counting_checked_pose(rotation, translation):
-        built.append(("pose", translation))
+        built.append(translation)
         return checked_pose(rotation, translation)
 
     def counting_post_init(pose):
-        built.append(("pose", pose.translation))
+        built.append(pose.translation)
         post_init(pose)
-
-    def counting_record_init(view, *args, **kwargs):
-        built.append(("record", None))
-        record_init(view, *args, **kwargs)
 
     monkeypatch.setattr(geometry, "_checked_pose", counting_checked_pose)
     monkeypatch.setattr(views_module, "_checked_pose", counting_checked_pose)
     monkeypatch.setattr(Pose, "__post_init__", counting_post_init)
-    monkeypatch.setattr(CandidateView, "__init__", counting_record_init)
 
     candidates = planner.candidate_views(state)
     planner.evaluate_all(candidates, state.e_o, state.e_f, config.intrinsics())
@@ -265,8 +261,7 @@ def test_selection_builds_no_per_candidate_objects(monkeypatch):
     assert len(candidates) == 64 and built == []
 
     chosen = planner.run_iteration(state)
-    assert [kind for kind, _ in built] == ["pose"]
-    assert np.array_equal(built[0][1], chosen.position)
+    assert len(built) == 1 and np.array_equal(built[0], chosen.position)
 
 
 def test_an_all_miss_iteration_leaves_the_grid_and_refits(monkeypatch, caplog):

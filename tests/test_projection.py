@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 from nbvplan.ellipsoid import Ellipsoid
 from nbvplan.geometry import CameraIntrinsics, Pose, look_at
 from nbvplan.projection import _border_area, depth_weights, evaluate_all, project
-from nbvplan.views import CandidateView, SamplingConfig, assign_partitions, sample_candidates
+from nbvplan.views import SamplingConfig, assign_partitions, sample_candidates
 from scalar_reference import (
     POLYGON_SEGMENTS,
+    CandidateView,
     clipped_ellipse_area,
     exact_ellipse_area,
     project_reference,
     projection_matrix,
     quadric,
     rasterized_ellipse_area,
+    stack,
 )
 
 
@@ -32,8 +34,7 @@ def sphere_ell(center, radius, kind="frontier", index=0):
 
 
 def make_view(position, target=(0, 0, 0)):
-    pose = look_at(position, target, [0, 0, 1])
-    return CandidateView(pose=pose, radius=float(np.linalg.norm(position)), polar=0.0, azimuth=0.0)
+    return CandidateView(pose=look_at(position, target, [0, 0, 1]))
 
 
 def project_poses(poses, ellipsoids, intrinsics):
@@ -50,8 +51,7 @@ def project_one(ell, pose, intrinsics):
 @pytest.fixture
 def axis_view():
     # camera at origin looking along +z (world == camera frame)
-    pose = Pose(rotation=np.eye(3), translation=np.zeros(3))
-    return CandidateView(pose=pose, radius=1.0, polar=0.0, azimuth=0.0)
+    return CandidateView(pose=Pose(rotation=np.eye(3), translation=np.zeros(3)))
 
 
 # ---- depth_weights -----------------------------------------------------------
@@ -311,21 +311,22 @@ def test_score_is_weighted_area_sum(axis_view, intrinsics):
     places = [(0, 1.0), (-0.2, 1.3), (0.3, 1.6)]
     fr = [sphere_ell([x, 0.05, z], 0.08, "frontier", i) for i, (x, z) in enumerate(places)]
     areas = project_poses([axis_view.pose], occ + fr, intrinsics)[4][0]
-    f = evaluate_all([axis_view], occ, fr, intrinsics)
+    f = evaluate_all(stack([axis_view]), occ, fr, intrinsics)
     expected = areas[1] * 0.5 + areas[2] * 0.25 + areas[3] * 0.125 - areas[0] * 1.0
     assert f[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_evaluate_no_frontier_nonpositive(axis_view, intrinsics):
     occ = [sphere_ell([0, 0, 1.0], 0.1, "occupied")]
-    f = evaluate_all([axis_view], occ, [], intrinsics)
+    views = stack([axis_view])
+    f = evaluate_all(views, occ, [], intrinsics)
     assert f[0] < 0
-    assert axis_view.score == f[0]
+    assert views.scores[0] == f[0]
 
 
 def test_evaluate_single_frontier_full_weight(axis_view, intrinsics):
     fr = sphere_ell([0, 0, 1.0], 0.1, "frontier")
-    f = evaluate_all([axis_view], [], [fr], intrinsics)
+    f = evaluate_all(stack([axis_view]), [], [fr], intrinsics)
     assert f[0] == pytest.approx(project_one(fr, axis_view.pose, intrinsics)[4])
 
 
@@ -334,12 +335,12 @@ def test_occlusion_ordering_flips_sign(axis_view, intrinsics):
     occ = sphere_ell([0, 0, 1.0], 0.1, "occupied")
     fr = sphere_ell([0, 0, 2.0], 0.2, "frontier")
     l_area = project_one(occ, axis_view.pose, intrinsics)[4]
-    f = evaluate_all([axis_view], [occ], [fr], intrinsics)[0]
+    f = evaluate_all(stack([axis_view]), [occ], [fr], intrinsics)[0]
     assert f == pytest.approx(l_area * 0.5 - l_area * 1.0, rel=1e-6)
     assert f < 0
 
     # swap the lists: frontier now in front -> positive
-    f2 = evaluate_all([axis_view], [fr], [occ], intrinsics)[0]
+    f2 = evaluate_all(stack([axis_view]), [fr], [occ], intrinsics)[0]
     assert f2 == pytest.approx(l_area * 1.0 - l_area * 0.5, rel=1e-6)
     assert f2 > 0
 
@@ -347,8 +348,8 @@ def test_occlusion_ordering_flips_sign(axis_view, intrinsics):
 def test_evaluate_all_pure(axis_view, intrinsics):
     occ = [sphere_ell([0.02, 0, 1.0], 0.1, "occupied")]
     fr = [sphere_ell([0, 0.05, 1.5], 0.12, "frontier")]
-    a = evaluate_all([axis_view], occ, fr, intrinsics)
-    b = evaluate_all([axis_view], occ, fr, intrinsics)
+    a = evaluate_all(stack([axis_view]), occ, fr, intrinsics)
+    b = evaluate_all(stack([axis_view]), occ, fr, intrinsics)
     assert a[0] == b[0]
     assert occ[0].center.tolist() == [0.02, 0, 1.0]
 
@@ -357,58 +358,52 @@ def test_evaluate_all_matches_sequential(intrinsics):
     rng = np.random.default_rng(3)
     occ = [sphere_ell(rng.normal(scale=0.1, size=3), 0.05, "occupied", i) for i in range(6)]
     fr = [sphere_ell(rng.normal(scale=0.1, size=3), 0.07, "frontier", i) for i in range(5)]
-    views = [make_view(p) for p in rng.normal(scale=1.0, size=(40, 3)) + [0, 0, 2.0]]
+    views = stack([make_view(p) for p in rng.normal(scale=1.0, size=(40, 3)) + [0, 0, 2.0]])
     batch = evaluate_all(views, occ, fr, intrinsics)
     for v, f in zip(views, batch):
-        fresh = CandidateView(pose=v.pose, radius=v.radius, polar=v.polar, azimuth=v.azimuth)
-        assert evaluate_all([fresh], occ, fr, intrinsics)[0] == f  # bit-identical
+        alone = stack([CandidateView(pose=v.pose)])
+        assert evaluate_all(alone, occ, fr, intrinsics)[0] == f  # bit-identical
 
-    # order preserved and scores attached
-    assert all(v.score == f for v, f in zip(views, batch))
+    # order preserved and scores stored in the set
+    assert np.array_equal(views.scores, batch)
 
 
 def test_evaluate_all_on_a_set_equals_its_records_bit_for_bit(intrinsics):
-    """A sampled set hands its arrays to `project`; the list of records
-    built from its rows is stacked first.  Both give the same F, stored in
-    the set's `scores` and on each record."""
+    """A sampled set and the set stacked from records of its rows hand
+    `project` the same arrays, so they get the same F, stored in each
+    set's `scores` and read back through its handles."""
     rng = np.random.default_rng(5)
     occ = [sphere_ell(rng.normal(scale=0.08, size=3), 0.05, "occupied", i) for i in range(4)]
     fr = [sphere_ell(rng.normal(scale=0.08, size=3), 0.09, "frontier", i) for i in range(3)]
     sampling = SamplingConfig(mode="full_sphere", alpha=6, n_views=150)
     cands = assign_partitions(sample_candidates(sampling, [0.01, -0.02, 0.03], 0.45), 4)
-    records = [
-        CandidateView(
-            pose=v.pose, radius=v.radius, polar=v.polar, azimuth=v.azimuth,
-            partition_index=v.partition_index,
-        )
-        for v in cands
-    ]
+    records = stack([CandidateView(pose=v.pose, partition_index=v.partition_index) for v in cands])
     got = evaluate_all(cands, occ, fr, intrinsics)
     want = evaluate_all(records, occ, fr, intrinsics)
     assert np.array_equal(got, want)
-    assert np.array_equal(cands.scores, want)
-    assert [v.score for v in cands] == [v.score for v in records] == want.tolist()
+    assert np.array_equal(cands.scores, want) and np.array_equal(records.scores, want)
+    assert [v.score for v in cands] == want.tolist()
     assert np.ptp(want) > 0
 
 
 def test_evaluate_all_no_ellipsoids(intrinsics):
-    views = [make_view([0, 0, 2.0]), make_view([0, 2.0, 0.1])]
+    views = stack([make_view([0, 0, 2.0]), make_view([0, 2.0, 0.1])])
     scores = evaluate_all(views, [], [], intrinsics)
     assert scores.tolist() == [0.0, 0.0]
-    assert all(v.score == 0.0 for v in views)
+    assert views.scores.tolist() == [0.0, 0.0]
 
 
 def test_evaluate_all_duplicates_identical(intrinsics):
     occ = [sphere_ell([0, 0, 1.0], 0.1, "occupied")]
     v1 = make_view([0, 0, 2.5])
     v2 = make_view([0, 0, 2.5])
-    scores = evaluate_all([v1, v2], occ, [], intrinsics)
+    scores = evaluate_all(stack([v1, v2]), occ, [], intrinsics)
     assert scores[0] == scores[1]
 
 
 def test_evaluate_all_requires_candidates(intrinsics):
     with pytest.raises(ValueError):
-        evaluate_all([], [], [], intrinsics)
+        evaluate_all(stack([]), [], [], intrinsics)
 
 
 # ---- analytic vs rasterized area ----------------------------------------------
@@ -582,7 +577,7 @@ def test_depth_rank_swap_flips_sign(axis_view, intrinsics):
     for z in (1.0001, 0.9999):
         fr = sphere_ell([0.1, 0.0, z], 0.05, "frontier")
         _, weights = weights_of([occ], [fr], axis_view.pose, intrinsics)
-        scores.append(evaluate_all([axis_view], [occ], [fr], intrinsics)[0])
+        scores.append(evaluate_all(stack([axis_view]), [occ], [fr], intrinsics)[0])
         assert list(weights) == ([1.0, 0.5] if z > 1.0 else [0.5, 1.0])
     assert scores[0] == pytest.approx(-0.5 * area, rel=1e-3)
     assert scores[1] == pytest.approx(0.5 * area, rel=1e-3)

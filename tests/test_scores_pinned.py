@@ -15,7 +15,7 @@ import pytest
 from nbvplan.ellipsoid import Ellipsoid
 from nbvplan.geometry import CameraIntrinsics, Pose, look_at
 from nbvplan.projection import evaluate_all
-from nbvplan.views import CandidateView
+from scalar_reference import CandidateView, stack
 
 INTRINSICS = CameraIntrinsics(
     fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480,
@@ -122,12 +122,11 @@ def _ellipsoid(center, axes, kind, index):
 
 
 def _view(pose):
-    return CandidateView(pose=pose, radius=1.0, polar=0.0, azimuth=0.0)
+    return CandidateView(pose=pose)
 
 
 def _scores(views, occupied, frontier):
-    evaluate_all(views, occupied, frontier, INTRINSICS)
-    return np.array([v.score for v in views])
+    return evaluate_all(stack(views), occupied, frontier, INTRINSICS)
 
 
 def scene():

@@ -7,11 +7,17 @@ import scalar_reference as ref
 from nbvplan.views import (
     SamplingConfig,
     _parallel_counts,
-    as_candidates,
     assign_partitions,
     sample_candidates,
     sampling_radius,
 )
+
+
+def radius_and_polar(views, center):
+    """Each view's distance to `center` and polar angle from +z, read off its position."""
+    offsets = views.positions - center
+    radius = np.linalg.norm(offsets, axis=1)
+    return radius, np.arccos(offsets[:, 2] / radius)
 
 
 def test_sampling_radius_unit_cube():
@@ -36,9 +42,9 @@ def test_single_parallel_four_views():
     cfg = SamplingConfig(mode="hemisphere", alpha=1, n_views=4)
     views = sample_candidates(cfg, np.zeros(3), 1.0)
     assert len(views) == 4
-    polars = {round(v.polar, 12) for v in views}
-    assert len(polars) == 1
-    az = sorted(v.azimuth for v in views)
+    _, polars = radius_and_polar(views, np.zeros(3))
+    assert np.ptp(polars) <= 1e-12
+    az = sorted(views.azimuth)
     gaps = np.diff(az + [az[0] + 2 * np.pi])
     np.testing.assert_allclose(gaps, np.pi / 2, atol=1e-9)
 
@@ -48,9 +54,9 @@ def test_symmetric_parallels_split_evenly():
     # both rings have equal circumference and get N/2 views each
     cfg = SamplingConfig(mode="full_sphere", alpha=2, n_views=100)
     views = sample_candidates(cfg, np.zeros(3), 1.0)
-    polars = np.array([v.polar for v in views])
-    assert (polars == polars.min()).sum() == 50
-    assert (polars == polars.max()).sum() == 50
+    _, polars = radius_and_polar(views, np.zeros(3))
+    assert (np.abs(polars - polars.min()) <= 1e-12).sum() == 50
+    assert (np.abs(polars - polars.max()) <= 1e-12).sum() == 50
 
 
 def test_parallel_counts_sixty_one_twenty():
@@ -144,9 +150,9 @@ def test_sampling_config_validation():
 def test_hemisphere_stays_above_cap():
     cfg = SamplingConfig(mode="hemisphere", alpha=8, n_views=200)
     views = sample_candidates(cfg, np.zeros(3), 1.0)
-    for v in views:
-        assert np.deg2rad(15) - 1e-12 <= v.polar <= np.deg2rad(85) + 1e-12
-        assert v.position[2] > 0
+    _, polars = radius_and_polar(views, np.zeros(3))
+    assert (np.deg2rad(15) - 1e-12 <= polars).all() and (polars <= np.deg2rad(85) + 1e-12).all()
+    assert (views.positions[:, 2] > 0).all()
 
 
 @pytest.mark.parametrize("mode", ["hemisphere", "full_sphere"])
@@ -171,18 +177,18 @@ def test_sampling_matches_scalar_bit_for_bit(mode, alpha, n):
     assert np.array_equal(got.positions, [v.position for v in want])
     assert np.array_equal(got.rotations, [v.pose.rotation for v in want])
     assert got.azimuth.tolist() == [v.azimuth for v in want]
-    assert got.polar.tolist() == [v.polar for v in want]
     assert got.partition.tolist() == [v.partition_index for v in want]
-    assert got.radius.tolist() == [0.83] * n
+    radius, polars = radius_and_polar(got, center)
+    np.testing.assert_allclose(radius, 0.83, rtol=0, atol=1e-12)
+    rings = np.linspace(*cfg.polar_range, alpha)
+    assert (np.abs(polars[:, None] - rings).min(axis=1) <= 1e-12).all()
     # the handles read the same rows, and a Pose built from one is that view's
     for view, record in zip(got, want):
         assert np.array_equal(view.pose.rotation, record.pose.rotation)
         assert np.array_equal(view.pose.translation, record.pose.translation)
-        assert (view.azimuth, view.polar, view.partition_index) == (
-            record.azimuth, record.polar, record.partition_index
-        )
+        assert view.partition_index == record.partition_index
     # stacking the records gives the set back, bit for bit
-    stacked = as_candidates(want)
-    for name in ("rotations", "positions", "radius", "polar", "azimuth", "partition"):
+    stacked = ref.stack(want)
+    for name in ("rotations", "positions", "azimuth", "partition"):
         assert np.array_equal(getattr(stacked, name), getattr(got, name)), name
     assert np.isnan(stacked.scores).all() and np.isnan(got.scores).all()
