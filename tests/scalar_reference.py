@@ -41,6 +41,10 @@ the E-step (`_log_gaussian`, `_logsumexp`) and in the M-step scatter, which
 the array step in `ellipsoid.fit_gmm` replaces; weights, means,
 covariances, the ln L trace and the labels must be equal bit for bit.
 `responsibilities` is the E-step's posterior on its own.
+`todd_yildirim` is the Frank-Wolfe/away-step MVEE iteration that the
+Newton steps on the support in `ellipsoid._mvee_weights` replace; from the
+same start and to the same certificate, the new weights must give a
+volume no more than (1 + tol) times its own.
 `load_obj_lines` and `load_ply_lines` read a mesh one line at a time, the
 loaders that the array passes in `mesh._load_obj` and `mesh._load_ply`
 replace; vertices must be equal bit for bit and triangles equal, or both
@@ -57,10 +61,12 @@ from nbvplan.ellipsoid import (
     _LOG_2PI,
     EM_MAX_ITER,
     EM_TOL,
+    MVEE_MAX_ITER,
     Ellipsoid,
     GmmModel,
     InfeasibleModelError,
     _farthest_point_means,
+    _kumar_yildirim_start,
 )
 from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose
 from nbvplan.mesh import EmptyMeshError, MeshFormatError, TriangleMesh
@@ -912,3 +918,48 @@ def responsibilities(model: GmmModel, points: np.ndarray) -> np.ndarray:
     )
     weighted = log_prob + np.log(model.weights)
     return np.exp(weighted - _logsumexp(weighted, axis=1)[:, None])
+
+
+# ---- minimum-volume enclosing ellipsoid ----------------------------------------
+
+
+def todd_yildirim(points: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+    """MVEE dual weights by Frank-Wolfe and away steps (Todd & Yildirim 2007).
+
+    With lifted points q_i = (p_i, 1), X(u) = sum u_i q_i q_i^T and
+    m_i = q_i^T X^-1 q_i, each step moves weight toward argmax m or away
+    from argmin m over the support (dropping that point when the line search
+    would make its weight negative).  It stops once max m <= (1+eps)(d+1)
+    and min m over the support >= (1-eps)(d+1) with eps = d*tol/(d+1), so
+    the ellipsoid built from u has every point at form <= 1 + tol.  X^-1
+    and m follow each step by a Sherman-Morrison rank-one update.
+
+    Returns (u, steps); steps == MVEE_MAX_ITER means the cap was hit.
+    """
+    n, d = points.shape
+    q = np.column_stack([points, np.ones(n)])
+    lifted = d + 1.0
+    eps = d * tol / lifted
+    u = _kumar_yildirim_start(points)
+    x_inv = np.linalg.inv(q.T * u @ q)
+    m = np.einsum("ij,jk,ik->i", q, x_inv, q)
+    for steps in range(MVEE_MAX_ITER):
+        j = int(np.argmax(m))
+        k = int(np.argmin(np.where(u > 0, m, np.inf)))
+        up, down = m[j] / lifted - 1.0, 1.0 - m[k] / lifted
+        if max(up, down) <= eps:
+            return u, steps
+        i = j if up > down else k
+        kappa = m[i]
+        step = (kappa - lifted) / (lifted * (kappa - 1.0))
+        drop = i == k and step <= -u[k] / (1.0 - u[k])
+        if drop:
+            step = -u[k] / (1.0 - u[k])
+        w = x_inv @ q[i]
+        g = q @ w
+        scale = step / (1.0 - step + step * kappa)
+        x_inv = (x_inv - scale * np.outer(w, w)) / (1.0 - step)
+        m = (m - scale * g * g) / (1.0 - step)
+        u *= 1.0 - step
+        u[i] = 0.0 if drop else u[i] + step
+    return u, MVEE_MAX_ITER
