@@ -25,13 +25,25 @@ each only as far as it can change that result: to its own point's voxel or
 out of the bounding box padded by one voxel, whichever comes later, and to
 the grid exit only if it has met no Occupied voxel by then.
 
+Because of that order independence, a walk pass with more than _RAY_BLOCK
+rays splits them into two contiguous halves when the process may run on
+two CPUs: the calling thread walks one and a worker thread the other (numpy
+releases the interpreter lock in its array loops), each into its own masks,
+ORed after the join.  Each half walks blocks of _RAY_BLOCK // 2 rays, so the
+padded (rays, voxels) arrays in flight, which set the walk's peak memory,
+stay those of one block; the split adds the worker's masks and what its
+allocator keeps.
+
 Storage is a dense state array indexed x + y*nx + z*nx*ny; the grid grows by
 copy when the bounding box outruns its span.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -76,8 +88,13 @@ def preprocess_points(
         return pts
     cells = np.floor((pts - align_origin) / spacing).astype(np.int64)
     cells -= cells.min(axis=0)
-    _, first = np.unique(np.ravel_multi_index(cells.T, cells.max(axis=0) + 1), return_index=True)
-    return pts[np.sort(first)]
+    keys = np.ravel_multi_index(cells.T, cells.max(axis=0) + 1)
+    # A cell's first point always starts a run of equal consecutive keys, so
+    # np.unique need only sort the run starts; in image order neighbouring
+    # pixels share a cell, so the runs are long.
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    _, first = np.unique(keys[starts], return_index=True)
+    return pts[np.sort(starts[first])]
 
 
 class VoxelGrid:
@@ -232,11 +249,17 @@ def ray_box_range(starts: np.ndarray, deltas: np.ndarray, lo: np.ndarray, hi: np
     return t_in, t_out
 
 
-def traverse_rays(grid: VoxelGrid, starts: np.ndarray, deltas: np.ndarray, t_end: float | np.ndarray):
+def traverse_rays(
+    grid: VoxelGrid,
+    starts: np.ndarray,
+    deltas: np.ndarray,
+    t_end: float | np.ndarray,
+    block: int = _RAY_BLOCK,
+):
     """Voxels pierced by many segments start + t*delta, t in [0, t_end], as arrays.
 
     `t_end` is one float for every ray or an (N,) array, one per ray.
-    Yields one (rays, flat, valid) triple per block of up to _RAY_BLOCK rays
+    Yields one (rays, flat, valid) triple per block of up to `block` rays
     that meet the grid; rays that miss it are left out.  `rays` indexes the
     input, row r of `flat` holds the flat indices of the voxels ray rays[r]
     pierces, in the order of an Amanatides-Woo walk, and `valid` marks the
@@ -272,8 +295,8 @@ def traverse_rays(grid: VoxelGrid, starts: np.ndarray, deltas: np.ndarray, t_end
         n_sum = np.minimum(n_cross, np.nan_to_num(np.floor((t1[:, None] - tmax) / tdelta), nan=-2) + 2)
     moves_of = step * np.array([1, dims[0], dims[0] * dims[1]])
 
-    for b in range(0, len(live), _RAY_BLOCK):
-        blk = slice(b, b + _RAY_BLOCK)
+    for b in range(0, len(live), block):
+        blk = slice(b, b + block)
         rows = np.arange(len(live[blk]))
         times, exit_t = [], np.full((len(rows), 3), np.inf)
         for axis in range(3):
@@ -329,6 +352,90 @@ def mark_occupied(grid: VoxelGrid, points: np.ndarray) -> tuple[np.ndarray, int]
     return ok, to_occupied
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _ray_parts(n: int) -> list[slice]:
+    """Contiguous parts of n rays for one walk pass: two halves, or one part
+    when the process may use one CPU only or n <= _RAY_BLOCK."""
+    if n <= _RAY_BLOCK or _usable_cpus() < 2:
+        return [slice(0, n)]
+    return [slice(0, n - n // 2), slice(n - n // 2, n)]
+
+
+@functools.cache
+def _walk_pool() -> ThreadPoolExecutor:
+    """The one worker thread that walks second halves, started on first use."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="nbvplan-walk")
+
+
+def _walk(
+    grid: VoxelGrid,
+    occupied: np.ndarray,
+    starts: np.ndarray,
+    deltas: np.ndarray,
+    t_end: np.ndarray,
+    block: int,
+    in_front: np.ndarray,
+    behind: np.ndarray,
+) -> tuple[np.ndarray, int, int]:
+    """Walk rays in blocks of `block`, setting in `in_front` the voxels each
+    crosses before its first Occupied voxel and in `behind` those after it.
+    Returns the indices of the rays that met no Occupied voxel, the rays
+    walked and the voxel visits."""
+    unblocked = [np.empty(0, dtype=np.int64)]
+    walks = visits = 0
+    for rays, flat, valid in traverse_rays(grid, starts, deltas, t_end, block):
+        hit = valid & occupied[flat]
+        first = first_hits(hit)
+        col = np.arange(flat.shape[1])
+        in_front[flat[valid & (col < first)]] = True
+        behind[flat[valid & (col > first)]] = True
+        unblocked.append(rays[~hit.any(axis=1)])
+        walks += len(rays)
+        visits += int(np.count_nonzero(valid))
+    return np.concatenate(unblocked), walks, visits
+
+
+def _walk_in_parts(
+    grid: VoxelGrid,
+    occupied: np.ndarray,
+    starts: np.ndarray,
+    deltas: np.ndarray,
+    t_end: np.ndarray,
+    in_front: np.ndarray,
+    behind: np.ndarray,
+) -> tuple[np.ndarray, int, int, int]:
+    """`_walk` over the `_ray_parts` of the rays, the parts after the first
+    on the worker thread, each into its own masks; ORs them into `in_front`
+    and `behind` after the join.  Returns the unblocked rays in input order,
+    the rays walked, the voxel visits and the number of parts."""
+    parts = _ray_parts(len(starts))
+    block = _RAY_BLOCK // len(parts)
+    masks = [(in_front, behind)] + [(np.zeros_like(in_front), np.zeros_like(behind)) for _ in parts[1:]]
+
+    def walk(i):
+        part = parts[i]
+        return _walk(grid, occupied, starts[part], deltas[part], t_end[part], block, *masks[i])
+
+    futures = [_walk_pool().submit(walk, i) for i in range(1, len(parts))]
+    walked = []
+    try:
+        walked.append(walk(0))
+    finally:  # no worker may still write a mask when this returns
+        walked += [future.result() for future in futures]
+    for front, back in masks[1:]:
+        in_front |= front
+        behind |= back
+    unblocked = np.concatenate([part.start + free for part, (free, _, _) in zip(parts, walked)])
+    return unblocked, sum(w for _, w, _ in walked), sum(v for _, _, v in walked), len(parts)
+
+
 def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
     """Apply update rules 1-3 for one observation; returns net state changes.
 
@@ -343,6 +450,14 @@ def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
     Occupied voxel by then, which happens when it passes its point's voxel by
     an edge or a corner, is walked again to the grid exit.  The states are
     those of walking every ray to the grid exit.
+
+    A pass with more than _RAY_BLOCK rays walks them in two contiguous
+    halves when the process may run on two CPUs, the second on a worker
+    thread, each in blocks of _RAY_BLOCK // 2 rays so that the rays in
+    flight, and their memory, are one block's; otherwise it walks one part
+    on the calling thread and starts no thread.  The unblocked rays are
+    concatenated in half order, so the second pass sees them in input
+    order; neither the states nor the counts depend on the split.
 
     Counts: `to_occupied` voxels newly Occupied, `to_empty` voxels that end
     Empty and were not Empty, `to_unknown` None voxels that became Unknown.
@@ -369,20 +484,14 @@ def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
     occupied = grid.states == occ
     in_front = np.zeros(grid.n_voxels, dtype=bool)
     behind = np.zeros(grid.n_voxels, dtype=bool)
-    todo, walks, visits = np.arange(len(deltas)), 0, 0
+    todo, walks, visits, parts = np.arange(len(deltas)), 0, 0, 0
     for bound in (t_end, np.full(len(deltas), np.inf)):
-        unblocked = [np.empty(0, dtype=np.int64)]
-        for rays, flat, valid in traverse_rays(grid, starts[todo], deltas[todo], bound[todo]):
-            hit = valid & occupied[flat]
-            first = first_hits(hit)
-            col = np.arange(flat.shape[1])
-            in_front[flat[valid & (col < first)]] = True
-            behind[flat[valid & (col > first)]] = True
-            unblocked.append(todo[rays[~hit.any(axis=1)]])
-            walks += len(rays)
-            visits += int(np.count_nonzero(valid))
-        todo = np.concatenate(unblocked)
-    log.debug("integrate_observation: %d rays cast, %d walked, %d voxel visits", len(deltas), walks, visits)
+        unblocked, w, v, p = _walk_in_parts(grid, occupied, starts[todo], deltas[todo], bound[todo], in_front, behind)
+        todo, walks, visits, parts = todo[unblocked], walks + w, visits + v, max(parts, p)
+    log.debug(
+        "integrate_observation: %d rays cast, %d walked, %d voxel visits, %d parts",
+        len(deltas), walks, visits, parts,
+    )
 
     if grid.bbox is not None:
         unknown = behind & ~in_front & (grid.states == int(VoxelState.NONE)) & grid.bbox_mask()

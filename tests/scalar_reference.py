@@ -22,6 +22,9 @@ conics from a batched LAPACK inverse of the pixel-coordinate dual conics,
 the path the closed-form cofactors replaced; validity must be equal and
 the ellipses must agree to 1e-12 relative.
 
+`preprocess_points_sort_all` is `voxel.preprocess_points` with np.unique
+over every point's cell key, the sort that the one over the starts of runs
+of equal keys replaces; the kept points and their order must be equal.
 `traverse_ray` is the scalar Amanatides-Woo walk that `voxel.traverse_rays`
 must match voxel for voxel.  `integrate_walk_to_exit` and
 `oracle_walk_to_exit` walk every ray to the grid exit (the oracle's to
@@ -363,6 +366,17 @@ def project_reference(poses, ellipsoids, intrinsics: CameraIntrinsics):
 
 
 # ---- voxel walks ------------------------------------------------------------
+
+
+def preprocess_points_sort_all(points: np.ndarray, spacing: float, align_origin: np.ndarray) -> np.ndarray:
+    """Keep the first point of each `spacing` cell, in input order."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if len(pts) == 0:
+        return pts
+    cells = np.floor((pts - align_origin) / spacing).astype(np.int64)
+    cells -= cells.min(axis=0)
+    _, first = np.unique(np.ravel_multi_index(cells.T, cells.max(axis=0) + 1), return_index=True)
+    return pts[np.sort(first)]
 
 
 def _clip_segment(grid: VoxelGrid, start: np.ndarray, delta: np.ndarray) -> tuple[float, float]:

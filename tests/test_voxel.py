@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nbvplan.geometry import CameraIntrinsics, look_at
@@ -17,6 +17,7 @@ from nbvplan.voxel import (
     VoxelState,
     _RAY_BLOCK,
     _dilate,
+    _ray_parts,
     initial_bbox,
     integrate_observation,
     mark_occupied,
@@ -25,7 +26,13 @@ from nbvplan.voxel import (
     update_bbox,
     update_frontier,
 )
-from scalar_reference import integrate_walk_to_exit, neighbor_any, traverse_ray, update_bbox_by_indices
+from scalar_reference import (
+    integrate_walk_to_exit,
+    neighbor_any,
+    preprocess_points_sort_all,
+    traverse_ray,
+    update_bbox_by_indices,
+)
 
 
 def unit_grid(n=8, resolution=1.0):
@@ -338,6 +345,78 @@ def test_ray_passing_its_point_by_a_corner_is_walked_to_the_exit():
     assert grid.states[grid.flat_index(grid.voxel_of([1.1, -3.5, 0.5]))[0]] == VoxelState.EMPTY
 
 
+def corner_point(rng, grid, sensor, occupied):
+    """A lattice corner of the grid whose ray from `sensor`, walked to the
+    grid exit, misses the corner's own voxel and every voxel in `occupied`,
+    so that integrate_observation walks it again to the grid exit; None if
+    none of 200 drawn corners does."""
+    for k in np.stack([rng.integers(0, d + 1, 200) for d in grid.dims], axis=1):
+        point = grid.origin + k * grid.resolution
+        own = grid.voxel_of(point)
+        if not grid.in_bounds(own)[0] or np.all(point == sensor):
+            continue
+        [walked] = traversed_paths(grid, sensor[None], (point - sensor)[None], np.inf)
+        if not set(walked) & (occupied | {tuple(own[0])}):
+            return point
+    return None
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@given(seed=st.integers(0, 2**32 - 1), with_bbox=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_integration_in_parts_matches_walk_to_exit(cpus, seed, with_bbox):
+    """More than _RAY_BLOCK rays, to lattice ends and to a corner whose ray
+    passes its voxel by that corner, give the states and counts of walking
+    every ray to the grid exit on one CPU and on two.  On two, both passes
+    split in halves: the corner's rays are walked again to the grid exit."""
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng, max_dim=12)
+    earlier = [VoxelState.NONE, VoxelState.EMPTY, VoxelState.UNKNOWN, VoxelState.FRONTIER]
+    grid.states[:] = rng.choice(earlier, grid.n_voxels, p=[0.7, 0.1, 0.1, 0.1])
+    lo, hi = grid.span
+    if with_bbox:
+        corners = np.sort(rng.uniform(lo, hi, (2, 3)), axis=0)
+        grid.set_bbox(corners[0], corners[1])
+    sensor = rng.uniform(lo - 1.0, hi + 1.0)
+    _, ends = random_segments(rng, grid, 40, lattice=True, axis_parallel=False, start=sensor)
+    ijk = grid.voxel_of(ends)
+    corner = corner_point(rng, grid, sensor, set(map(tuple, ijk[grid.in_bounds(ijk)])))
+    assume(corner is not None)
+    points = np.concatenate([ends, np.tile(corner, (_RAY_BLOCK + 1, 1))])
+    reference = VoxelGrid(grid.origin, grid.resolution, tuple(grid.dims), bbox=grid.bbox)
+    reference.states[:] = grid.states
+    obs = Observation(points=rng.permutation(points), sensor_origin=sensor)
+
+    split = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("nbvplan.voxel._usable_cpus", lambda: cpus)
+        mp.setattr("nbvplan.voxel._ray_parts", lambda n: split.append((n, len(_ray_parts(n)))) or _ray_parts(n))
+        assert integrate_observation(grid, obs) == integrate_walk_to_exit(reference, obs)
+    np.testing.assert_array_equal(grid.states, reference.states)
+    assert split[0][0] >= split[1][0] > _RAY_BLOCK
+    assert [parts for _, parts in split] == [cpus, cpus]
+
+
+def test_one_cpu_or_a_small_frame_starts_no_thread(monkeypatch):
+    """The worker pool is reached only when a pass has more than _RAY_BLOCK
+    rays and the process may use two CPUs."""
+    pools = []
+    monkeypatch.setattr("nbvplan.voxel._walk_pool", lambda: pools.append(1) or pytest.fail("a walk thread started"))
+    grid = VoxelGrid(origin=np.zeros(3), resolution=0.5, dims=(10, 10, 10))
+    grid.set_bbox(np.full(3, 2.0), np.full(3, 3.0))
+    rng = np.random.default_rng(0)
+    sensor = np.array([0.1, 0.2, 0.3])
+    large = Observation(points=rng.uniform(2.0, 3.0, (_RAY_BLOCK + 1, 3)), sensor_origin=sensor)
+    small = Observation(points=large.points[:_RAY_BLOCK], sensor_origin=sensor)
+    monkeypatch.setattr("nbvplan.voxel._usable_cpus", lambda: 1)
+    integrate_observation(grid, large)
+    monkeypatch.setattr("nbvplan.voxel._usable_cpus", lambda: 2)
+    integrate_observation(grid, small)
+    assert pools == []
+    with pytest.raises(pytest.fail.Exception, match="a walk thread started"):
+        integrate_observation(grid, large)
+
+
 def test_integration_logs_its_walk_at_debug(caplog):
     grid = VoxelGrid(origin=np.zeros(3), resolution=0.5, dims=(10, 10, 10))
     grid.set_bbox(np.full(3, 2.0), np.full(3, 3.0))
@@ -346,7 +425,7 @@ def test_integration_logs_its_walk_at_debug(caplog):
         integrate_observation(grid, Observation(points=pts, sensor_origin=np.array([0.1, 0.2, 0.3])))
     [record] = [r for r in caplog.records if r.getMessage().startswith("integrate_observation:")]
     assert record.levelno == logging.DEBUG
-    assert re.fullmatch(r"integrate_observation: 2 rays cast, 2 walked, \d+ voxel visits", record.getMessage())
+    assert re.fullmatch(r"integrate_observation: 2 rays cast, 2 walked, \d+ voxel visits, 1 parts", record.getMessage())
 
 
 def test_mark_occupied_is_rule_one_alone():
@@ -684,6 +763,33 @@ def test_preprocess_matches_row_unique(seed):
     cells = np.floor((pts - origin) / spacing).astype(np.int64)
     _, first = np.unique(cells, axis=0, return_index=True)
     np.testing.assert_array_equal(out, pts[np.sort(first)])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    order=st.sampled_from(["image", "shuffled"]),
+    repeated=st.booleans(),
+    spacing=st.sampled_from([0.005, 0.015, 0.05]),
+)
+@settings(max_examples=60, deadline=None)
+def test_preprocess_matches_sort_over_all_points(seed, order, repeated, spacing):
+    """Sorting only the starts of runs of equal cell keys keeps the points,
+    in the order, that sorting every key keeps: for image-ordered frames of a
+    bumpy surface, shuffled frames and frames with repeated points."""
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(1, 40, 2))
+    u, v = np.meshgrid(np.linspace(-0.3, 0.3, w), np.linspace(-0.2, 0.2, h))
+    depth = 1.0 + 0.1 * np.sin(rng.uniform(1, 20) * u) * np.cos(rng.uniform(1, 20) * v)
+    pts = np.stack([u * depth, v * depth, depth], axis=-1).reshape(-1, 3)
+    if order == "shuffled":
+        pts = rng.permutation(pts)
+    if repeated:
+        pts = pts[np.sort(rng.integers(0, len(pts), 2 * len(pts)))]
+    origin = rng.uniform(-0.5, 0.5, 3)
+    np.testing.assert_array_equal(
+        preprocess_points(pts, spacing=spacing, align_origin=origin),
+        preprocess_points_sort_all(pts, spacing=spacing, align_origin=origin),
+    )
 
 
 def test_grid_growth_preserves_states():
