@@ -17,7 +17,10 @@ against the oracle's visible frontier, and the top-1 regret.  One scoring
 pass takes milliseconds, so it is repeated at least 5 times and for at least
 0.2 s, and the median is reported with the repeat count, the total time of
 the passes and the projection throughput (candidates scored per second of
-the median pass).
+the median pass).  The oracle time is that of one `oracle_scores` call on
+the whole set, the call the planner makes with `--evaluator oracle`.
+benchmark.csv has one row per candidate: candidate, projection_score,
+visible_frontier and visible_occupied.
 
 Any config-file key can be overridden by the flag of the same name.  Bad
 input (a missing or malformed file, a path that cannot be read or written, an
@@ -34,7 +37,6 @@ and ellipsoid dumps next to records.csv.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
@@ -43,9 +45,9 @@ import time
 import numpy as np
 
 from .config import FIELD_PARSERS, RunConfig, load_config_file
-from .harness import coverage_quality, run, summarize, write_summary
+from .harness import coverage_quality, run, summarize, write_csv
 from .mesh import load_mesh
-from .oracle import oracle_evaluate, rank_agreement
+from .oracle import oracle_scores, rank_agreement
 from .planner import candidate_views, initialize, run_iteration
 from .projection import evaluate_all
 
@@ -103,7 +105,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_summarize(args: argparse.Namespace) -> int:
     summary = summarize(args.run_dirs)
-    write_summary(args.out, summary)
+    write_csv(args.out, list(summary[0]), summary)
     auc, iterations = coverage_quality(args.run_dirs)
     last = summary[-1]
     print(
@@ -132,33 +134,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
         proj_times.append(time.perf_counter() - t0)
     t_proj = float(np.median(proj_times))
 
-    rows = []
-    t_oracle = 0.0
-    for i, v in enumerate(candidates):
-        t0 = time.perf_counter()
-        score = oracle_evaluate(v, state.grid, intr, config.stride)
-        dt = time.perf_counter() - t0
-        t_oracle += dt
-        rows.append(
-            {
-                "candidate": i,
-                "projection_score": float(scores[i]),
-                "visible_frontier": score.visible_frontier,
-                "visible_occupied": score.visible_occupied,
-                "eval_time_s": f"{dt:.6f}",
-            }
-        )
+    t0 = time.perf_counter()
+    visible_frontier, visible_occupied = oracle_scores(
+        candidates.rotations, candidates.positions, state.grid, intr, config.stride
+    )
+    t_oracle = time.perf_counter() - t0
     bench_path = os.path.join(config.out, "benchmark.csv")
-    with open(bench_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    rows = [
+        {"candidate": i, "projection_score": float(f), "visible_frontier": int(seen), "visible_occupied": int(occ)}
+        for i, (f, seen, occ) in enumerate(zip(scores, visible_frontier, visible_occupied))
+    ]
+    write_csv(bench_path, list(rows[0]), rows)
 
     counts = state.grid.state_counts()
     active = counts["occupied"] + counts["unknown"] + counts["frontier"] + counts["empty"]
     speedup = t_oracle / t_proj if t_proj > 0 else float("inf")
     throughput = len(candidates) / t_proj if t_proj > 0 else float("inf")
-    rho, regret = rank_agreement(scores, [r["visible_frontier"] for r in rows])
+    rho, regret = rank_agreement(scores, visible_frontier)
     print(
         f"{len(candidates)} candidates, {active} active voxels, "
         f"{len(state.e_o) + len(state.e_f)} ellipsoids (stride {config.stride})"

@@ -64,6 +64,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         self.sampling()  # mode, and at least one candidate per parallel
 
     def intrinsics(self) -> CameraIntrinsics:

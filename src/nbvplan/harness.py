@@ -144,17 +144,17 @@ def run(config: RunConfig) -> tuple[list[IterationRecord], PlannerState]:
             _dump_voxels(os.path.join(config.out, f"voxels_{state.iteration:02d}.ply"), state.grid)
             _dump_ellipsoids(ellipsoids_path, state.iteration, state.e_o + state.e_f)
 
-    write_records(os.path.join(config.out, "records.csv"), records)
+    write_csv(os.path.join(config.out, "records.csv"), CSV_FIELDS, [rec.row() for rec in records])
     save_ply_points(os.path.join(config.out, "final.ply"), state.acquired_points)
     return records, state
 
 
-def write_records(path: str, records: list[IterationRecord]) -> None:
+def write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
+    """Write a header of `fields`, then one line per row dict keyed by them."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        for rec in records:
-            writer.writerow(rec.row())
+        writer.writerows(rows)
 
 
 def _dump_voxels(path: str, grid: VoxelGrid) -> None:
@@ -232,11 +232,3 @@ def coverage_quality(run_dirs: list[str], target_iterations: int = 10) -> tuple[
     reached = coverage >= 0.95
     iterations = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, coverage.shape[1] + 1)
     return float(coverage.mean(axis=1).mean()), float(iterations.mean())
-
-
-def write_summary(path: str, summary: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(summary[0].keys()))
-        writer.writeheader()
-        for row in summary:
-            writer.writerow(row)

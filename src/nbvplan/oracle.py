@@ -12,9 +12,11 @@ block, so each ray is walked from its start only until it leaves that box
 padded by one voxel, and a ray that misses the padded box is not walked.
 The counts are those of walking every ray to `max_range` or the grid exit.
 `oracle_scores` takes the cameras as rotation and position arrays, as
-`projection.project` does, and builds the masks and the box once per grid
-for all of them; `oracle_evaluate` scores one view.  The camera-frame pixel
-rays are built once per (intrinsics, stride) and only rotated per view.
+`projection.project` does, builds the masks and the box once per grid for
+all of them, and returns the visible Frontier and Occupied counts as two
+(N,) arrays.  `oracle_evaluate` is the one-view form, an `OracleScore`,
+kept for the benchmark.  The camera-frame pixel rays are built once per
+(intrinsics, stride) and only rotated per view.
 """
 
 from __future__ import annotations
@@ -61,16 +63,17 @@ def oracle_scores(
     grid: VoxelGrid,
     intrinsics: CameraIntrinsics,
     stride: int,
-) -> list[OracleScore]:
-    """The oracle's counts for the cameras at (N,3,3) rotations and (N,3)
-    positions, with the grid's masks and box built once."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(visible_frontier, visible_occupied) as int64 (N,) arrays for the
+    cameras at (N,3,3) rotations and (N,3) positions, with the grid's masks
+    and box built once."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     frontier = grid.states == int(VoxelState.FRONTIER)
     occupied = grid.states == int(VoxelState.OCCUPIED)
     box = cells_bbox(grid, frontier | occupied)
-    scores = []
-    for rotation, position in zip(rotations, positions):
+    counts = np.zeros((2, len(positions)), dtype=np.int64)
+    for i, (rotation, position) in enumerate(zip(rotations, positions)):
         dirs = _pixel_ray_dirs(intrinsics, rotation, stride)
         reached = np.zeros(grid.n_voxels, dtype=bool)
         walked = visits = 0
@@ -90,12 +93,8 @@ def oracle_scores(
                 walked += len(flat)
                 visits += int(np.count_nonzero(valid))
         log.debug("oracle_evaluate: %d rays cast, %d walked, %d voxel visits", len(dirs), walked, visits)
-        scores.append(OracleScore(
-            visible_frontier=int(np.count_nonzero(reached & frontier)),
-            visible_occupied=int(np.count_nonzero(reached & occupied)),
-            rays_cast=len(dirs),
-        ))
-    return scores
+        counts[:, i] = np.count_nonzero(reached & frontier), np.count_nonzero(reached & occupied)
+    return counts[0], counts[1]
 
 
 def oracle_evaluate(
@@ -106,7 +105,8 @@ def oracle_evaluate(
 ) -> OracleScore:
     """Count Frontier/Occupied voxels visible from the view through pixel rays."""
     pose = view.pose
-    return oracle_scores(pose.rotation[None], pose.translation[None], grid, intrinsics, stride)[0]
+    frontier, occupied = oracle_scores(pose.rotation[None], pose.translation[None], grid, intrinsics, stride)
+    return OracleScore(int(frontier[0]), int(occupied[0]), rays_cast=len(_camera_rays(intrinsics, stride)))
 
 
 def rank_agreement(scores: np.ndarray, visible_frontier: np.ndarray) -> tuple[float, float]:

@@ -225,10 +225,10 @@ def _score_candidates(state: PlannerState, candidates: Candidates) -> None:
     if cfg.evaluator == "projection":
         evaluate_all(candidates, state.e_o, state.e_f, cfg.intrinsics())
     elif cfg.evaluator == "oracle":
-        oracle = oracle_scores(
+        visible_frontier, _ = oracle_scores(
             candidates.rotations, candidates.positions, state.grid, cfg.intrinsics(), cfg.stride
         )
-        candidates.scores[:] = [s.visible_frontier for s in oracle]
+        candidates.scores[:] = visible_frontier
     else:  # random baseline
         candidates.scores[:] = np.random.default_rng((cfg.seed, state.iteration)).random(len(candidates))
 

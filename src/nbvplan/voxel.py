@@ -25,14 +25,14 @@ each only as far as it can change that result: to its own point's voxel or
 out of the bounding box padded by one voxel, whichever comes later, and to
 the grid exit only if it has met no Occupied voxel by then.
 
-Because of that order independence, a walk pass with more than _RAY_BLOCK
-rays splits them into two contiguous halves when the process may run on
+Because of that order independence, a frame with more than _RAY_BLOCK
+rays is split once into two contiguous halves when the process may run on
 two CPUs: the calling thread walks one and a worker thread the other (numpy
-releases the interpreter lock in its array loops), each into its own masks,
-ORed after the join.  Each half walks blocks of _RAY_BLOCK // 2 rays, so the
-padded (rays, voxels) arrays in flight, which set the walk's peak memory,
-stay those of one block; the split adds the worker's masks and what its
-allocator keeps.
+releases the interpreter lock in its array loops), each through both of its
+passes and into its own masks, ORed after the join.  Each half walks blocks
+of _RAY_BLOCK // 2 rays, so the padded (rays, voxels) arrays in flight,
+which set the walk's peak memory, stay those of one block; the split adds
+the worker's masks and what its allocator keeps.
 
 Storage is a dense state array indexed x + y*nx + z*nx*ny; the grid grows by
 copy when the bounding box outruns its span.
@@ -361,8 +361,8 @@ def _usable_cpus() -> int:
 
 
 def _ray_parts(n: int) -> list[slice]:
-    """Contiguous parts of n rays for one walk pass: two halves, or one part
-    when the process may use one CPU only or n <= _RAY_BLOCK."""
+    """Contiguous parts of a frame's n rays: two halves, or one part when
+    the process may use one CPU only or n <= _RAY_BLOCK."""
     if n <= _RAY_BLOCK or _usable_cpus() < 2:
         return [slice(0, n)]
     return [slice(0, n - n // 2), slice(n - n // 2, n)]
@@ -383,57 +383,26 @@ def _walk(
     block: int,
     in_front: np.ndarray,
     behind: np.ndarray,
-) -> tuple[np.ndarray, int, int]:
-    """Walk rays in blocks of `block`, setting in `in_front` the voxels each
+) -> tuple[int, int]:
+    """Walk rays in blocks of `block` to `t_end`, then those that met no
+    Occupied voxel on to the grid exit, setting in `in_front` the voxels each
     crosses before its first Occupied voxel and in `behind` those after it.
-    Returns the indices of the rays that met no Occupied voxel, the rays
-    walked and the voxel visits."""
-    unblocked = [np.empty(0, dtype=np.int64)]
+    Returns the rays walked and the voxel visits over both passes."""
     walks = visits = 0
-    for rays, flat, valid in traverse_rays(grid, starts, deltas, t_end, block):
-        hit = valid & occupied[flat]
-        first = first_hits(hit)
-        col = np.arange(flat.shape[1])
-        in_front[flat[valid & (col < first)]] = True
-        behind[flat[valid & (col > first)]] = True
-        unblocked.append(rays[~hit.any(axis=1)])
-        walks += len(rays)
-        visits += int(np.count_nonzero(valid))
-    return np.concatenate(unblocked), walks, visits
-
-
-def _walk_in_parts(
-    grid: VoxelGrid,
-    occupied: np.ndarray,
-    starts: np.ndarray,
-    deltas: np.ndarray,
-    t_end: np.ndarray,
-    in_front: np.ndarray,
-    behind: np.ndarray,
-) -> tuple[np.ndarray, int, int, int]:
-    """`_walk` over the `_ray_parts` of the rays, the parts after the first
-    on the worker thread, each into its own masks; ORs them into `in_front`
-    and `behind` after the join.  Returns the unblocked rays in input order,
-    the rays walked, the voxel visits and the number of parts."""
-    parts = _ray_parts(len(starts))
-    block = _RAY_BLOCK // len(parts)
-    masks = [(in_front, behind)] + [(np.zeros_like(in_front), np.zeros_like(behind)) for _ in parts[1:]]
-
-    def walk(i):
-        part = parts[i]
-        return _walk(grid, occupied, starts[part], deltas[part], t_end[part], block, *masks[i])
-
-    futures = [_walk_pool().submit(walk, i) for i in range(1, len(parts))]
-    walked = []
-    try:
-        walked.append(walk(0))
-    finally:  # no worker may still write a mask when this returns
-        walked += [future.result() for future in futures]
-    for front, back in masks[1:]:
-        in_front |= front
-        behind |= back
-    unblocked = np.concatenate([part.start + free for part, (free, _, _) in zip(parts, walked)])
-    return unblocked, sum(w for _, w, _ in walked), sum(v for _, _, v in walked), len(parts)
+    for bound in (t_end, np.inf):
+        unblocked = [np.empty(0, dtype=np.int64)]
+        for rays, flat, valid in traverse_rays(grid, starts, deltas, bound, block):
+            hit = valid & occupied[flat]
+            first = first_hits(hit)
+            col = np.arange(flat.shape[1])
+            in_front[flat[valid & (col < first)]] = True
+            behind[flat[valid & (col > first)]] = True
+            unblocked.append(rays[~hit.any(axis=1)])
+            walks += len(rays)
+            visits += int(np.count_nonzero(valid))
+        todo = np.concatenate(unblocked)
+        starts, deltas = starts[todo], deltas[todo]
+    return walks, visits
 
 
 def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
@@ -451,13 +420,13 @@ def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
     an edge or a corner, is walked again to the grid exit.  The states are
     those of walking every ray to the grid exit.
 
-    A pass with more than _RAY_BLOCK rays walks them in two contiguous
-    halves when the process may run on two CPUs, the second on a worker
-    thread, each in blocks of _RAY_BLOCK // 2 rays so that the rays in
-    flight, and their memory, are one block's; otherwise it walks one part
-    on the calling thread and starts no thread.  The unblocked rays are
-    concatenated in half order, so the second pass sees them in input
-    order; neither the states nor the counts depend on the split.
+    A frame with more than _RAY_BLOCK rays is split once into two
+    contiguous halves when the process may run on two CPUs, the second
+    walked on a worker thread; each half walks both passes, in blocks of
+    _RAY_BLOCK // 2 rays so that the rays in flight, and their memory, are
+    one block's.  Otherwise the frame is one part, walked on the calling
+    thread, and no thread starts.  Neither the states nor the counts depend
+    on the split.
 
     Counts: `to_occupied` voxels newly Occupied, `to_empty` voxels that end
     Empty and were not Empty, `to_unknown` None voxels that became Unknown.
@@ -482,15 +451,28 @@ def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
         pad = grid.resolution
         t_end = np.maximum(t_end, ray_box_range(starts, deltas, grid.bbox[0] - pad, grid.bbox[1] + pad)[1])
     occupied = grid.states == occ
-    in_front = np.zeros(grid.n_voxels, dtype=bool)
-    behind = np.zeros(grid.n_voxels, dtype=bool)
-    todo, walks, visits, parts = np.arange(len(deltas)), 0, 0, 0
-    for bound in (t_end, np.full(len(deltas), np.inf)):
-        unblocked, w, v, p = _walk_in_parts(grid, occupied, starts[todo], deltas[todo], bound[todo], in_front, behind)
-        todo, walks, visits, parts = todo[unblocked], walks + w, visits + v, max(parts, p)
+    parts = _ray_parts(len(deltas))
+    block = _RAY_BLOCK // len(parts)
+    # Each part walks into its own (in_front, behind) masks, ORed after the join.
+    masks = [(np.zeros(grid.n_voxels, dtype=bool), np.zeros(grid.n_voxels, dtype=bool)) for _ in parts]
+
+    def walk(i):
+        part = parts[i]
+        return _walk(grid, occupied, starts[part], deltas[part], t_end[part], block, *masks[i])
+
+    futures = [_walk_pool().submit(walk, i) for i in range(1, len(parts))]
+    walked = []
+    try:
+        walked.append(walk(0))
+    finally:  # no worker may still write a mask when this returns
+        walked += [future.result() for future in futures]
+    in_front, behind = masks[0]
+    for front, back in masks[1:]:
+        in_front |= front
+        behind |= back
     log.debug(
         "integrate_observation: %d rays cast, %d walked, %d voxel visits, %d parts",
-        len(deltas), walks, visits, parts,
+        len(deltas), sum(w for w, _ in walked), sum(v for _, v in walked), len(parts),
     )
 
     if grid.bbox is not None:

@@ -14,7 +14,7 @@ from nbvplan.cli import _setup_logging, main
 from nbvplan.config import RunConfig
 from nbvplan.harness import CSV_FIELDS, coverage_quality, run, summarize
 from nbvplan.mesh import save_obj
-from nbvplan.oracle import rank_agreement
+from nbvplan.oracle import oracle_evaluate, rank_agreement
 from nbvplan.projection import evaluate_all
 from nbvplan.shapes import make_shape
 
@@ -81,11 +81,29 @@ def test_summarize_prints_coverage_auc_and_iterations_to_95(tmp_path, capsys):
     assert len(summary) == 10
 
 
-def test_bench_writes_one_row_per_candidate(mesh_dir, tmp_path, capsys):
+def test_bench_writes_one_row_per_candidate(mesh_dir, tmp_path, capsys, monkeypatch):
+    """The oracle scores the set in one call; each row's counts are those of
+    scoring its candidate alone."""
     mesh = str(mesh_dir / "u_prism.obj")
+    benched = []
+
+    def recording_candidate_views(state):
+        benched.append((state, planner.candidate_views(state)))
+        return benched[-1][1]
+
+    monkeypatch.setattr(cli, "candidate_views", recording_candidate_views)
     assert main(["bench", "--mesh", mesh, "--out", str(tmp_path)] + TINY) == 0
+    with open(tmp_path / "benchmark.csv", newline="") as fh:
+        assert fh.readline() == "candidate,projection_score,visible_frontier,visible_occupied\r\n"
     rows = _rows(tmp_path / "benchmark.csv")
     assert [int(r["candidate"]) for r in rows] == list(range(16))
+    [(state, candidates)] = benched
+    for row, view in zip(rows, candidates):
+        score = oracle_evaluate(view, state.grid, state.config.intrinsics(), state.config.stride)
+        assert (int(row["visible_frontier"]), int(row["visible_occupied"])) == (
+            score.visible_frontier, score.visible_occupied,
+        )
+    assert max(int(row["visible_frontier"]) for row in rows) > 0
     assert "speedup" in capsys.readouterr().out
 
 

@@ -78,6 +78,13 @@ def test_repeated_config_key_names_both_lines(tmp_path):
     assert str(info.value) == f"{path}:4: duplicate key 't_max' (first on line 1)"
 
 
+def test_negative_seed_is_rejected(capsys):
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        RunConfig(seed=-3)
+    assert cli.main(["run", "--mesh", "m.obj", "--seed", "-3"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+
 def test_fewer_candidates_than_parallels_is_rejected():
     with pytest.raises(ValueError, match="4 candidates < alpha 8"):
         RunConfig(candidates=4, alpha=8)

@@ -241,8 +241,9 @@ def test_oracle_skips_rays_that_miss_the_box(small_intr, caplog):
 def test_oracle_scores_empty_grid_sees_nothing(small_intr):
     grid = centered_grid()
     views = [make_view([0, 0, 3.0], [0, 0, 0]), make_view([3.0, 0, 0], [0, 0, 0])]
-    scores = scores_of(views, grid, small_intr, stride=4)
-    assert [s.visible_frontier for s in scores] == [0, 0]
+    visible_frontier, visible_occupied = scores_of(views, grid, small_intr, stride=4)
+    assert visible_frontier.dtype == visible_occupied.dtype == np.int64
+    assert visible_frontier.tolist() == visible_occupied.tolist() == [0, 0]
 
 
 def test_oracle_scores_facing_cluster_sees_frontier(small_intr):
@@ -251,9 +252,9 @@ def test_oracle_scores_facing_cluster_sees_frontier(small_intr):
     g3[8, 8, 12:15] = VoxelState.FRONTIER  # cluster on the +x side
     facing = make_view([3.0, 0.05, 0.05], [0.05, 0.05, 0.05])
     away = make_view([-3.0, 0.05, 0.05], [-6.0, 0.05, 0.05])  # looks outward
-    away_score, facing_score = scores_of([away, facing], grid, small_intr, stride=2)
-    assert facing_score.visible_frontier > 0
-    assert away_score.visible_frontier == 0
+    (away_frontier, facing_frontier), _ = scores_of([away, facing], grid, small_intr, stride=2)
+    assert facing_frontier > 0
+    assert away_frontier == 0
 
 
 def test_oracle_scores_counts_equal_per_candidate_evaluation(small_intr):
@@ -265,11 +266,12 @@ def test_oracle_scores_counts_equal_per_candidate_evaluation(small_intr):
     block = grid.grid3d()[3:9, 4:10, 2:8]
     block[...] = rng.choice([int(s) for s in VoxelState], block.shape, p=[0.3, 0.3, 0.1, 0.2, 0.1])
     views = [make_view(p, rng.uniform(-0.3, 0.3, 3)) for p in rng.normal(scale=1.5, size=(8, 3))]
-    scores = scores_of(views, grid, small_intr, stride=3)
-    assert len(scores) == len(views)
-    assert sum(score.visible_frontier > 0 for score in scores) >= 4
-    for view, score in zip(views, scores):
-        assert score == oracle_evaluate(view, grid, small_intr, 3)
+    visible_frontier, visible_occupied = scores_of(views, grid, small_intr, stride=3)
+    assert visible_frontier.shape == visible_occupied.shape == (len(views),)
+    assert np.count_nonzero(visible_frontier > 0) >= 4
+    for view, frontier, occupied in zip(views, visible_frontier, visible_occupied):
+        score = oracle_evaluate(view, grid, small_intr, 3)
+        assert (score.visible_frontier, score.visible_occupied) == (frontier, occupied)
         assert score == oracle_walk_to_exit(view, grid, small_intr, 3)
 
 

@@ -171,7 +171,8 @@ def test_observe_drops_points_outside_the_grid(monkeypatch):
 
 def _first_step(evaluator: str, monkeypatch):
     """One tiny iteration with `scanned={0}`; returns the scored candidates,
-    the admissible sectors, the oracle's scores at selection time and the view."""
+    the admissible sectors, the oracle's visible-frontier array at selection
+    time and the view."""
     config = RunConfig(
         width=160, height=120, fx=145.0, fy=145.0, candidates=16, t_max=1, evaluator=evaluator
     )
@@ -181,10 +182,10 @@ def _first_step(evaluator: str, monkeypatch):
     seen = []
 
     def recording_select(scored, ledger, iteration=0):
-        oracle = oracle_scores(
+        visible_frontier, _ = oracle_scores(
             scored.rotations, scored.positions, state.grid, config.intrinsics(), config.stride
         )
-        seen.append((scored, admissible_partitions(ledger), [s.visible_frontier for s in oracle]))
+        seen.append((scored, admissible_partitions(ledger), visible_frontier))
         return real_select(scored, ledger, iteration)
 
     monkeypatch.setattr(planner, "select_next_view", recording_select)

@@ -1,5 +1,6 @@
 import logging
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -367,8 +368,9 @@ def corner_point(rng, grid, sensor, occupied):
 def test_integration_in_parts_matches_walk_to_exit(cpus, seed, with_bbox):
     """More than _RAY_BLOCK rays, to lattice ends and to a corner whose ray
     passes its voxel by that corner, give the states and counts of walking
-    every ray to the grid exit on one CPU and on two.  On two, both passes
-    split in halves: the corner's rays are walked again to the grid exit."""
+    every ray to the grid exit on one CPU and on two.  The frame is split
+    once; on two CPUs each half, one per thread, walks some of the corner's
+    rays again to the grid exit."""
     rng = np.random.default_rng(seed)
     grid = random_grid(rng, max_dim=12)
     earlier = [VoxelState.NONE, VoxelState.EMPTY, VoxelState.UNKNOWN, VoxelState.FRONTIER]
@@ -387,18 +389,26 @@ def test_integration_in_parts_matches_walk_to_exit(cpus, seed, with_bbox):
     reference.states[:] = grid.states
     obs = Observation(points=rng.permutation(points), sensor_origin=sensor)
 
-    split = []
+    split, corner_exits = [], set()
+
+    def recording_traverse(walked, starts, deltas, t_end, block):
+        if np.all(np.isinf(t_end)) and np.all(deltas == corner - sensor, axis=1).any():
+            corner_exits.add(threading.get_ident())
+        return traverse_rays(walked, starts, deltas, t_end, block)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("nbvplan.voxel._usable_cpus", lambda: cpus)
         mp.setattr("nbvplan.voxel._ray_parts", lambda n: split.append((n, len(_ray_parts(n)))) or _ray_parts(n))
+        mp.setattr("nbvplan.voxel.traverse_rays", recording_traverse)
         assert integrate_observation(grid, obs) == integrate_walk_to_exit(reference, obs)
     np.testing.assert_array_equal(grid.states, reference.states)
-    assert split[0][0] >= split[1][0] > _RAY_BLOCK
-    assert [parts for _, parts in split] == [cpus, cpus]
+    [(rays, parts)] = split
+    assert rays > _RAY_BLOCK and parts == cpus
+    assert len(corner_exits) == cpus
 
 
 def test_one_cpu_or_a_small_frame_starts_no_thread(monkeypatch):
-    """The worker pool is reached only when a pass has more than _RAY_BLOCK
+    """The worker pool is reached only when a frame has more than _RAY_BLOCK
     rays and the process may use two CPUs."""
     pools = []
     monkeypatch.setattr("nbvplan.voxel._walk_pool", lambda: pools.append(1) or pytest.fail("a walk thread started"))
