@@ -73,10 +73,10 @@ def oracle_scores(
     occupied = grid.states == int(VoxelState.OCCUPIED)
     box = cells_bbox(grid, frontier | occupied)
     counts = np.zeros((2, len(positions)), dtype=np.int64)
+    walked = visits = 0
     for i, (rotation, position) in enumerate(zip(rotations, positions)):
         dirs = _pixel_ray_dirs(intrinsics, rotation, stride)
         reached = np.zeros(grid.n_voxels, dtype=bool)
-        walked = visits = 0
         if box is not None:
             bmin, bmax = box
             # Segments of length max_range, cut where they leave the padded
@@ -92,8 +92,11 @@ def oracle_scores(
                 reached[flat[valid & (np.arange(flat.shape[1]) <= last)]] = True
                 walked += len(flat)
                 visits += int(np.count_nonzero(valid))
-        log.debug("oracle_evaluate: %d rays cast, %d walked, %d voxel visits", len(dirs), walked, visits)
         counts[:, i] = np.count_nonzero(reached & frontier), np.count_nonzero(reached & occupied)
+    log.debug(
+        "oracle_scores: %d views, %d rays cast, %d walked, %d voxel visits",
+        len(positions), len(positions) * len(_camera_rays(intrinsics, stride)), walked, visits,
+    )
     return counts[0], counts[1]
 
 

@@ -80,7 +80,6 @@ class PlannerState:
     point_chunks: list[np.ndarray] = field(default_factory=list)  # accumulated P_f
     ledger: PartitionLedger | None = None
     timings: list[IterationTiming] = field(default_factory=list)
-    empty_frontier_streak: int = 0
 
     def __post_init__(self):
         if self.ledger is None:
@@ -134,10 +133,8 @@ def select_next_view(candidates: Candidates, ledger: PartitionLedger, iteration:
 
 
 def should_terminate(state: PlannerState) -> bool:
-    """Budget exhausted, or the frontier has been empty twice in a row."""
-    if state.iteration >= state.config.iterations:
-        return True
-    return state.empty_frontier_streak >= 2
+    """The run has taken its `config.iterations` views."""
+    return state.iteration >= state.config.iterations
 
 
 # ---- observation plumbing ---------------------------------------------------
@@ -171,15 +168,14 @@ def _observe(state: PlannerState, pose: Pose, frame_seed: int) -> tuple[Observat
 
 
 def _refit(state: PlannerState) -> None:
-    """Refit both ellipsoid sets to the grid's Occupied and Frontier voxel centers."""
+    """Refit both ellipsoid sets to the grid's Occupied and Frontier voxel
+    centers, seeded by `cfg.seed` alone: equal centres give equal ellipsoids."""
     cfg, grid = state.config, state.grid
     occupied, frontier = (
         grid.voxel_centers(grid.unflat(grid.indices_in_state(kind)))
         for kind in (VoxelState.OCCUPIED, VoxelState.FRONTIER)
     )
-    seed = cfg.seed + 7919 * (state.iteration + 1)
-    state.e_o, state.e_f = refit_all(occupied, frontier, grid.resolution, t_max=cfg.t_max, seed=seed)
-    state.empty_frontier_streak = 0 if state.e_f else state.empty_frontier_streak + 1
+    state.e_o, state.e_f = refit_all(occupied, frontier, grid.resolution, t_max=cfg.t_max, seed=cfg.seed)
 
 
 def initialize(mesh: TriangleMesh, config: RunConfig) -> PlannerState:

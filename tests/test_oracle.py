@@ -231,11 +231,13 @@ def test_oracle_skips_rays_that_miss_the_box(small_intr, caplog):
         score = oracle_evaluate(view, grid, small_intr, stride=2)
     assert score == oracle_walk_to_exit(view, grid, small_intr, 2)
     assert score.visible_frontier == 1 and score.rays_cast == 32 * 32
-    [record] = [r for r in caplog.records if r.getMessage().startswith("oracle_evaluate:")]
+    [record] = [r for r in caplog.records if r.getMessage().startswith("oracle_scores:")]
     assert record.levelno == logging.DEBUG
-    match = re.fullmatch(r"oracle_evaluate: (\d+) rays cast, (\d+) walked, (\d+) voxel visits", record.getMessage())
-    cast, walked, visits = map(int, match.groups())
-    assert cast == 1024 and 0 < walked < cast and visits >= walked
+    match = re.fullmatch(
+        r"oracle_scores: (\d+) views, (\d+) rays cast, (\d+) walked, (\d+) voxel visits", record.getMessage()
+    )
+    n_views, cast, walked, visits = map(int, match.groups())
+    assert n_views == 1 and cast == 1024 and 0 < walked < cast and visits >= walked
 
 
 def test_oracle_scores_empty_grid_sees_nothing(small_intr):
@@ -255,6 +257,16 @@ def test_oracle_scores_facing_cluster_sees_frontier(small_intr):
     (away_frontier, facing_frontier), _ = scores_of([away, facing], grid, small_intr, stride=2)
     assert facing_frontier > 0
     assert away_frontier == 0
+
+
+def test_oracle_scores_logs_one_line_per_call(small_intr, caplog):
+    grid = centered_grid()
+    grid.grid3d()[8, 8, 12:15] = VoxelState.FRONTIER
+    views = [make_view([3.0, 0.05, 0.05], [0.05, 0.05, 0.05]), make_view([0, 0, 3.0], [0, 0, 0])]
+    with caplog.at_level(logging.DEBUG, logger="nbvplan"):
+        scores_of(views, grid, small_intr, stride=4)
+    [message] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("oracle_")]
+    assert message.startswith(f"oracle_scores: 2 views, {2 * 16 * 16} rays cast, ")
 
 
 def test_oracle_scores_counts_equal_per_candidate_evaluation(small_intr):

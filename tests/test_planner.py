@@ -131,16 +131,41 @@ def test_masked_argmax_matches_the_per_view_loop(data, beta, n, with_unfit):
 # ---- should_terminate -------------------------------------------------------
 
 
-def test_terminates_on_budget_and_on_two_empty_frontiers():
+def test_terminates_once_the_budget_is_spent():
     state = planner.PlannerState(config=RunConfig(iterations=3), grid=None, mesh=None)
-    assert not should_terminate(state)
-    state.empty_frontier_streak = 1
-    assert not should_terminate(state)
-    state.empty_frontier_streak = 2
-    assert should_terminate(state)
-    state.empty_frontier_streak = 0
+    for iteration in range(3):
+        state.iteration = iteration
+        assert not should_terminate(state)
     state.iteration = 3
     assert should_terminate(state)
+
+
+def test_an_empty_frontier_does_not_stop_the_run():
+    """ROADMAP item 6: on the cube seen from azimuth 0 the first frame leaves
+    no Frontier voxel, as the Occupied face parts the Empty layer in front
+    from the Unknown one behind.  The run still takes every view."""
+    config = RunConfig(evaluator="random", seed=3, initial_azimuth_deg=0.0, iterations=3)
+    state = planner.initialize(make_shape("cube"), config)
+    assert state.grid.state_counts()["frontier"] == 0 and state.e_f == []
+    while not should_terminate(state):
+        planner.run_iteration(state)
+    assert state.iteration == 3
+
+
+# ---- refit -------------------------------------------------------------------
+
+
+def test_a_refit_of_unchanged_voxels_gives_the_same_ellipsoids():
+    """The refit seed does not depend on the iteration (ROADMAP item 9)."""
+    config = RunConfig(width=160, height=120, fx=145.0, fy=145.0, candidates=64)
+    state = planner.initialize(make_shape("u_prism"), config)
+    first = state.e_o + state.e_f
+    state.iteration = 1
+    planner._refit(state)
+    again = state.e_o + state.e_f
+    assert [e.kind for e in again] == [e.kind for e in first]
+    for a, b in zip(again, first):
+        assert np.array_equal(a.center, b.center) and np.array_equal(a.shape, b.shape)
 
 
 # ---- observation -------------------------------------------------------------
