@@ -169,7 +169,7 @@ def _observe(state: PlannerState, pose: Pose, frame_seed: int) -> tuple[Observat
 
 def _refit(state: PlannerState) -> None:
     """Refit both ellipsoid sets to the grid's Occupied and Frontier voxel
-    centers, seeded by `cfg.seed` alone: equal centres give equal ellipsoids."""
+    centers, seeded by `cfg.seed` alone: equal centers give equal ellipsoids."""
     cfg, grid = state.config, state.grid
     occupied, frontier = (
         grid.voxel_centers(grid.unflat(grid.indices_in_state(kind)))
