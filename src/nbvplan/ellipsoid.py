@@ -411,7 +411,8 @@ def refit_all(
     Returns (occupied ellipsoids, frontier ellipsoids); the frontier list is
     empty when `frontier` is.  The covariance floor and the degeneracy
     inflation radius derive from the voxel size `resolution`; each MVEE is
-    fit to `fit_mvee`'s default tolerance.
+    fit to `fit_mvee`'s default tolerance.  At `t_max` 1 each class is one
+    cluster, the labels a one-component sweep gives, and no mixture is fit.
     """
     if len(occupied) == 0:
         raise ValueError("refit_all requires at least one Occupied voxel")
@@ -422,9 +423,12 @@ def refit_all(
     for kind, centers, sub in (("occupied", occupied, 0), ("frontier", frontier, 1)):
         if len(centers) == 0:
             continue
-        _, _, labels = select_components(
-            centers, t_max=t_max, seed=seed * 2 + sub, reg_floor=reg_floor
-        )
+        if t_max == 1:  # one component leaves BIC nothing to choose
+            labels = np.zeros(len(centers), dtype=np.int64)
+        else:
+            _, _, labels = select_components(
+                centers, t_max=t_max, seed=seed * 2 + sub, reg_floor=reg_floor
+            )
         for idx, k in enumerate(np.unique(labels)):
             out[kind].append(
                 fit_mvee(

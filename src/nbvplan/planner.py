@@ -140,6 +140,15 @@ def should_terminate(state: PlannerState) -> bool:
 # ---- observation plumbing ---------------------------------------------------
 
 
+def _crop(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rows of `points` (N, 3) inside the box [lo, hi], faces included."""
+    x, y, z = points.T
+    keep = (x >= lo[0]) & (x <= hi[0])
+    keep &= (y >= lo[1]) & (y <= hi[1])
+    keep &= (z >= lo[2]) & (z <= hi[2])
+    return points[keep]
+
+
 def _observe(state: PlannerState, pose: Pose, frame_seed: int) -> tuple[Observation | None, float]:
     """Render from `pose`, accumulate P_f, and build the ray observation.
 
@@ -152,10 +161,7 @@ def _observe(state: PlannerState, pose: Pose, frame_seed: int) -> tuple[Observat
         state.mesh, pose, cfg.intrinsics(), noise_sigma=cfg.noise_sigma, noise_seed=frame_seed
     )
     render_s = time.perf_counter() - t0
-    points = frame_to_points(frame)
-
-    lo, hi = state.grid.span
-    cropped = points[np.all((points >= lo) & (points <= hi), axis=1)]
+    cropped = _crop(frame_to_points(frame), *state.grid.span)
     if len(cropped) == 0:
         log.warning("all-miss observation at iteration %d", state.iteration)
         return None, render_s

@@ -211,11 +211,25 @@ def render_depth(
 
 
 def frame_to_points(frame: DepthFrame) -> np.ndarray:
-    """World-space point per finite-depth pixel (N, 3)."""
-    rows, cols = np.nonzero(frame.hit_mask)
-    if len(rows) == 0:
-        return np.empty((0, 3))
-    dirs = frame.intrinsics.pixel_rays(rows, cols)
-    pts_cam = dirs * frame.depths[rows, cols][:, None]
+    """World-space point per finite-depth pixel (N, 3), in row-major pixel order.
+
+    Each hit pixel's ray direction d = ((c-cx)/fx, (r-cy)/fy, 1) is gathered
+    from one table per image axis, and the camera-frame point is d / |d| *
+    depth, written column by column.  |d| is sqrt(x*x + y*y + 1.0), the sum
+    `np.linalg.norm` forms over (x, y, 1), so every point equals the one
+    `CameraIntrinsics.pixel_rays` gives its pixel bit for bit
+    (`tests/scalar_reference.frame_to_points_pixel_rays`).
+    """
+    intr = frame.intrinsics
+    flat = np.flatnonzero(frame.hit_mask)
+    rows, cols = np.divmod(flat, intr.width)
+    x = ((np.arange(intr.width, dtype=float) - intr.cx) / intr.fx)[cols]
+    y = ((np.arange(intr.height, dtype=float) - intr.cy) / intr.fy)[rows]
+    depth = frame.depths.reshape(-1)[flat]
+    norm = np.sqrt(x * x + y * y + 1.0)
+    pts_cam = np.empty((len(flat), 3))
+    pts_cam[:, 0] = x / norm * depth
+    pts_cam[:, 1] = y / norm * depth
+    pts_cam[:, 2] = 1.0 / norm * depth
     return frame.pose.camera_to_world(pts_cam)
 

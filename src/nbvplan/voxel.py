@@ -81,14 +81,29 @@ def preprocess_points(
 
     Cells are aligned to `align_origin` so that dedup never moves a point
     across a voxel boundary when spacing divides the voxel size.  Cropping
-    to the grid is the caller's job.
+    to the grid is the caller's job.  Each point's cell is floored one axis
+    at a time and keyed in C order over the cells' box, ((i*ny) + j)*nz + k
+    with each index offset by its axis minimum: one int64 per point, equal
+    only for points in the same cell.  Raises ValueError when `spacing` is
+    not positive and finite, or when a cell index or the box's cell count
+    does not fit in int64.
     """
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         return pts
-    cells = np.floor((pts - align_origin) / spacing).astype(np.int64)
-    cells -= cells.min(axis=0)
-    keys = np.ravel_multi_index(cells.T, cells.max(axis=0) + 1)
+    keys, size = 0, 1
+    for axis in range(3):
+        cells = np.floor((pts[:, axis] - align_origin[axis]) / spacing)
+        lo, hi = cells.min(), cells.max()
+        if not (-(2.0**63) <= lo and hi < 2.0**63):
+            raise ValueError("point cells do not fit in int64: are the points finite?")
+        extent = int(hi) - int(lo) + 1
+        size *= extent
+        if size > np.iinfo(np.int64).max:
+            raise ValueError(f"{size} dedup cells do not fit in int64")
+        keys = keys * extent + (cells.astype(np.int64) - int(lo))
     # A cell's first point always starts a run of equal consecutive keys, so
     # np.unique need only sort the run starts; in image order neighbouring
     # pixels share a cell, so the runs are long.

@@ -22,9 +22,16 @@ conics from a batched LAPACK inverse of the pixel-coordinate dual conics,
 the path the closed-form cofactors replaced; validity must be equal and
 the ellipses must agree to 1e-12 relative.
 
+`frame_to_points_pixel_rays` back-projects a frame through
+`CameraIntrinsics.pixel_rays`, one stacked (N,3) direction per hit pixel
+normalized by `np.linalg.norm`, and `crop_all` keeps the points inside a
+box with one `np.all` over (N,3) comparisons: the path that the per-axis
+tables and columns of `render.frame_to_points` and the per-column tests of
+`planner._crop` replace; points and their order must be equal bit for bit.
 `preprocess_points_sort_all` is `voxel.preprocess_points` with np.unique
-over every point's cell key, the sort that the one over the starts of runs
-of equal keys replaces; the kept points and their order must be equal.
+over every point's cell key, built by `np.ravel_multi_index` over the
+cells' box, the sort that the one over the starts of runs of equal keys
+replaces; the kept points and their order must be equal.
 `traverse_ray` is the scalar Amanatides-Woo walk that `voxel.traverse_rays`
 must match voxel for voxel.  `integrate_walk_to_exit` and
 `oracle_walk_to_exit` walk every ray to the grid exit (the oracle's to
@@ -363,6 +370,23 @@ def project_reference(poses, ellipsoids, intrinsics: CameraIntrinsics):
     if border.any():
         area[border] = _border_area(center[border], axes[border], orientation[border], intrinsics)
     return cam_z, conic, center, axes, area
+
+
+# ---- frames to points --------------------------------------------------------
+
+
+def frame_to_points_pixel_rays(frame: DepthFrame) -> np.ndarray:
+    """World-space point per finite-depth pixel (N, 3), row-major."""
+    rows, cols = np.nonzero(frame.hit_mask)
+    if len(rows) == 0:
+        return np.empty((0, 3))
+    dirs = frame.intrinsics.pixel_rays(rows, cols)
+    return frame.pose.camera_to_world(dirs * frame.depths[rows, cols][:, None])
+
+
+def crop_all(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rows of `points` inside [lo, hi], faces included."""
+    return points[np.all((points >= lo) & (points <= hi), axis=1)]
 
 
 # ---- voxel walks ------------------------------------------------------------

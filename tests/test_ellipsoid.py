@@ -351,6 +351,46 @@ def test_refit_containment_sweep():
     assert sum(e.member_count for e in e_o) == len(occupied)
 
 
+def _cluster(kind: str, rng) -> np.ndarray:
+    if kind == "random":
+        return rng.normal(0.3, 0.05, (60, 3))
+    if kind == "coplanar":
+        u, v = np.meshgrid(np.arange(7) * 0.03, np.arange(5) * 0.03)
+        return np.stack([u.ravel(), v.ravel(), np.full(u.size, 0.12)], axis=1)
+    return rng.normal(0.0, 1.0, (1, 3))
+
+
+@pytest.mark.parametrize("occupied_kind", ["random", "coplanar", "one point"])
+@pytest.mark.parametrize("frontier_kind", ["random", "coplanar", "one point", "none"])
+def test_refit_at_one_component_needs_no_sweep(occupied_kind, frontier_kind):
+    """At t_max = 1 each class is one cluster: refit_all gives the ellipsoids
+    a one-component sweep's labels give, without fitting a mixture."""
+    rng = np.random.default_rng(7)
+    occupied = _cluster(occupied_kind, rng)
+    frontier = _cluster(frontier_kind, rng) if frontier_kind != "none" else np.empty((0, 3))
+    resolution, seed = 0.03, 5
+    want = []
+    for kind, centers, sub in (("occupied", occupied, 0), ("frontier", frontier, 1)):
+        if len(centers) == 0:
+            continue
+        _, _, labels = select_components(
+            centers, t_max=1, seed=seed * 2 + sub, reg_floor=(resolution / 4.0) ** 2
+        )
+        assert not labels.any()
+        want.append(fit_mvee(centers[labels == 0], inflation_radius=resolution / 2.0, kind=kind))
+
+    def no_mixture(*args, **kwargs):
+        raise AssertionError("fit_gmm called at t_max = 1")
+
+    with mock.patch.object(ellipsoid, "fit_gmm", no_mixture):
+        e_o, e_f = refit_all(occupied, frontier, resolution, t_max=1, seed=seed)
+    got = e_o + e_f
+    assert [len(e_o), len(e_f)] == [1, int(frontier_kind != "none")]
+    for g, w in zip(got, want, strict=True):
+        assert (g.kind, g.member_count, g.cluster_index) == (w.kind, w.member_count, w.cluster_index)
+        assert np.array_equal(g.center, w.center) and np.array_equal(g.shape, w.shape)
+
+
 # ---- MVEE solver convergence ------------------------------------------------
 
 

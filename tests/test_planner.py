@@ -191,6 +191,49 @@ def test_observe_drops_points_outside_the_grid(monkeypatch):
     assert len(state.point_chunks) == n_chunks + 1
 
 
+def test_observe_keeps_points_on_the_span_faces(monkeypatch):
+    """A point exactly on any face of the grid span is kept; the same point
+    one float step outside that face is dropped."""
+    config = RunConfig(width=160, height=120, fx=145.0, fy=145.0, candidates=16, t_max=1)
+    state = planner.initialize(make_shape("cube"), config)
+    lo, hi = state.grid.span
+    on_face, beyond = [], []
+    for axis in range(3):
+        for face, away in ((lo, -np.inf), (hi, np.inf)):
+            point = 0.5 * (lo + hi)
+            point[axis] = face[axis]
+            on_face.append(point.copy())
+            point[axis] = np.nextafter(face[axis], away)
+            beyond.append(point)
+    frame_points = np.array([p for pair in zip(beyond, on_face) for p in pair])
+    monkeypatch.setattr(planner, "frame_to_points", lambda frame: frame_points)
+
+    planner._observe(state, POSE, frame_seed=1)
+    np.testing.assert_array_equal(state.point_chunks[-1], on_face)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 60),
+    on_faces=st.floats(0.0, 1.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_crop_matches_one_test_over_all_columns(seed, n, on_faces):
+    """The per-column crop keeps the rows, in order, that one `np.all` over
+    the (N, 3) comparisons keeps, for points inside, outside, on the faces
+    and one float step beyond them."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-1.0, 0.0, 3)
+    hi = lo + rng.uniform(0.0, 2.0, 3)
+    points = rng.uniform(lo - 0.5, hi + 0.5, (n, 3))
+    face = rng.random((n, 3)) < on_faces
+    points[face] = np.where(rng.random((n, 3)) < 0.5, lo, hi)[face]
+    step = rng.random((n, 3)) < 0.3
+    points[step] = np.nextafter(points, rng.choice([-np.inf, np.inf], (n, 3)))[step]
+    got = planner._crop(points, lo, hi)
+    assert np.array_equal(got, ref.crop_all(points, lo, hi))
+
+
 # ---- run_iteration ----------------------------------------------------------
 
 

@@ -7,13 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from nbvplan import render
 from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose, look_at
 from nbvplan.mesh import TriangleMesh
 from nbvplan.render import frame_to_points, render_depth
 from nbvplan.shapes import make_sphere
-from scalar_reference import point_to_mesh_distance, project_points, render_depth_loop
+from scalar_reference import (
+    frame_to_points_pixel_rays,
+    point_to_mesh_distance,
+    project_points,
+    render_depth_loop,
+)
 
 # Power-of-two focal lengths make a vertex at x = (c - cx) / fx * z, with z a
 # power of two, project exactly onto the pixel centre c.
@@ -78,6 +84,42 @@ def test_frame_to_points_principal_ray(intrinsics, identity_pose):
     frame = DepthFrame(depths=depths, pose=identity_pose, intrinsics=intrinsics)
     pts = frame_to_points(frame)
     np.testing.assert_allclose(pts, [[0.0, 0.0, 2.0]], atol=1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    focal=st.tuples(st.floats(5.0, 900.0), st.floats(5.0, 900.0)),
+    principal=st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)),
+    quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.hypot.reduce(q) > 0.1),
+    hits=st.sampled_from(["holes", "none", "one", "all"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_frame_to_points_matches_pixel_rays(seed, size, focal, principal, quaternion, hits):
+    """The per-axis tables give each hit pixel the point that its stacked,
+    normalized `pixel_rays` direction gives, bit for bit and in the same
+    order: for fx != fy, fractional principal points, drawn rotations and
+    frames with inf holes, with no hit, with one hit and with every pixel a
+    hit."""
+    rng = np.random.default_rng(seed)
+    (w, h), (fx, fy), (px, py) = size, focal, principal
+    intr = CameraIntrinsics(fx=fx, fy=fy, cx=px * w, cy=py * h, width=w, height=h, max_range=5.0)
+    rotation = Rotation.from_quat(quaternion).as_matrix()
+    pose = Pose(rotation=rotation, translation=rng.uniform(-2.0, 2.0, 3))
+    depths = rng.uniform(1e-3, 5.0, (h, w))
+    if hits == "holes":
+        depths[rng.random((h, w)) < 0.4] = np.inf
+    elif hits == "none":
+        depths[:] = np.inf
+    elif hits == "one":
+        keep = depths[rng.integers(h), rng.integers(w)]
+        depths[:] = np.inf
+        depths[rng.integers(h), rng.integers(w)] = keep
+    frame = DepthFrame(depths=depths, pose=pose, intrinsics=intr)
+    got = frame_to_points(frame)
+    want = frame_to_points_pixel_rays(frame)
+    assert got.shape == want.shape == (np.count_nonzero(frame.hit_mask), 3)
+    assert np.array_equal(got, want)
 
 
 def test_rendered_points_on_mesh_surface(intrinsics):

@@ -802,6 +802,41 @@ def test_preprocess_matches_sort_over_all_points(seed, order, repeated, spacing)
     )
 
 
+@pytest.mark.parametrize("spacing", [0.0, -0.05, np.nan, np.inf, -np.inf])
+def test_preprocess_rejects_a_spacing_that_is_not_positive_and_finite(spacing):
+    pts = np.array([[0.5, 0.5, 0.5], [0.6, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        preprocess_points(pts, spacing=spacing, align_origin=np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "far",
+    [
+        [1e7, 1e7, 1e7],      # three extents whose product passes int64
+        [1e19, 0.0, 0.0],     # one cell index past int64
+        [-1e19, 0.0, 0.0],
+        [np.inf, 0.0, 0.0],
+        [0.0, np.nan, 0.0],
+    ],
+)
+def test_preprocess_rejects_cells_that_do_not_fit_in_int64(far):
+    pts = np.array([[0.0, 0.0, 0.0], far])
+    with pytest.raises(ValueError, match="int64"):
+        preprocess_points(pts, spacing=1.0, align_origin=np.zeros(3))
+
+
+def test_preprocess_keys_a_box_of_almost_int64_cells():
+    """Cells spanning 2^21 x 2^21 x 2^20 cells, 2^62 keys, keep the points the
+    `ravel_multi_index` keys keep."""
+    rng = np.random.default_rng(4)
+    corner = np.array([2.0**21 - 1, 2.0**21 - 1, 2.0**20 - 1])
+    pts = np.vstack([np.zeros(3), corner, rng.integers(0, 2**20, (500, 3)) + 0.5, corner])
+    pts = pts[rng.permutation(len(pts))]
+    out = preprocess_points(pts, spacing=1.0, align_origin=np.zeros(3))
+    np.testing.assert_array_equal(out, preprocess_points_sort_all(pts, spacing=1.0, align_origin=np.zeros(3)))
+    assert len(out) == len(np.unique(np.floor(pts), axis=0))
+
+
 def test_grid_growth_preserves_states():
     grid = VoxelGrid(origin=np.zeros(3), resolution=1.0, dims=(4, 4, 4))
     grid.grid3d()[1, 2, 3] = VoxelState.OCCUPIED
