@@ -9,7 +9,9 @@
 `nbv summarize` writes the per-iteration mean and spread of coverage and
 compute time to summary.csv, and prints the mean final coverage, the mean
 coverage AUC and the mean iterations to 95% coverage over the runs, each run
-padded to 10 iterations by repeating its last record.
+padded to 10 iterations by repeating its last record.  Each run's
+records.csv is read once; a malformed one is an error naming its file and
+line.
 
 `nbv bench` times projection scoring against the ray-casting oracle on the
 same candidates and reports how well the two agree: the Spearman rho of F
@@ -45,7 +47,7 @@ import time
 import numpy as np
 
 from .config import FIELD_PARSERS, RunConfig, load_config_file
-from .harness import coverage_quality, run, summarize, write_csv
+from .harness import coverage_quality, padded_runs, run, summarize, write_csv
 from .mesh import load_mesh
 from .oracle import oracle_scores, rank_agreement
 from .planner import candidate_views, initialize, run_iteration
@@ -104,9 +106,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
-    summary = summarize(args.run_dirs)
+    padded = padded_runs(args.run_dirs)
+    summary = summarize(padded)
     write_csv(args.out, list(summary[0]), summary)
-    auc, iterations = coverage_quality(args.run_dirs)
+    auc, iterations = coverage_quality(padded)
     last = summary[-1]
     print(
         f"{last['n_runs']} runs, mean final coverage {last['mean_coverage']:.4f}, "

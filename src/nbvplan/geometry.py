@@ -43,17 +43,30 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
-    def pixel_rays(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Unit direction in camera coordinates through each (row, col) pixel."""
-        d = np.stack(
-            [
-                (np.asarray(cols, dtype=float) - self.cx) / self.fx,
-                (np.asarray(rows, dtype=float) - self.cy) / self.fy,
-                np.ones(np.shape(rows), dtype=float),
-            ],
-            axis=-1,
+    def ray_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-axis tables of the camera-frame ray direction (x, y, 1) through
+        pixel (row r, col c): x = (c - cx)/fx per column, y = (r - cy)/fy per row."""
+        return (
+            (np.arange(self.width, dtype=float) - self.cx) / self.fx,
+            (np.arange(self.height, dtype=float) - self.cy) / self.fy,
         )
-        return d / np.linalg.norm(d, axis=-1, keepdims=True)
+
+    def pixel_rays(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Unit direction in camera coordinates through each (row, col) pixel.
+
+        `rows` and `cols` are integer index arrays of any shapes that
+        broadcast together, such as `np.indices` gives; the result has their
+        shape plus a last axis of 3.  The direction (x, y, 1) is gathered
+        from `ray_axes` and divided by sqrt(x*x + y*y + 1.0).
+        """
+        x_of, y_of = self.ray_axes()
+        x, y = x_of[cols], y_of[rows]
+        norm = np.sqrt(x * x + y * y + 1.0)
+        rays = np.empty(norm.shape + (3,))
+        np.divide(x, norm, out=rays[..., 0])
+        np.divide(y, norm, out=rays[..., 1])
+        np.divide(1.0, norm, out=rays[..., 2])
+        return rays
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,8 @@ per-iteration compute time.  Compute time covers the whole iteration
 scene-representation update) except the synthetic `render_depth` call,
 which a real camera would not incur.
 
-records.csv schema (fixed):
-  iteration,coverage,compute_time_s,pos_x,pos_y,pos_z,partition,
-  n_empty,n_occupied,n_unknown,n_frontier,n_eo,n_ef
+records.csv has one row per iteration and the columns of `RECORD_FORMATS`,
+in its order; each value is written with the format spec given there.
 """
 
 from __future__ import annotations
@@ -36,10 +35,13 @@ from .voxel import VoxelGrid, VoxelState
 
 log = logging.getLogger("nbvplan")
 
-CSV_FIELDS = [
-    "iteration", "coverage", "compute_time_s", "pos_x", "pos_y", "pos_z",
-    "partition", "n_empty", "n_occupied", "n_unknown", "n_frontier", "n_eo", "n_ef",
-]
+RECORD_FORMATS = {
+    "iteration": "d", "coverage": ".9f", "compute_time_s": ".6f",
+    "pos_x": ".9g", "pos_y": ".9g", "pos_z": ".9g",
+    "partition": "d", "n_empty": "d", "n_occupied": "d", "n_unknown": "d", "n_frontier": "d",
+    "n_eo": "d", "n_ef": "d",
+}
+CSV_FIELDS = list(RECORD_FORMATS)
 
 
 @dataclass
@@ -57,21 +59,9 @@ class IterationRecord:
     n_ef: int
 
     def row(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "coverage": f"{self.coverage:.9f}",
-            "compute_time_s": f"{self.compute_time_s:.6f}",
-            "pos_x": f"{self.pos[0]:.9g}",
-            "pos_y": f"{self.pos[1]:.9g}",
-            "pos_z": f"{self.pos[2]:.9g}",
-            "partition": self.partition,
-            "n_empty": self.n_empty,
-            "n_occupied": self.n_occupied,
-            "n_unknown": self.n_unknown,
-            "n_frontier": self.n_frontier,
-            "n_eo": self.n_eo,
-            "n_ef": self.n_ef,
-        }
+        """The records.csv row: every column formatted by `RECORD_FORMATS`."""
+        values = vars(self) | dict(zip(("pos_x", "pos_y", "pos_z"), self.pos))
+        return {name: format(values[name], spec) for name, spec in RECORD_FORMATS.items()}
 
 
 def _within(model_points: np.ndarray, acquired: np.ndarray, threshold: float) -> np.ndarray:
@@ -175,38 +165,58 @@ def _dump_ellipsoids(path: str, iteration: int, ellipsoids: list[Ellipsoid]) -> 
             )
 
 
-def read_records(path: str) -> list[dict]:
-    with open(path, "r", newline="") as fh:
-        return list(csv.DictReader(fh))
+def _read_run(path: str) -> np.ndarray:
+    """(iterations, 2) coverage and compute time of one records.csv.
+
+    Raises ValueError naming the file and line of a missing column, a row
+    whose field count is not the header's, or a value that is not a finite
+    number, and naming the file when it has no record.
+    """
+    columns = ("coverage", "compute_time_s")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for name in columns:
+            if name not in header:
+                raise ValueError(f"{path}:1: no {name} column")
+        at = [header.index(name) for name in columns]
+        rows = []
+        for fields in reader:
+            if not fields:  # a blank line holds no record
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(fields) != len(header):
+                raise ValueError(f"{where}: {len(fields)} fields, the header has {len(header)}")
+            try:
+                values = [float(fields[i]) for i in at]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            for name, value in zip(columns, values):
+                if not np.isfinite(value):
+                    raise ValueError(f"{where}: {name} {value} is not finite")
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: no records")
+    return np.array(rows)
 
 
-def _padded_runs(run_dirs: list[str], target_iterations: int) -> np.ndarray:
-    """(runs, iterations, 2) coverage and compute time of each run's records.
+def padded_runs(run_dirs: list[str], target_iterations: int = 10) -> np.ndarray:
+    """(runs, iterations, 2) coverage and compute time of each run's records.csv.
 
     There are max(`target_iterations`, longest run) iterations; shorter runs
-    are padded by duplicating their last record.
+    are padded by duplicating their last record, so every run contributes to
+    every iteration.
     """
     if not run_dirs:
         raise ValueError("summarize requires at least one run directory")
-    per_run = []  # (iterations, 2) arrays of coverage, compute time
-    for d in run_dirs:
-        rows = read_records(os.path.join(d, "records.csv"))
-        if not rows:
-            raise ValueError(f"{d}: empty records.csv")
-        per_run.append(np.array([[float(r["coverage"]), float(r["compute_time_s"])] for r in rows]))
-
+    per_run = [_read_run(os.path.join(d, "records.csv")) for d in run_dirs]
     n_iters = max(target_iterations, *(len(r) for r in per_run))
     return np.stack([np.pad(r, ((0, n_iters - len(r)), (0, 0)), mode="edge") for r in per_run])
 
 
-def summarize(run_dirs: list[str], target_iterations: int = 10) -> list[dict]:
-    """Per-iteration mean/std of coverage and compute time across runs.
-
-    There are max(`target_iterations`, longest run) rows; shorter runs are
-    padded by duplicating their last record, so every run contributes to
-    every row.
-    """
-    padded = _padded_runs(run_dirs, target_iterations)
+def summarize(padded: np.ndarray) -> list[dict]:
+    """Per-iteration mean/std of coverage and compute time across the
+    `padded_runs` array: one row per padded iteration."""
     mean, std = padded.mean(axis=0), padded.std(axis=0)
     return [
         {
@@ -221,14 +231,14 @@ def summarize(run_dirs: list[str], target_iterations: int = 10) -> list[dict]:
     ]
 
 
-def coverage_quality(run_dirs: list[str], target_iterations: int = 10) -> tuple[float, float]:
-    """Mean coverage AUC and mean iterations to 95% coverage over the runs.
+def coverage_quality(padded: np.ndarray) -> tuple[float, float]:
+    """Mean coverage AUC and mean iterations to 95% coverage over the
+    `padded_runs` array.
 
-    Runs are padded as in `summarize`.  A run's AUC is its mean coverage
-    over the padded iterations; a run that never reaches 95% counts as the
-    padded iteration count + 1.
+    A run's AUC is its mean coverage over the padded iterations; a run that
+    never reaches 95% counts as the padded iteration count + 1.
     """
-    coverage = _padded_runs(run_dirs, target_iterations)[:, :, 0]
+    coverage = padded[:, :, 0]
     reached = coverage >= 0.95
     iterations = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, coverage.shape[1] + 1)
     return float(coverage.mean(axis=1).mean()), float(iterations.mean())

@@ -43,11 +43,10 @@ class OracleScore:
 
 @functools.cache
 def _camera_rays(intrinsics: CameraIntrinsics, stride: int) -> np.ndarray:
-    """Read-only unit rays in camera coordinates through every stride-th pixel."""
-    rows = np.arange(0, intrinsics.height, stride, dtype=float)
-    cols = np.arange(0, intrinsics.width, stride, dtype=float)
-    rr, cc = np.meshgrid(rows, cols, indexing="ij")
-    rays = intrinsics.pixel_rays(rr.ravel(), cc.ravel())
+    """Read-only unit rays in camera coordinates through every stride-th pixel,
+    in row-major order."""
+    rows, cols = np.ogrid[0 : intrinsics.height : stride, 0 : intrinsics.width : stride]
+    rays = intrinsics.pixel_rays(rows, cols).reshape(-1, 3)
     rays.flags.writeable = False
     return rays
 

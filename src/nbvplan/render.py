@@ -151,10 +151,9 @@ def render_depth(
     h, w = intrinsics.height, intrinsics.width
     depth = np.full((h, w), np.inf)
 
-    # Unnormalized pixel ray directions d = ((u-cx)/fx, (v-cy)/fy, 1); the
-    # parametric hit t then satisfies range = t * |d|.
-    dir_x = (np.arange(w, dtype=float) - intrinsics.cx) / intrinsics.fx
-    dir_y = (np.arange(h, dtype=float) - intrinsics.cy) / intrinsics.fy
+    # Unnormalized pixel ray directions d = (dir_x, dir_y, 1); the parametric
+    # hit t then satisfies range = t * |d|.
+    dir_x, dir_y = intrinsics.ray_axes()
     dir_norm = np.sqrt(dir_x[None, :] ** 2 + dir_y[:, None] ** 2 + 1.0).reshape(-1)
 
     tri_cam = pose.world_to_camera(mesh.vertices)[mesh.triangles]  # (F, 3, 3)
@@ -211,25 +210,9 @@ def render_depth(
 
 
 def frame_to_points(frame: DepthFrame) -> np.ndarray:
-    """World-space point per finite-depth pixel (N, 3), in row-major pixel order.
-
-    Each hit pixel's ray direction d = ((c-cx)/fx, (r-cy)/fy, 1) is gathered
-    from one table per image axis, and the camera-frame point is d / |d| *
-    depth, written column by column.  |d| is sqrt(x*x + y*y + 1.0), the sum
-    `np.linalg.norm` forms over (x, y, 1), so every point equals the one
-    `CameraIntrinsics.pixel_rays` gives its pixel bit for bit
-    (`tests/scalar_reference.frame_to_points_pixel_rays`).
-    """
-    intr = frame.intrinsics
+    """World-space point per finite-depth pixel (N, 3), in row-major pixel order:
+    the pixel's `CameraIntrinsics.pixel_rays` direction times its depth."""
     flat = np.flatnonzero(frame.hit_mask)
-    rows, cols = np.divmod(flat, intr.width)
-    x = ((np.arange(intr.width, dtype=float) - intr.cx) / intr.fx)[cols]
-    y = ((np.arange(intr.height, dtype=float) - intr.cy) / intr.fy)[rows]
+    rows, cols = np.divmod(flat, frame.intrinsics.width)
     depth = frame.depths.reshape(-1)[flat]
-    norm = np.sqrt(x * x + y * y + 1.0)
-    pts_cam = np.empty((len(flat), 3))
-    pts_cam[:, 0] = x / norm * depth
-    pts_cam[:, 1] = y / norm * depth
-    pts_cam[:, 2] = 1.0 / norm * depth
-    return frame.pose.camera_to_world(pts_cam)
-
+    return frame.pose.camera_to_world(frame.intrinsics.pixel_rays(rows, cols) * depth[:, None])

@@ -353,18 +353,13 @@ def first_hits(hit: np.ndarray) -> np.ndarray:
 # ---- observation integration ---------------------------------------------
 
 
-def mark_occupied(grid: VoxelGrid, points: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rule 1: point evidence wins from any state.
-
-    Returns the mask of points inside the grid and the count of voxels that
-    newly became Occupied.
-    """
+def mark_occupied(grid: VoxelGrid, points: np.ndarray) -> np.ndarray:
+    """Rule 1: point evidence wins from any state.  Returns the mask of the
+    points inside the grid."""
     ijk = grid.voxel_of(points)
     ok = grid.in_bounds(ijk)
-    flat = np.unique(grid.flat_index(ijk[ok]))
-    to_occupied = int(np.count_nonzero(grid.states[flat] != int(VoxelState.OCCUPIED)))
-    grid.states[flat] = int(VoxelState.OCCUPIED)
-    return ok, to_occupied
+    grid.states[grid.flat_index(ijk[ok])] = int(VoxelState.OCCUPIED)
+    return ok
 
 
 def _usable_cpus() -> int:
@@ -420,8 +415,8 @@ def _walk(
     return walks, visits
 
 
-def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
-    """Apply update rules 1-3 for one observation; returns net state changes.
+def integrate_observation(grid: VoxelGrid, obs: Observation) -> None:
+    """Apply update rules 1-3 for one observation.
 
     Rule 1 runs first, then all rays are walked at once.  A voxel crossed
     before some ray's first Occupied voxel becomes Empty; otherwise a None
@@ -440,22 +435,11 @@ def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
     walked on a worker thread; each half walks both passes, in blocks of
     _RAY_BLOCK // 2 rays so that the rays in flight, and their memory, are
     one block's.  Otherwise the frame is one part, walked on the calling
-    thread, and no thread starts.  Neither the states nor the counts depend
-    on the split.
-
-    Counts: `to_occupied` voxels newly Occupied, `to_empty` voxels that end
-    Empty and were not Empty, `to_unknown` None voxels that became Unknown.
-    A voxel shadowed by one ray and crossed in front of its surface by
-    another counts once, as `to_empty`.
+    thread, and no thread starts.  The states do not depend on the split.
     """
     if len(obs.points) == 0:
         raise ValueError("integrate_observation requires a nonempty observation")
-    occ = int(VoxelState.OCCUPIED)
-    empty = int(VoxelState.EMPTY)
-
-    ok, to_occupied = mark_occupied(grid, obs.points)
-    counts = {"to_occupied": to_occupied, "to_empty": 0, "to_unknown": 0}
-
+    ok = mark_occupied(grid, obs.points)
     deltas = obs.points[ok] - obs.sensor_origin
     norms = np.linalg.norm(deltas, axis=1)
     deltas, norms = deltas[norms > 1e-12], norms[norms > 1e-12]
@@ -465,7 +449,7 @@ def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
     if grid.bbox is not None:
         pad = grid.resolution
         t_end = np.maximum(t_end, ray_box_range(starts, deltas, grid.bbox[0] - pad, grid.bbox[1] + pad)[1])
-    occupied = grid.states == occ
+    occupied = grid.states == int(VoxelState.OCCUPIED)
     parts = _ray_parts(len(deltas))
     block = _RAY_BLOCK // len(parts)
     # Each part walks into its own (in_front, behind) masks, ORed after the join.
@@ -492,11 +476,8 @@ def integrate_observation(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
 
     if grid.bbox is not None:
         unknown = behind & ~in_front & (grid.states == int(VoxelState.NONE)) & grid.bbox_mask()
-        counts["to_unknown"] = int(np.count_nonzero(unknown))
         grid.states[unknown] = int(VoxelState.UNKNOWN)
-    counts["to_empty"] = int(np.count_nonzero(in_front & (grid.states != empty)))
-    grid.states[in_front] = empty
-    return counts
+    grid.states[in_front] = int(VoxelState.EMPTY)
 
 
 # ---- frontier and bounding box ---------------------------------------------
@@ -517,8 +498,8 @@ def _dilate(mask3: np.ndarray) -> np.ndarray:
     return out
 
 
-def update_frontier(grid: VoxelGrid) -> np.ndarray:
-    """Reclassify Unknown/Frontier voxels; returns flat Frontier indices.
+def update_frontier(grid: VoxelGrid) -> None:
+    """Reclassify Unknown/Frontier voxels.
 
     A voxel is Frontier iff it is currently Unknown or Frontier and its
     26-neighborhood contains at least one Empty and one Occupied voxel;
@@ -527,7 +508,7 @@ def update_frontier(grid: VoxelGrid) -> np.ndarray:
     g3 = grid.grid3d()
     pool = (g3 == int(VoxelState.UNKNOWN)) | (g3 == int(VoxelState.FRONTIER))
     if not pool.any():
-        return np.empty(0, dtype=np.int64)
+        return
     # The pool holds no Empty or Occupied cell, so counting each cell as its
     # own neighbor changes nothing.
     near_empty = _dilate(g3 == int(VoxelState.EMPTY))
@@ -535,7 +516,6 @@ def update_frontier(grid: VoxelGrid) -> np.ndarray:
     frontier = pool & near_empty & near_occ
     g3[pool] = int(VoxelState.UNKNOWN)
     g3[frontier] = int(VoxelState.FRONTIER)
-    return np.nonzero(frontier.reshape(-1))[0]
 
 
 def _index_range(grid: VoxelGrid, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -562,7 +542,7 @@ def cells_bbox(grid: VoxelGrid, mask: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return grid.origin + lo * grid.resolution, grid.origin + (hi + 1) * grid.resolution
 
 
-def initial_bbox(grid: VoxelGrid, view_direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def initial_bbox(grid: VoxelGrid, view_direction: np.ndarray) -> None:
     """Set the first frame's adaptive bounding box B on the grid: the Occupied-cell
     bbox swept along the viewing direction until its diagonal doubles (growth
     entirely on the far side)."""
@@ -584,10 +564,9 @@ def initial_bbox(grid: VoxelGrid, view_direction: np.ndarray) -> tuple[np.ndarra
     bmin = bmin + np.minimum(0.0, s * d)
     bmax = bmax + np.maximum(0.0, s * d)
     grid.set_bbox(bmin, bmax)
-    return bmin, bmax
 
 
-def update_bbox(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
+def update_bbox(grid: VoxelGrid) -> None:
     """Set a later frame's adaptive bounding box B on the grid: it covers the
     Occupied and Unknown cells and a sphere of radius gamma = 2 voxels around
     every Frontier voxel center."""
@@ -607,4 +586,3 @@ def update_bbox(grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
         bmin = np.minimum(bmin, grid.voxel_centers(frontier[0])[0] - gamma)
         bmax = np.maximum(bmax, grid.voxel_centers(frontier[1])[0] + gamma)
     grid.set_bbox(bmin, bmax)
-    return bmin, bmax

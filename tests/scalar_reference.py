@@ -22,11 +22,14 @@ conics from a batched LAPACK inverse of the pixel-coordinate dual conics,
 the path the closed-form cofactors replaced; validity must be equal and
 the ellipses must agree to 1e-12 relative.
 
+`pixel_rays_stacked` builds each pixel's ray direction ((c - cx)/fx,
+(r - cy)/fy, 1) in one stacked array and normalizes it by `np.linalg.norm`,
+the formula that the gathers from `CameraIntrinsics.ray_axes` in
+`CameraIntrinsics.pixel_rays` replace; the rays must be equal bit for bit.
 `frame_to_points_pixel_rays` back-projects a frame through
-`CameraIntrinsics.pixel_rays`, one stacked (N,3) direction per hit pixel
-normalized by `np.linalg.norm`, and `crop_all` keeps the points inside a
-box with one `np.all` over (N,3) comparisons: the path that the per-axis
-tables and columns of `render.frame_to_points` and the per-column tests of
+`pixel_rays_stacked`, and `crop_all` keeps the points inside a
+box with one `np.all` over (N,3) comparisons: the path that
+`render.frame_to_points` and the per-column tests of
 `planner._crop` replace; points and their order must be equal bit for bit.
 `preprocess_points_sort_all` is `voxel.preprocess_points` with np.unique
 over every point's cell key, built by `np.ravel_multi_index` over the
@@ -36,7 +39,7 @@ replaces; the kept points and their order must be equal.
 must match voxel for voxel.  `integrate_walk_to_exit` and
 `oracle_walk_to_exit` walk every ray to the grid exit (the oracle's to
 `max_range`); the bounded walks of `integrate_observation` and
-`oracle_evaluate` must give the same states and counts.  `neighbor_any` is
+`oracle_evaluate` must give the same states and the same counts.  `neighbor_any` is
 the 26-offset neighborhood test that the separable dilation in
 `update_frontier` replaces, and `update_bbox_by_indices` the per-cell box
 that the per-axis projections in `initial_bbox` and `update_bbox`
@@ -375,12 +378,25 @@ def project_reference(poses, ellipsoids, intrinsics: CameraIntrinsics):
 # ---- frames to points --------------------------------------------------------
 
 
+def pixel_rays_stacked(intrinsics: CameraIntrinsics, rows, cols) -> np.ndarray:
+    """Unit direction in camera coordinates through each (row, col) pixel."""
+    d = np.stack(
+        [
+            (np.asarray(cols, dtype=float) - intrinsics.cx) / intrinsics.fx,
+            (np.asarray(rows, dtype=float) - intrinsics.cy) / intrinsics.fy,
+            np.ones(np.shape(rows), dtype=float),
+        ],
+        axis=-1,
+    )
+    return d / np.linalg.norm(d, axis=-1, keepdims=True)
+
+
 def frame_to_points_pixel_rays(frame: DepthFrame) -> np.ndarray:
     """World-space point per finite-depth pixel (N, 3), row-major."""
     rows, cols = np.nonzero(frame.hit_mask)
     if len(rows) == 0:
         return np.empty((0, 3))
-    dirs = frame.intrinsics.pixel_rays(rows, cols)
+    dirs = pixel_rays_stacked(frame.intrinsics, rows, cols)
     return frame.pose.camera_to_world(dirs * frame.depths[rows, cols][:, None])
 
 
@@ -470,16 +486,13 @@ def traverse_ray(grid: VoxelGrid, start, end) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def integrate_walk_to_exit(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
+def integrate_walk_to_exit(grid: VoxelGrid, obs: Observation) -> None:
     """`integrate_observation` with every ray walked to the grid exit."""
-    occ = int(VoxelState.OCCUPIED)
-    empty = int(VoxelState.EMPTY)
-    ok, to_occupied = mark_occupied(grid, obs.points)
-    counts = {"to_occupied": to_occupied, "to_empty": 0, "to_unknown": 0}
+    ok = mark_occupied(grid, obs.points)
     deltas = obs.points[ok] - obs.sensor_origin
     deltas = deltas[np.linalg.norm(deltas, axis=1) > 1e-12]
     starts = np.broadcast_to(obs.sensor_origin, deltas.shape)
-    occupied = grid.states == occ
+    occupied = grid.states == int(VoxelState.OCCUPIED)
     in_front = np.zeros(grid.n_voxels, dtype=bool)
     behind = np.zeros(grid.n_voxels, dtype=bool)
     for _, flat, valid in traverse_rays(grid, starts, deltas, np.inf):
@@ -489,11 +502,8 @@ def integrate_walk_to_exit(grid: VoxelGrid, obs: Observation) -> dict[str, int]:
         behind[flat[valid & (col > first)]] = True
     if grid.bbox is not None:
         unknown = behind & ~in_front & (grid.states == int(VoxelState.NONE)) & grid.bbox_mask()
-        counts["to_unknown"] = int(np.count_nonzero(unknown))
         grid.states[unknown] = int(VoxelState.UNKNOWN)
-    counts["to_empty"] = int(np.count_nonzero(in_front & (grid.states != empty)))
-    grid.states[in_front] = empty
-    return counts
+    grid.states[in_front] = int(VoxelState.EMPTY)
 
 
 def oracle_walk_to_exit(view: CandidateView, grid: VoxelGrid, intrinsics: CameraIntrinsics, stride: int) -> OracleScore:

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from nbvplan import cli, planner
+from nbvplan import cli, harness, planner
 from nbvplan.cli import _setup_logging, main
 from nbvplan.config import RunConfig
-from nbvplan.harness import CSV_FIELDS, coverage_quality, run, summarize
+from nbvplan.harness import CSV_FIELDS, coverage_quality, padded_runs, run, summarize
 from nbvplan.mesh import save_obj
 from nbvplan.oracle import oracle_evaluate, rank_agreement
 from nbvplan.projection import evaluate_all
@@ -47,7 +47,7 @@ def test_run_then_summarize_pads_shorter_runs(mesh_dir, tmp_path):
 
     # A run longer than the target sets the row count; the shorter one
     # repeats its last record.
-    rows = summarize([str(short), str(long)], target_iterations=2)
+    rows = summarize(padded_runs([str(short), str(long)], target_iterations=2))
     assert len(rows) == 3
     expected = np.mean([float(short_rows[-1]["coverage"]), float(long_rows[-1]["coverage"])])
     assert rows[-1]["mean_coverage"] == pytest.approx(expected)
@@ -73,12 +73,41 @@ def test_summarize_prints_coverage_auc_and_iterations_to_95(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "mean coverage AUC 0.8800" in printed
     assert "mean iterations to 95% coverage 6.5" in printed
-    assert coverage_quality([str(tmp_path / "a"), str(tmp_path / "b")]) == pytest.approx((0.88, 6.5))
+    assert coverage_quality(padded_runs([str(tmp_path / "a"), str(tmp_path / "b")])) == pytest.approx((0.88, 6.5))
     summary = _rows(out)
     assert list(summary[0]) == [
         "iteration", "mean_coverage", "std_coverage", "mean_compute_time_s", "std_compute_time_s", "n_runs",
     ]
     assert len(summary) == 10
+
+
+@pytest.mark.parametrize(
+    "records, line, message",
+    [
+        ("iteration,compute_time_s\n1,0.5\n", 1, "no coverage column"),
+        ("iteration,coverage,compute_time_s\n1,0.5,0.5\n2,0.6\n", 3, "2 fields, the header has 3"),
+        ("iteration,coverage,compute_time_s\n1,abc,0.5\n", 2, "could not convert string to float: 'abc'"),
+        ("iteration,coverage,compute_time_s\n1,0.5,0.5\n2,nan,0.5\n", 3, "coverage nan is not finite"),
+    ],
+    ids=["missing_column", "short_row", "not_a_number", "nan"],
+)
+def test_summarize_names_the_file_and_line_of_a_malformed_record(records, line, message, tmp_path, capsys):
+    (tmp_path / "records.csv").write_text(records)
+    out = tmp_path / "summary.csv"
+    assert main(["summarize", str(tmp_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'records.csv'}:{line}: {message}\n"
+    assert not out.exists()
+
+
+def test_summarize_reads_each_run_once(tmp_path, monkeypatch):
+    """The summary rows and the coverage quality come from one read of each run."""
+    _write_run(tmp_path / "a", [0.5, 0.96, 0.97])
+    _write_run(tmp_path / "b", [0.3, 0.6])
+    reads = []
+    real = harness._read_run
+    monkeypatch.setattr(harness, "_read_run", lambda path: reads.append(path) or real(path))
+    assert main(["summarize", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(tmp_path / "s.csv")]) == 0
+    assert reads == [str(tmp_path / "a" / "records.csv"), str(tmp_path / "b" / "records.csv")]
 
 
 def test_bench_writes_one_row_per_candidate(mesh_dir, tmp_path, capsys, monkeypatch):

@@ -1,12 +1,14 @@
 """`harness.coverage` against a brute-force nearest-distance count, and the
 coverage `harness.run` tracks frame by frame against `harness.coverage`."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from nbvplan import harness
 from nbvplan.config import RunConfig
-from nbvplan.harness import coverage, read_records
+from nbvplan.harness import coverage
 from nbvplan.mesh import load_mesh, sample_surface_points
 from nbvplan.planner import run_iteration
 
@@ -81,5 +83,6 @@ def test_run_coverage_equals_coverage_of_all_points(shape, mesh_dir, tmp_path, m
     assert len(records) == 5
     assert [r.coverage for r in records] == expected
     assert expected[0] < expected[-1] < 1.0
-    rows = read_records(str(tmp_path / "records.csv"))
+    with open(tmp_path / "records.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["coverage"] for r in rows] == [f"{c:.9f}" for c in expected]

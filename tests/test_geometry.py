@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_reference as ref
-from nbvplan.geometry import Pose, _check_rotations, look_at, look_at_many
+from nbvplan.geometry import CameraIntrinsics, Pose, _check_rotations, look_at, look_at_many
 
 
 def test_pose_rejects_off_diagonal_stretch_within_rtol():
@@ -71,3 +73,28 @@ def test_look_at_many_matches_scalar_bit_for_bit(up):
         z = rotations[k][:, 2]
         image_up = np.array([1.0, 0.0, 0.0]) - z[0] * z
         np.testing.assert_allclose(-rotations[k][:, 1], image_up / np.linalg.norm(image_up))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    focal=st.tuples(st.floats(5.0, 900.0), st.floats(5.0, 900.0)),
+    principal=st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)),
+)
+@settings(max_examples=100, deadline=None)
+def test_pixel_rays_match_the_stacked_norm(seed, size, focal, principal):
+    """Rays gathered from the per-axis tables equal the stacked, normalized
+    ((c - cx)/fx, (r - cy)/fy, 1) bit for bit: for fx != fy, fractional
+    principal points, drawn 1-D index arrays and the (H, W) arrays of
+    `np.indices`."""
+    rng = np.random.default_rng(seed)
+    (w, h), (fx, fy), (px, py) = size, focal, principal
+    intr = CameraIntrinsics(fx=fx, fy=fy, cx=px * w, cy=py * h, width=w, height=h, max_range=5.0)
+    rows, cols = rng.integers(0, h, 50), rng.integers(0, w, 50)
+    got = intr.pixel_rays(rows, cols)
+    assert got.shape == (50, 3)
+    assert np.array_equal(got, ref.pixel_rays_stacked(intr, rows, cols))
+    grid = np.indices((h, w))
+    got = intr.pixel_rays(*grid)
+    assert got.shape == (h, w, 3)
+    assert np.array_equal(got, ref.pixel_rays_stacked(intr, *grid))

@@ -212,9 +212,7 @@ def test_cached_rays_rotate_to_the_rays_built_per_call(stride):
     assert _camera_rays(CameraIntrinsics(**vars(intr)), stride) is rays
     assert not rays.flags.writeable
     rng = np.random.default_rng(stride)
-    rr, cc = np.meshgrid(
-        np.arange(0, intr.height, stride, dtype=float), np.arange(0, intr.width, stride, dtype=float), indexing="ij"
-    )
+    rr, cc = np.meshgrid(np.arange(0, intr.height, stride), np.arange(0, intr.width, stride), indexing="ij")
     for position in rng.normal(size=(5, 3)):
         pose = look_at(position, rng.normal(scale=0.1, size=3), [0, 0, 1])
         built = intr.pixel_rays(rr.ravel(), cc.ravel()) @ pose.rotation.T

@@ -249,9 +249,8 @@ def test_integrate_single_ray_semantics():
     grid.set_bbox(np.array([-1.0, -1.0, -1.0]), np.array([3.0, 3.0, 3.0]))
     sensor = np.array([-0.95, 0.05, 0.05])
     point = np.array([0.05, 0.05, 0.05])  # 1 m ahead
-    counts = integrate_observation(grid, Observation(points=[point], sensor_origin=sensor))
+    integrate_observation(grid, Observation(points=[point], sensor_origin=sensor))
 
-    assert counts["to_occupied"] == 1
     occ = grid.indices_in_state(VoxelState.OCCUPIED)
     assert len(occ) == 1
     np.testing.assert_array_equal(grid.unflat(occ)[0], grid.voxel_of(point)[0])
@@ -278,27 +277,23 @@ def test_integrate_idempotent():
     obs = Observation(points=pts, sensor_origin=np.array([0.05, 0.05, 0.05]))
     integrate_observation(grid, obs)
     snapshot = grid.states.copy()
-    counts = integrate_observation(grid, obs)
+    integrate_observation(grid, obs)
     np.testing.assert_array_equal(grid.states, snapshot)
-    assert counts["to_occupied"] == 0
-    assert counts["to_empty"] == 0
-    assert counts["to_unknown"] == 0
 
 
 def test_integrate_counts_net_changes():
     """Ray B crosses voxels of ray A's shadow in front of its own surface.
-    They end Empty and count once, as to_empty, never as to_unknown."""
+    They end Empty, never Unknown."""
     grid = VoxelGrid(origin=np.zeros(3), resolution=1.0, dims=(10, 10, 1))
     grid.set_bbox(*grid.span)
     sensor = np.array([0.5, 0.5, 0.5])
     surface_a = np.array([2.9, 1.1, 0.5])  # voxel (2, 1, 0); shadow from (3, 1, 0)
     surface_b = np.array([8.5, 0.5 + 8 * 0.17, 0.5])  # voxel (8, 1, 0)
-    counts = integrate_observation(grid, Observation(points=[surface_a, surface_b], sensor_origin=sensor))
+    integrate_observation(grid, Observation(points=[surface_a, surface_b], sensor_origin=sensor))
 
     assert grid.states[grid.flat_index([[3, 1, 0]])[0]] == VoxelState.EMPTY
     tally = grid.state_counts()
-    assert counts == {"to_occupied": 2, "to_empty": tally["empty"], "to_unknown": tally["unknown"]}
-    assert (tally["empty"], tally["unknown"]) == (9, 5)
+    assert (tally["occupied"], tally["empty"], tally["unknown"]) == (2, 9, 5)
 
 
 @given(
@@ -310,7 +305,7 @@ def test_integrate_counts_net_changes():
 )
 @settings(max_examples=60, deadline=None)
 def test_bounded_integration_matches_walk_to_exit(seed, with_bbox, lattice, axis_parallel, clutter):
-    """States and counts equal those of walking every ray to the grid exit:
+    """States equal those of walking every ray to the grid exit:
     on empty grids and grids with earlier states, with and without a box,
     with points outside the box, on voxel corners and edges, and along axes."""
     rng = np.random.default_rng(seed)
@@ -327,7 +322,8 @@ def test_bounded_integration_matches_walk_to_exit(seed, with_bbox, lattice, axis
         if len(points) == 0:
             continue
         obs = Observation(points=points, sensor_origin=sensor)
-        assert integrate_observation(grid, obs) == integrate_walk_to_exit(reference, obs)
+        integrate_observation(grid, obs)
+        integrate_walk_to_exit(reference, obs)
         np.testing.assert_array_equal(grid.states, reference.states)
 
 
@@ -341,7 +337,8 @@ def test_ray_passing_its_point_by_a_corner_is_walked_to_the_exit():
     assert tuple(grid.voxel_of(point)[0]) not in set(map(tuple, traverse_ray(grid, sensor, 2 * point - sensor)))
     reference = VoxelGrid(grid.origin, grid.resolution, tuple(grid.dims), bbox=grid.bbox)
     obs = Observation(points=[point], sensor_origin=sensor)
-    assert integrate_observation(grid, obs) == integrate_walk_to_exit(reference, obs)
+    integrate_observation(grid, obs)
+    integrate_walk_to_exit(reference, obs)
     np.testing.assert_array_equal(grid.states, reference.states)
     assert grid.states[grid.flat_index(grid.voxel_of([1.1, -3.5, 0.5]))[0]] == VoxelState.EMPTY
 
@@ -367,7 +364,7 @@ def corner_point(rng, grid, sensor, occupied):
 @settings(max_examples=25, deadline=None)
 def test_integration_in_parts_matches_walk_to_exit(cpus, seed, with_bbox):
     """More than _RAY_BLOCK rays, to lattice ends and to a corner whose ray
-    passes its voxel by that corner, give the states and counts of walking
+    passes its voxel by that corner, give the states of walking
     every ray to the grid exit on one CPU and on two.  The frame is split
     once; on two CPUs each half, one per thread, walks some of the corner's
     rays again to the grid exit."""
@@ -400,7 +397,8 @@ def test_integration_in_parts_matches_walk_to_exit(cpus, seed, with_bbox):
         mp.setattr("nbvplan.voxel._usable_cpus", lambda: cpus)
         mp.setattr("nbvplan.voxel._ray_parts", lambda n: split.append((n, len(_ray_parts(n)))) or _ray_parts(n))
         mp.setattr("nbvplan.voxel.traverse_rays", recording_traverse)
-        assert integrate_observation(grid, obs) == integrate_walk_to_exit(reference, obs)
+        integrate_observation(grid, obs)
+        integrate_walk_to_exit(reference, obs)
     np.testing.assert_array_equal(grid.states, reference.states)
     [(rays, parts)] = split
     assert rays > _RAY_BLOCK and parts == cpus
@@ -441,11 +439,10 @@ def test_integration_logs_its_walk_at_debug(caplog):
 def test_mark_occupied_is_rule_one_alone():
     grid = unit_grid()
     pts = np.array([[1.5, 1.5, 1.5], [1.7, 1.2, 1.9], [6.5, 2.5, 0.5], [9.5, 0.5, 0.5]])
-    ok, to_occupied = mark_occupied(grid, pts)
-    np.testing.assert_array_equal(ok, [True, True, True, False])
-    assert to_occupied == 2
+    np.testing.assert_array_equal(mark_occupied(grid, pts), [True, True, True, False])
     assert np.bincount(grid.states, minlength=len(VoxelState)).tolist() == [8**3 - 2, 0, 2, 0, 0]
-    assert mark_occupied(grid, pts)[1] == 0
+    mark_occupied(grid, pts)
+    assert np.bincount(grid.states, minlength=len(VoxelState)).tolist() == [8**3 - 2, 0, 2, 0, 0]
 
 
 def test_first_frame_integrated_once(monkeypatch):
@@ -458,15 +455,18 @@ def test_first_frame_integrated_once(monkeypatch):
     real = planner.integrate_observation
 
     def counting(grid, obs):
-        calls.append(real(grid, obs))
-        return calls[-1]
+        before = grid.states.copy()
+        real(grid, obs)
+        calls.append((before, grid.states.copy()))
 
     monkeypatch.setattr(planner, "integrate_observation", counting)
     config = RunConfig(width=160, height=120, fx=145.0, fy=145.0, candidates=16, t_max=1, seed=7)
     state = planner.initialize(make_shape("u_prism"), config)
     assert len(calls) == 1
-    assert calls[0]["to_occupied"] == 0  # marked before the box was sized
-    assert calls[0]["to_unknown"] > 0
+    [(before, after)] = calls
+    occ, unknown = int(VoxelState.OCCUPIED), int(VoxelState.UNKNOWN)
+    assert np.array_equal(before == occ, after == occ)  # marked before the box was sized
+    assert ((before == int(VoxelState.NONE)) & (after == unknown)).any()
     assert state.grid.state_counts()["frontier"] > 0
 
 
@@ -596,15 +596,14 @@ def test_frontier_basic_neighborhood():
     g3[2, 2, 2] = VoxelState.UNKNOWN
     g3[2, 2, 1] = VoxelState.EMPTY
     g3[2, 2, 3] = VoxelState.OCCUPIED
-    frontier = update_frontier(grid)
-    assert list(frontier) == [2 + 5 * (2 + 5 * 2)]
+    update_frontier(grid)
+    assert list(grid.indices_in_state(VoxelState.FRONTIER)) == [2 + 5 * (2 + 5 * 2)]
 
 
 def test_unknown_surrounded_by_unknown_not_frontier():
     grid = unit_grid(5)
     grid.states[:] = VoxelState.UNKNOWN
-    frontier = update_frontier(grid)
-    assert len(frontier) == 0
+    update_frontier(grid)
     assert np.all(grid.states == VoxelState.UNKNOWN)
 
 
@@ -630,8 +629,7 @@ def test_frontier_matches_brute_force(seed):
         [int(s) for s in VoxelState], size=grid.n_voxels, p=[0.3, 0.25, 0.15, 0.25, 0.05]
     ).astype(np.uint8)
     expected = brute_force_frontier(grid)
-    got = set(update_frontier(grid).tolist())
-    assert got == expected
+    update_frontier(grid)
     # every frontier satisfies the predicate, every unknown violates it
     assert set(grid.indices_in_state(VoxelState.FRONTIER).tolist()) == expected
 
@@ -662,7 +660,8 @@ def test_bbox_first_frame_doubles_diagonal_along_view():
     grid = VoxelGrid(origin=np.zeros(3), resolution=1.0, dims=(20, 20, 20))
     g3 = grid.grid3d()
     g3[5:8, 5:8, 5:8] = VoxelState.OCCUPIED  # cube of cells, bbox [5,8]^3
-    bmin, bmax = initial_bbox(grid, [1.0, 0.0, 0.0])
+    initial_bbox(grid, [1.0, 0.0, 0.0])
+    bmin, bmax = grid.bbox
     base_diag = np.sqrt(27.0)
     new_diag = np.linalg.norm(bmax - bmin)
     assert new_diag == pytest.approx(2.0 * base_diag, rel=1e-9)
@@ -676,7 +675,8 @@ def test_bbox_later_no_unknown_no_frontier():
     grid = VoxelGrid(origin=np.zeros(3), resolution=1.0, dims=(10, 10, 10))
     g3 = grid.grid3d()
     g3[2:4, 3:5, 4:6] = VoxelState.OCCUPIED
-    bmin, bmax = update_bbox(grid)
+    update_bbox(grid)
+    bmin, bmax = grid.bbox
     np.testing.assert_allclose(bmin, [4.0, 3.0, 2.0])  # x,y,z from (z,y,x) slices
     np.testing.assert_allclose(bmax, [6.0, 5.0, 4.0])
 
@@ -687,7 +687,8 @@ def test_bbox_frontier_sphere_inflation():
     g3[5, 5, 5] = VoxelState.OCCUPIED
     g3[8, 8, 8] = VoxelState.FRONTIER
     gamma = 2.0  # 2 * resolution
-    bmin, bmax = update_bbox(grid)
+    update_bbox(grid)
+    bmin, bmax = grid.bbox
     center = np.array([8.5, 8.5, 8.5])
     np.testing.assert_allclose(bmax, center + gamma)
     np.testing.assert_allclose(bmin, [5.0, 5.0, 5.0])
@@ -703,11 +704,14 @@ def test_bbox_contains_occupied_every_frame():
         direction /= np.linalg.norm(direction)
         obs = _observe_sphere(grid, mesh, 0.6 * direction)
         integrate_observation(grid, obs)
-        bmin, bmax = initial_bbox(grid, -direction) if first else update_bbox(grid)
         if first:
+            initial_bbox(grid, -direction)
             integrate_observation(grid, obs)
             first = False
+        else:
+            update_bbox(grid)
         update_frontier(grid)
+        bmin, bmax = grid.bbox
         occ = grid.voxel_centers(grid.unflat(grid.indices_in_state(VoxelState.OCCUPIED)))
         assert np.all(occ >= bmin) and np.all(occ <= bmax)
 
@@ -740,8 +744,10 @@ def test_bbox_equals_per_cell_indices(seed, states, first_frame):
     grid.states[rng.choice(grid.n_voxels, len(states), replace=False)] = [int(s) for s in states]
     direction = rng.normal(size=3)
     want = update_bbox_by_indices(grid, direction, first_frame, 2.0 * grid.resolution)
-    got = initial_bbox(grid, direction) if first_frame else update_bbox(grid)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    if first_frame:
+        initial_bbox(grid, direction)
+    else:
+        update_bbox(grid)
     assert all(np.array_equal(g, w) for g, w in zip(grid.bbox, want))
 
 
