@@ -26,7 +26,8 @@ ORTHONORMAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole camera parameters plus the sensor's working envelope."""
+    """Pinhole camera parameters plus the sensor's working envelope.  Pixel
+    (r, c) looks along d = (x, y, 1) from `ray_axes`, of length `ray_length`."""
 
     fx: float
     fy: float
@@ -51,17 +52,22 @@ class CameraIntrinsics:
             (np.arange(self.height, dtype=float) - self.cy) / self.fy,
         )
 
+    @staticmethod
+    def ray_length(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The length rule: |d| of each direction d = (x, y, 1) from `ray_axes`."""
+        return np.sqrt(x * x + y * y + 1.0)
+
     def pixel_rays(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Unit direction in camera coordinates through each (row, col) pixel.
 
         `rows` and `cols` are integer index arrays of any shapes that
         broadcast together, such as `np.indices` gives; the result has their
         shape plus a last axis of 3.  The direction (x, y, 1) is gathered
-        from `ray_axes` and divided by sqrt(x*x + y*y + 1.0).
+        from `ray_axes` and divided by its `ray_length`.
         """
         x_of, y_of = self.ray_axes()
         x, y = x_of[cols], y_of[rows]
-        norm = np.sqrt(x * x + y * y + 1.0)
+        norm = self.ray_length(x, y)
         rays = np.empty(norm.shape + (3,))
         np.divide(x, norm, out=rays[..., 0])
         np.divide(y, norm, out=rays[..., 1])

@@ -51,11 +51,6 @@ def _camera_rays(intrinsics: CameraIntrinsics, stride: int) -> np.ndarray:
     return rays
 
 
-def _pixel_ray_dirs(intrinsics: CameraIntrinsics, rotation: np.ndarray, stride: int) -> np.ndarray:
-    """World-frame unit rays through every stride-th pixel of a camera with this rotation."""
-    return _camera_rays(intrinsics, stride) @ rotation.T
-
-
 def oracle_scores(
     rotations: np.ndarray,
     positions: np.ndarray,
@@ -74,7 +69,7 @@ def oracle_scores(
     counts = np.zeros((2, len(positions)), dtype=np.int64)
     walked = visits = 0
     for i, (rotation, position) in enumerate(zip(rotations, positions)):
-        dirs = _pixel_ray_dirs(intrinsics, rotation, stride)
+        dirs = _camera_rays(intrinsics, stride) @ rotation.T
         reached = np.zeros(grid.n_voxels, dtype=bool)
         if box is not None:
             bmin, bmax = box

@@ -15,11 +15,14 @@ each group is tested in broadcast passes of shape (F, H, W): per-triangle
 scalars are (F, 1, 1) and the ray-direction windows (F, 1, W) and
 (F, H, 1).  A pass holds at most `_PASS_PAIRS` (triangle, pixel) pairs,
 which bounds the temporaries.  Padded cells outside a triangle's own box get
-NaN rays, which never hit, and the hits are written with `np.minimum.at`.
-Every pair runs the same float operations in the same order as a loop over
-one triangle at a time, and a minimum does not depend on the order of its
-inputs, so the image equals that loop's bit for bit
-(`tests/scalar_reference.render_depth_loop`).
+NaN rays, which never hit.  The passes keep each pixel's nearest ray
+parameter t (`np.minimum.at`), and after them each hit becomes its range
+t * |d| once, by `CameraIntrinsics.ray_length`.  Every pair runs the same
+float operations in the same order as a loop over one triangle at a time,
+and a minimum does not depend on the order of its inputs.  All of a pixel's
+hits share its |d| > 0, and rounded multiplication by it is monotone, so
+the range of the nearest t is the nearest range: the image equals the
+loop's bit for bit (`tests/scalar_reference.render_depth_loop`).
 """
 
 from __future__ import annotations
@@ -143,18 +146,16 @@ def render_depth(
 ) -> DepthFrame:
     """Render a range image from `pose`.  Deterministic for fixed inputs.
 
-    `noise_sigma` > 0 adds Gaussian range noise (m) to hit pixels; the default
-    0 keeps rendering exact.
+    The passes keep each pixel's nearest ray parameter t; each hit becomes
+    range t * |d| once, before the `max_range` cut, which the module
+    docstring shows is the nearest range.  `noise_sigma` > 0 adds Gaussian
+    range noise (m) to hit pixels; the default 0 keeps rendering exact.
     """
     if not np.isfinite(mesh.vertices).all():
         raise ValueError("mesh vertices must be finite")
     h, w = intrinsics.height, intrinsics.width
     depth = np.full((h, w), np.inf)
-
-    # Unnormalized pixel ray directions d = (dir_x, dir_y, 1); the parametric
-    # hit t then satisfies range = t * |d|.
     dir_x, dir_y = intrinsics.ray_axes()
-    dir_norm = np.sqrt(dir_x[None, :] ** 2 + dir_y[:, None] ** 2 + 1.0).reshape(-1)
 
     tri_cam = pose.world_to_camera(mesh.vertices)[mesh.triangles]  # (F, 3, 3)
     tri_cam = tri_cam[(tri_cam[:, :, 2] > T_MIN).any(axis=1)]
@@ -194,8 +195,13 @@ def render_depth(
             pairs += hit.size
             k = np.flatnonzero(hit)
             pix = ((rows[part] * w)[:, :, None] + cols[part, None, :]).reshape(-1)[k]
-            np.minimum.at(flat_depth, pix, t.reshape(-1)[k] * dir_norm[pix])
+            np.minimum.at(flat_depth, pix, t.reshape(-1)[k])
 
+    # Hit pixels' x and y in row-major order: a row's y once per hit in it.
+    hit_pixels = np.isfinite(depth)
+    hit_x = np.broadcast_to(dir_x, depth.shape)[hit_pixels]
+    hit_y = np.repeat(dir_y, np.count_nonzero(hit_pixels, axis=1))
+    depth[hit_pixels] *= intrinsics.ray_length(hit_x, hit_y)
     depth[depth > intrinsics.max_range] = np.inf
     finite = np.isfinite(depth)
     log.debug(

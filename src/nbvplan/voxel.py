@@ -35,7 +35,7 @@ which set the walk's peak memory, stay those of one block; the split adds
 the worker's masks and what its allocator keeps.
 
 Storage is a dense state array indexed x + y*nx + z*nx*ny; the grid grows by
-copy when the bounding box outruns its span.
+`np.pad` when the bounding box outruns its span.
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ class VoxelGrid:
         origin: np.ndarray,
         resolution: float,
         dims: tuple[int, int, int],
-        bbox: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         if resolution <= 0:
             raise ValueError("resolution must be positive")
@@ -131,8 +130,6 @@ class VoxelGrid:
             raise ValueError("grid dims must be positive")
         self.states = np.zeros(int(np.prod(self.dims)), dtype=np.uint8)
         self.bbox = None
-        if bbox is not None:
-            self.set_bbox(bbox[0], bbox[1])
 
     @classmethod
     def from_box(cls, box_min, box_max, resolution: float) -> "VoxelGrid":
@@ -190,23 +187,17 @@ class VoxelGrid:
         self.bbox = (bmin, bmax)
 
     def ensure_contains(self, bmin, bmax) -> None:
-        """Grow the grid by whole voxels (copy) so [bmin, bmax] fits its span."""
+        """Grow the grid by whole None voxels (`np.pad`) so [bmin, bmax]
+        fits its span."""
         lo, hi = self.span
         grow_lo = np.maximum(np.ceil((lo - bmin) / self.resolution), 0).astype(np.int64)
         grow_hi = np.maximum(np.ceil((bmax - hi) / self.resolution), 0).astype(np.int64)
         if not (grow_lo.any() or grow_hi.any()):
             return
-        new_dims = self.dims + grow_lo + grow_hi
-        new_origin = self.origin - grow_lo * self.resolution
-        new_states = np.zeros(int(np.prod(new_dims)), dtype=np.uint8)
-        nx, ny, nz = (int(v) for v in self.dims)
-        mx, my, mz = (int(v) for v in new_dims)
-        ox, oy, oz = (int(v) for v in grow_lo)
-        new3 = new_states.reshape(mz, my, mx)
-        new3[oz : oz + nz, oy : oy + ny, ox : ox + nx] = self.grid3d()
-        self.origin = new_origin
-        self.dims = new_dims
-        self.states = new_states
+        widths = np.stack([grow_lo, grow_hi], axis=1)[::-1]  # (before, after) per z, y, x
+        self.states = np.pad(self.grid3d(), widths).reshape(-1)
+        self.origin = self.origin - grow_lo * self.resolution
+        self.dims = self.dims + grow_lo + grow_hi
 
     # ---- queries ----------------------------------------------------------
 

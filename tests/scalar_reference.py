@@ -83,7 +83,7 @@ from nbvplan.ellipsoid import (
 )
 from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose
 from nbvplan.mesh import EmptyMeshError, MeshFormatError, TriangleMesh
-from nbvplan.oracle import OracleScore, _pixel_ray_dirs
+from nbvplan.oracle import OracleScore, _camera_rays
 from nbvplan.planner import InfeasiblePartitionError, PartitionLedger, admissible_partitions
 from nbvplan.projection import _border_area
 from nbvplan.render import BARY_EPS, DET_EPS, T_MIN
@@ -508,7 +508,7 @@ def integrate_walk_to_exit(grid: VoxelGrid, obs: Observation) -> None:
 
 def oracle_walk_to_exit(view: CandidateView, grid: VoxelGrid, intrinsics: CameraIntrinsics, stride: int) -> OracleScore:
     """`oracle_evaluate` with every pixel ray walked to max_range or the grid exit."""
-    dirs = _pixel_ray_dirs(intrinsics, view.pose.rotation, stride)
+    dirs = _camera_rays(intrinsics, stride) @ view.pose.rotation.T
     starts = np.broadcast_to(view.pose.translation, dirs.shape)
     reached = np.zeros(grid.n_voxels, dtype=bool)
     occupied = grid.states == int(VoxelState.OCCUPIED)

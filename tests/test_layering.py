@@ -1,5 +1,6 @@
-"""The voxel map and the ellipsoid fit are layers below the planner: neither
-imports another nbvplan module, at module level or inside a function."""
+"""The camera model, the mesh, the voxel map and the ellipsoid fit are layers
+below the planner: none imports another nbvplan module, at module level or
+inside a function."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,6 @@ def nbvplan_imports(path: Path) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("module", ["voxel", "ellipsoid"])
+@pytest.mark.parametrize("module", ["geometry", "mesh", "voxel", "ellipsoid"])
 def test_layer_imports_no_other_nbvplan_module(module):
     assert nbvplan_imports(SRC / f"{module}.py") == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbvplan.geometry import CameraIntrinsics, look_at
-from nbvplan.oracle import _camera_rays, _pixel_ray_dirs, oracle_evaluate, oracle_scores
+from nbvplan.oracle import _camera_rays, oracle_evaluate, oracle_scores
 from nbvplan.voxel import VoxelGrid, VoxelState
 from scalar_reference import CandidateView, oracle_walk_to_exit, stack, traverse_ray
 
@@ -106,10 +106,9 @@ def line_of_sight_visible(grid, origin, max_range, probes="all"):
 
 def pixel_visible_sets(grid, view, intr, stride=1):
     """The oracle's visibility sets (not just counts), for set comparisons."""
-    from nbvplan.oracle import _pixel_ray_dirs
     from nbvplan.voxel import first_hits, traverse_rays
 
-    dirs = _pixel_ray_dirs(intr, view.pose.rotation, stride)
+    dirs = _camera_rays(intr, stride) @ view.pose.rotation.T
     starts = np.broadcast_to(view.pose.translation, dirs.shape)
     seen_f = np.zeros(grid.n_voxels, bool)
     seen_o = np.zeros(grid.n_voxels, bool)
@@ -216,7 +215,7 @@ def test_cached_rays_rotate_to_the_rays_built_per_call(stride):
     for position in rng.normal(size=(5, 3)):
         pose = look_at(position, rng.normal(scale=0.1, size=3), [0, 0, 1])
         built = intr.pixel_rays(rr.ravel(), cc.ravel()) @ pose.rotation.T
-        assert np.array_equal(_pixel_ray_dirs(intr, pose.rotation, stride), built)
+        assert np.array_equal(rays @ pose.rotation.T, built)
 
 
 def test_oracle_skips_rays_that_miss_the_box(small_intr, caplog):

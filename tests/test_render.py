@@ -24,6 +24,7 @@ from scalar_reference import (
 # Power-of-two focal lengths make a vertex at x = (c - cx) / fx * z, with z a
 # power of two, project exactly onto the pixel centre c.
 SMALL = CameraIntrinsics(fx=32.0, fy=32.0, cx=20.0, cy=15.0, width=40, height=30, max_range=2.5)
+UNEVEN = dataclasses.replace(SMALL, fy=31.3, cx=19.37, cy=14.81)
 IDENTITY = Pose(rotation=np.eye(3), translation=np.zeros(3))
 
 
@@ -223,12 +224,18 @@ def random_camera_mesh(seed: int, n_tris: int, on_centres: bool, flat: bool) -> 
 @settings(max_examples=60, deadline=None)
 @pytest.mark.parametrize("pass_pairs", [render._PASS_PAIRS, 8])
 def test_grouped_render_matches_loop(pass_pairs, seed, n_tris, on_centres, flat):
-    """Bit-identical to the per-triangle loop, also when a small pass cap
-    cuts boxes into one-row bands and splits groups across passes."""
+    """Bit-identical to the per-triangle loop, which converts each hit to
+    range before its minimum, also when a small pass cap cuts boxes into
+    one-row bands and splits groups across passes: on an even camera and on
+    one with fx != fy and a fractional principal point, with and without
+    range noise."""
     mesh = random_camera_mesh(seed, n_tris, on_centres, flat)
-    with mock.patch.object(render, "_PASS_PAIRS", pass_pairs):
-        depths = render_depth(mesh, IDENTITY, SMALL).depths
-    assert np.array_equal(depths, render_depth_loop(mesh, IDENTITY, SMALL).depths)
+    for camera in (SMALL, UNEVEN):
+        for noise_sigma in (0.0, 0.002):
+            with mock.patch.object(render, "_PASS_PAIRS", pass_pairs):
+                depths = render_depth(mesh, IDENTITY, camera, noise_sigma, noise_seed=seed).depths
+            expected = render_depth_loop(mesh, IDENTITY, camera, noise_sigma, noise_seed=seed).depths
+            assert np.array_equal(depths, expected)
 
 
 def test_random_meshes_reach_every_case():

@@ -1,3 +1,4 @@
+import copy
 import logging
 import re
 import threading
@@ -315,8 +316,7 @@ def test_bounded_integration_matches_walk_to_exit(seed, with_bbox, lattice, axis
     if with_bbox:
         corners = np.sort(rng.uniform(lo, hi, (2, 3)), axis=0)
         grid.set_bbox(corners[0], corners[1])
-    reference = VoxelGrid(grid.origin, grid.resolution, tuple(grid.dims), bbox=grid.bbox)
-    reference.states[:] = grid.states
+    reference = copy.deepcopy(grid)
     for sensor in rng.uniform(lo - 1.0, hi + 1.0, (3, 3)):
         _, points = random_segments(rng, grid, 60, lattice, axis_parallel, start=sensor)
         if len(points) == 0:
@@ -335,7 +335,7 @@ def test_ray_passing_its_point_by_a_corner_is_walked_to_the_exit():
     grid.set_bbox(np.zeros(3), np.array([8.0, 6.0, 1.0]))
     sensor, point = np.array([0.5, 4.5, 0.5]), np.array([1.0, 1.0, 0.5])
     assert tuple(grid.voxel_of(point)[0]) not in set(map(tuple, traverse_ray(grid, sensor, 2 * point - sensor)))
-    reference = VoxelGrid(grid.origin, grid.resolution, tuple(grid.dims), bbox=grid.bbox)
+    reference = copy.deepcopy(grid)
     obs = Observation(points=[point], sensor_origin=sensor)
     integrate_observation(grid, obs)
     integrate_walk_to_exit(reference, obs)
@@ -382,8 +382,7 @@ def test_integration_in_parts_matches_walk_to_exit(cpus, seed, with_bbox):
     corner = corner_point(rng, grid, sensor, set(map(tuple, ijk[grid.in_bounds(ijk)])))
     assume(corner is not None)
     points = np.concatenate([ends, np.tile(corner, (_RAY_BLOCK + 1, 1))])
-    reference = VoxelGrid(grid.origin, grid.resolution, tuple(grid.dims), bbox=grid.bbox)
-    reference.states[:] = grid.states
+    reference = copy.deepcopy(grid)
     obs = Observation(points=rng.permutation(points), sensor_origin=sensor)
 
     split, corner_exits = [], set()
