@@ -352,8 +352,8 @@ def fit_mvee(
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         raise ValueError("fit_mvee requires at least one point")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
 
     work = pts
     if len(work) < 4 or _points_rank(work) < 3:

@@ -39,8 +39,9 @@ class CameraIntrinsics:
     working_distance: float = 0.4  # optimal standoff d_c (m)
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        for name, value in (("fx", self.fx), ("fy", self.fy), ("max_range", self.max_range)):
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 

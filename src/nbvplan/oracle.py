@@ -8,7 +8,7 @@ rays are walked at once by `traverse_rays`, and a ray reaches its voxels up
 to and including its first Occupied one, within `max_range`.
 
 Only voxels inside the box of the Frontier and Occupied cells can count or
-block, so each ray is walked from its start only until it leaves that box
+block, so each ray is walked from the camera only until it leaves that box
 padded by one voxel, and a ray that misses the padded box is not walked.
 The counts are those of walking every ray to `max_range` or the grid exit.
 `oracle_scores` takes the cameras as rotation and position arrays, as
@@ -76,12 +76,11 @@ def oracle_scores(
             # Segments of length max_range, cut where they leave the padded
             # box of the cells that can count; the traversal also clips them
             # to the grid.
-            starts = np.broadcast_to(position, dirs.shape)
             deltas = dirs * intrinsics.max_range
-            t_in, t_out = ray_box_range(starts, deltas, bmin - grid.resolution, bmax + grid.resolution)
+            t_in, t_out = ray_box_range(position, deltas, bmin - grid.resolution, bmax + grid.resolution)
             t_end = np.minimum(t_out, 1.0)
             walk = np.flatnonzero(np.maximum(t_in, 0.0) <= t_end)
-            for _, flat, valid in traverse_rays(grid, starts[walk], deltas[walk], t_end[walk]):
+            for _, flat, valid in traverse_rays(grid, position, deltas[walk], t_end[walk]):
                 last = first_hits(valid & occupied[flat])
                 reached[flat[valid & (np.arange(flat.shape[1]) <= last)]] = True
                 walked += len(flat)

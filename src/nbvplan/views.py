@@ -122,8 +122,8 @@ def _parallel_counts(polars: np.ndarray, total: int) -> np.ndarray:
 
 def sample_candidates(config: SamplingConfig, center: np.ndarray, radius: float) -> Candidates:
     """Generate candidate views on the sampling sphere, all looking at `center`."""
-    if radius <= 0:
-        raise ValueError("sampling radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     center = np.asarray(center, dtype=float).reshape(3)
     lo, hi = config.polar_range
     polars = np.linspace(lo, hi, config.alpha)

@@ -20,19 +20,20 @@ does not depend on the order in which rays or their voxels are visited: a
 voxel ends Empty if some ray crosses it before that ray's first Occupied
 voxel; otherwise it ends Unknown if it was None, its centre lies in the box
 and some ray crosses it behind that ray's first Occupied voxel; otherwise it
-keeps its state.  All rays of an observation are walked at once as arrays,
-each only as far as it can change that result: to its own point's voxel or
-out of the bounding box padded by one voxel, whichever comes later, and to
-the grid exit only if it has met no Occupied voxel by then.
+keeps its state.
 
-Because of that order independence, a frame with more than _RAY_BLOCK
-rays is split once into two contiguous halves when the process may run on
-two CPUs: the calling thread walks one and a worker thread the other (numpy
-releases the interpreter lock in its array loops), each through both of its
-passes and into its own masks, ORed after the join.  Each half walks blocks
-of _RAY_BLOCK // 2 rays, so the padded (rays, voxels) arrays in flight,
-which set the walk's peak memory, stay those of one block; the split adds
-the worker's masks and what its allocator keeps.
+Because of that order independence, all rays of a frame are walked at once
+as arrays, in two passes: each ray to the bound `integrate_observation`
+states, then the rays that met no Occupied voxel by then on to the grid exit.
+A frame with more than _RAY_BLOCK rays is split once into two contiguous
+halves when the process may run on two CPUs: the calling thread walks one
+and a worker thread the other (numpy releases the interpreter lock in its
+array loops), each through both passes and into its own masks, ORed after
+the join.  Otherwise the frame is one part, walked on the calling thread,
+and no thread starts.  Each half walks blocks of _RAY_BLOCK // 2 rays, so
+the padded (rays, voxels) arrays in flight, which set the walk's peak
+memory, stay those of one block; the split adds the worker's masks and what
+its allocator keeps.  The states do not depend on the split.
 
 Storage is a dense state array indexed x + y*nx + z*nx*ny; the grid grows by
 `np.pad` when the bounding box outruns its span.
@@ -121,9 +122,11 @@ class VoxelGrid:
         resolution: float,
         dims: tuple[int, int, int],
     ):
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not (np.isfinite(resolution) and resolution > 0):
+            raise ValueError(f"resolution must be positive and finite, got {resolution}")
         self.origin = np.asarray(origin, dtype=float).reshape(3)
+        if not np.isfinite(self.origin).all():
+            raise ValueError(f"origin must be finite, got {self.origin}")
         self.resolution = float(resolution)
         self.dims = np.asarray(dims, dtype=np.int64).reshape(3)
         if np.any(self.dims <= 0):
@@ -181,6 +184,9 @@ class VoxelGrid:
     def set_bbox(self, bmin, bmax) -> None:
         bmin = np.asarray(bmin, dtype=float).reshape(3)
         bmax = np.asarray(bmax, dtype=float).reshape(3)
+        for name, corner in (("bmin", bmin), ("bmax", bmax)):
+            if not np.isfinite(corner).all():
+                raise ValueError(f"{name} must be finite, got {corner}")
         if np.any(bmax < bmin):
             raise ValueError("invalid bbox")
         self.ensure_contains(bmin, bmax)
@@ -233,37 +239,36 @@ class VoxelGrid:
 _RAY_BLOCK = 1024
 
 
-def ray_box_range(starts: np.ndarray, deltas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Parameter range (t_in, t_out) of each line start + t*delta inside the box [lo, hi].
+def ray_box_range(origin: np.ndarray, deltas: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Parameter range (t_in, t_out) of each line origin + t*delta inside the box [lo, hi].
 
     t_in > t_out when the line misses the box.  An axis the line runs
-    parallel to bounds nothing if the start lies in that slab, and empties
-    the range if it does not.
+    parallel to bounds nothing if the origin lies in that slab, faces
+    included, and empties the range if it does not.
     """
-    t_in = np.full(len(starts), -np.inf)
-    t_out = np.full(len(starts), np.inf)
+    t_in = np.full(len(deltas), -np.inf)
+    t_out = np.full(len(deltas), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for axis in range(3):
             d = deltas[:, axis]
-            s = starts[:, axis]
-            ta = (lo[axis] - s) / d
-            tb = (hi[axis] - s) / d
-            zero = d == 0.0
-            inside = (s >= lo[axis]) & (s <= hi[axis])
-            t_in = np.maximum(t_in, np.where(zero, np.where(inside, -np.inf, np.inf), np.minimum(ta, tb)))
-            t_out = np.minimum(t_out, np.where(zero, np.where(inside, np.inf, -np.inf), np.maximum(ta, tb)))
+            ta = (lo[axis] - origin[axis]) / d
+            tb = (hi[axis] - origin[axis]) / d
+            parallel = np.inf if lo[axis] <= origin[axis] <= hi[axis] else -np.inf
+            t_in = np.maximum(t_in, np.where(d == 0.0, -parallel, np.minimum(ta, tb)))
+            t_out = np.minimum(t_out, np.where(d == 0.0, parallel, np.maximum(ta, tb)))
     return t_in, t_out
 
 
 def traverse_rays(
     grid: VoxelGrid,
-    starts: np.ndarray,
+    origin: np.ndarray,
     deltas: np.ndarray,
     t_end: float | np.ndarray,
     block: int = _RAY_BLOCK,
 ):
-    """Voxels pierced by many segments start + t*delta, t in [0, t_end], as arrays.
+    """Voxels pierced by the segments origin + t*delta, t in [0, t_end], as arrays.
 
+    All segments leave the one (3,) `origin`, one per row of `deltas`.
     `t_end` is one float for every ray or an (N,) array, one per ray.
     Yields one (rays, flat, valid) triple per block of up to `block` rays
     that meet the grid; rays that miss it are left out.  `rays` indexes the
@@ -278,22 +283,22 @@ def traverse_rays(
     ends before its first crossing past t_end or out of the grid, so a
     shorter t_end yields a prefix of the same voxels.
     """
-    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
+    origin = np.asarray(origin, dtype=float).reshape(3)
     deltas = np.asarray(deltas, dtype=float).reshape(-1, 3)
     lo, hi = grid.span
     res = grid.resolution
     dims = grid.dims
 
-    t0, t1 = ray_box_range(starts, deltas, lo, hi)
+    t0, t1 = ray_box_range(origin, deltas, lo, hi)
     t0 = np.maximum(t0, 0.0)
     t1 = np.minimum(t1, t_end)
     live = np.nonzero(t0 <= t1)[0]
-    s, d, t0, t1 = starts[live], deltas[live], t0[live], t1[live]
-    ijk = np.clip(np.floor((s + t0[:, None] * d - grid.origin) / res).astype(np.int64), 0, dims - 1)
+    d, t0, t1 = deltas[live], t0[live], t1[live]
+    ijk = np.clip(np.floor((origin + t0[:, None] * d - grid.origin) / res).astype(np.int64), 0, dims - 1)
     step = np.sign(d).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         boundary = grid.origin + (ijk + (step > 0)) * res
-        tmax = np.where(step != 0, (boundary - s) / d, np.inf)
+        tmax = np.where(step != 0, (boundary - origin) / d, np.inf)
         tdelta = np.where(step != 0, res / np.abs(d), np.inf)
         # Crossings per axis, the last of them leaving the grid; those past
         # t1 (two steps of slack for rounding) are never summed.
@@ -375,37 +380,6 @@ def _walk_pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="nbvplan-walk")
 
 
-def _walk(
-    grid: VoxelGrid,
-    occupied: np.ndarray,
-    starts: np.ndarray,
-    deltas: np.ndarray,
-    t_end: np.ndarray,
-    block: int,
-    in_front: np.ndarray,
-    behind: np.ndarray,
-) -> tuple[int, int]:
-    """Walk rays in blocks of `block` to `t_end`, then those that met no
-    Occupied voxel on to the grid exit, setting in `in_front` the voxels each
-    crosses before its first Occupied voxel and in `behind` those after it.
-    Returns the rays walked and the voxel visits over both passes."""
-    walks = visits = 0
-    for bound in (t_end, np.inf):
-        unblocked = [np.empty(0, dtype=np.int64)]
-        for rays, flat, valid in traverse_rays(grid, starts, deltas, bound, block):
-            hit = valid & occupied[flat]
-            first = first_hits(hit)
-            col = np.arange(flat.shape[1])
-            in_front[flat[valid & (col < first)]] = True
-            behind[flat[valid & (col > first)]] = True
-            unblocked.append(rays[~hit.any(axis=1)])
-            walks += len(rays)
-            visits += int(np.count_nonzero(valid))
-        todo = np.concatenate(unblocked)
-        starts, deltas = starts[todo], deltas[todo]
-    return walks, visits
-
-
 def integrate_observation(grid: VoxelGrid, obs: Observation) -> None:
     """Apply update rules 1-3 for one observation.
 
@@ -419,41 +393,52 @@ def integrate_observation(grid: VoxelGrid, obs: Observation) -> None:
     voxel, outside which rule 2 writes nothing.  A ray that has met no
     Occupied voxel by then, which happens when it passes its point's voxel by
     an edge or a corner, is walked again to the grid exit.  The states are
-    those of walking every ray to the grid exit.
-
-    A frame with more than _RAY_BLOCK rays is split once into two
-    contiguous halves when the process may run on two CPUs, the second
-    walked on a worker thread; each half walks both passes, in blocks of
-    _RAY_BLOCK // 2 rays so that the rays in flight, and their memory, are
-    one block's.  Otherwise the frame is one part, walked on the calling
-    thread, and no thread starts.  The states do not depend on the split.
+    those of walking every ray to the grid exit.  The module docstring says
+    how a frame's rays are split into parts and blocks.
     """
     if len(obs.points) == 0:
         raise ValueError("integrate_observation requires a nonempty observation")
     ok = mark_occupied(grid, obs.points)
-    deltas = obs.points[ok] - obs.sensor_origin
+    origin = obs.sensor_origin
+    deltas = obs.points[ok] - origin
     norms = np.linalg.norm(deltas, axis=1)
     deltas, norms = deltas[norms > 1e-12], norms[norms > 1e-12]
-    starts = np.broadcast_to(obs.sensor_origin, deltas.shape)
     # The point sits at t = 1; res/|d| of slack covers rounding at its voxel.
     t_end = 1.0 + grid.resolution / norms
     if grid.bbox is not None:
         pad = grid.resolution
-        t_end = np.maximum(t_end, ray_box_range(starts, deltas, grid.bbox[0] - pad, grid.bbox[1] + pad)[1])
+        t_end = np.maximum(t_end, ray_box_range(origin, deltas, grid.bbox[0] - pad, grid.bbox[1] + pad)[1])
     occupied = grid.states == int(VoxelState.OCCUPIED)
     parts = _ray_parts(len(deltas))
     block = _RAY_BLOCK // len(parts)
+
+    def walk(part: slice, in_front: np.ndarray, behind: np.ndarray) -> tuple[int, int]:
+        """Walk the rays of `part` in blocks to `t_end`, then those that met
+        no Occupied voxel on to the grid exit, setting in `in_front` the
+        voxels each crosses before its first Occupied voxel and in `behind`
+        those after it.  Returns the rays walked and the voxel visits."""
+        walks = visits = 0
+        todo = deltas[part]
+        for bound in (t_end[part], np.inf):
+            unblocked = [np.empty(0, dtype=np.int64)]
+            for rays, flat, valid in traverse_rays(grid, origin, todo, bound, block):
+                hit = valid & occupied[flat]
+                first = first_hits(hit)
+                col = np.arange(flat.shape[1])
+                in_front[flat[valid & (col < first)]] = True
+                behind[flat[valid & (col > first)]] = True
+                unblocked.append(rays[~hit.any(axis=1)])
+                walks += len(rays)
+                visits += int(np.count_nonzero(valid))
+            todo = todo[np.concatenate(unblocked)]
+        return walks, visits
+
     # Each part walks into its own (in_front, behind) masks, ORed after the join.
     masks = [(np.zeros(grid.n_voxels, dtype=bool), np.zeros(grid.n_voxels, dtype=bool)) for _ in parts]
-
-    def walk(i):
-        part = parts[i]
-        return _walk(grid, occupied, starts[part], deltas[part], t_end[part], block, *masks[i])
-
-    futures = [_walk_pool().submit(walk, i) for i in range(1, len(parts))]
+    futures = [_walk_pool().submit(walk, part, *mask) for part, mask in zip(parts[1:], masks[1:])]
     walked = []
     try:
-        walked.append(walk(0))
+        walked.append(walk(parts[0], *masks[0]))
     finally:  # no worker may still write a mask when this returns
         walked += [future.result() for future in futures]
     in_front, behind = masks[0]
@@ -562,14 +547,10 @@ def update_bbox(grid: VoxelGrid) -> None:
     Occupied and Unknown cells and a sphere of radius gamma = 2 voxels around
     every Frontier voxel center."""
     gamma = 2.0 * grid.resolution
-    occupied = cells_bbox(grid, grid.states == int(VoxelState.OCCUPIED))
-    if occupied is None:
+    occupied = grid.states == int(VoxelState.OCCUPIED)
+    if not occupied.any():
         raise ValueError("update_bbox requires at least one Occupied voxel")
-    bmin, bmax = occupied
-    unknown = cells_bbox(grid, grid.states == int(VoxelState.UNKNOWN))
-    if unknown is not None:
-        bmin = np.minimum(bmin, unknown[0])
-        bmax = np.maximum(bmax, unknown[1])
+    bmin, bmax = cells_bbox(grid, occupied | (grid.states == int(VoxelState.UNKNOWN)))
     # a voxel center origin + (i + 0.5) * res rises with i, so the extreme
     # centers are those of the extreme indices
     frontier = _index_range(grid, grid.states == int(VoxelState.FRONTIER))

@@ -491,11 +491,10 @@ def integrate_walk_to_exit(grid: VoxelGrid, obs: Observation) -> None:
     ok = mark_occupied(grid, obs.points)
     deltas = obs.points[ok] - obs.sensor_origin
     deltas = deltas[np.linalg.norm(deltas, axis=1) > 1e-12]
-    starts = np.broadcast_to(obs.sensor_origin, deltas.shape)
     occupied = grid.states == int(VoxelState.OCCUPIED)
     in_front = np.zeros(grid.n_voxels, dtype=bool)
     behind = np.zeros(grid.n_voxels, dtype=bool)
-    for _, flat, valid in traverse_rays(grid, starts, deltas, np.inf):
+    for _, flat, valid in traverse_rays(grid, obs.sensor_origin, deltas, np.inf):
         first = first_hits(valid & occupied[flat])
         col = np.arange(flat.shape[1])
         in_front[flat[valid & (col < first)]] = True
@@ -509,10 +508,9 @@ def integrate_walk_to_exit(grid: VoxelGrid, obs: Observation) -> None:
 def oracle_walk_to_exit(view: CandidateView, grid: VoxelGrid, intrinsics: CameraIntrinsics, stride: int) -> OracleScore:
     """`oracle_evaluate` with every pixel ray walked to max_range or the grid exit."""
     dirs = _camera_rays(intrinsics, stride) @ view.pose.rotation.T
-    starts = np.broadcast_to(view.pose.translation, dirs.shape)
     reached = np.zeros(grid.n_voxels, dtype=bool)
     occupied = grid.states == int(VoxelState.OCCUPIED)
-    for _, flat, valid in traverse_rays(grid, starts, dirs * intrinsics.max_range, 1.0):
+    for _, flat, valid in traverse_rays(grid, view.pose.translation, dirs * intrinsics.max_range, 1.0):
         last = first_hits(valid & occupied[flat])
         reached[flat[valid & (np.arange(flat.shape[1]) <= last)]] = True
     return OracleScore(

@@ -251,6 +251,15 @@ def test_mvee_degenerate_without_radius_raises():
         fit_mvee(pts, tol=1e-3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-3])
+def test_mvee_rejects_a_tolerance_that_is_not_positive(tol):
+    """A NaN tol is rejected up front instead of running to the step cap."""
+    pts = np.random.default_rng(0).normal(size=(50, 3))
+    with pytest.raises(ValueError, match="^tol must be positive"):
+        fit_mvee(pts, tol=tol)
+
+
 def test_mvee_empty_raises():
     with pytest.raises(ValueError):
         fit_mvee(np.empty((0, 3)))

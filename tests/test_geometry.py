@@ -52,6 +52,20 @@ def test_look_at_many_checks_the_whole_stack():
         look_at_many(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), np.zeros(3), [0, 0, 1])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("fx", np.nan), ("fy", np.nan), ("fx", 0.0), ("fy", -1.0),
+        ("max_range", np.nan), ("max_range", 0.0), ("max_range", -2.5),
+    ],
+)
+def test_intrinsics_reject_a_focal_length_or_range_that_is_not_positive(name, value):
+    valid = dict(fx=100.0, fy=100.0, cx=20.0, cy=15.0, width=40, height=30, max_range=2.5)
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        CameraIntrinsics(**{**valid, name: value})
+
+
 @pytest.mark.parametrize("up", [[0.0, 0.0, 1.0], [0.3, -0.2, 0.9]])
 def test_look_at_many_matches_scalar_bit_for_bit(up):
     rng = np.random.default_rng(8)

@@ -109,10 +109,9 @@ def pixel_visible_sets(grid, view, intr, stride=1):
     from nbvplan.voxel import first_hits, traverse_rays
 
     dirs = _camera_rays(intr, stride) @ view.pose.rotation.T
-    starts = np.broadcast_to(view.pose.translation, dirs.shape)
     seen_f = np.zeros(grid.n_voxels, bool)
     seen_o = np.zeros(grid.n_voxels, bool)
-    for _, flat, valid in traverse_rays(grid, starts, dirs * intr.max_range, 1.0):
+    for _, flat, valid in traverse_rays(grid, view.pose.translation, dirs * intr.max_range, 1.0):
         st = np.where(valid, grid.states[flat], int(VoxelState.NONE))
         first = first_hits(st == int(VoxelState.OCCUPIED))
         cols = np.arange(flat.shape[1])

@@ -366,7 +366,7 @@ def test_an_all_miss_iteration_leaves_the_grid_and_refits(monkeypatch, caplog):
 def _crossings(grid, origin, deltas):
     """How many of the segments from `origin` by each row of `deltas` cross each voxel."""
     counts = np.zeros(grid.n_voxels, dtype=int)
-    for _, flat, valid in traverse_rays(grid, np.broadcast_to(origin, deltas.shape), deltas, 1.0):
+    for _, flat, valid in traverse_rays(grid, origin, deltas, 1.0):
         counts += np.bincount(flat[valid], minlength=grid.n_voxels)
     return counts
 

@@ -134,6 +134,7 @@ def test_partition_coverage_default_config():
         assert {v.partition_index for v in views} == set(range(beta))
 
 
+@pytest.mark.filterwarnings("error")
 def test_sampling_config_validation():
     with pytest.raises(ValueError):
         SamplingConfig(mode="orbit")
@@ -141,8 +142,9 @@ def test_sampling_config_validation():
         SamplingConfig(alpha=0)
     with pytest.raises(ValueError):
         SamplingConfig(alpha=10, n_views=5)
-    with pytest.raises(ValueError):
-        sample_candidates(SamplingConfig(), np.zeros(3), 0.0)
+    for radius in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^radius must be positive and finite"):
+            sample_candidates(SamplingConfig(), np.zeros(3), radius)
     with pytest.raises(ValueError):
         assign_partitions([], 0)
 

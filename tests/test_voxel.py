@@ -24,6 +24,7 @@ from nbvplan.voxel import (
     integrate_observation,
     mark_occupied,
     preprocess_points,
+    ray_box_range,
     traverse_rays,
     update_bbox,
     update_frontier,
@@ -91,6 +92,40 @@ def test_traverse_single_voxel():
     np.testing.assert_array_equal(out, [[2, 2, 2]])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "origin, resolution, name",
+    [
+        (np.zeros(3), np.nan, "resolution"),
+        (np.zeros(3), np.inf, "resolution"),
+        (np.zeros(3), 0.0, "resolution"),
+        ([0.0, np.nan, 0.0], 1.0, "origin"),
+        ([np.inf, 0.0, 0.0], 1.0, "origin"),
+    ],
+)
+def test_grid_rejects_a_non_finite_origin_or_resolution(origin, resolution, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        VoxelGrid(origin=origin, resolution=resolution, dims=(4, 4, 4))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "bmin, bmax, name",
+    [
+        ([np.nan, 1.0, 1.0], [2.0, 2.0, 2.0], "bmin"),
+        ([-np.inf, 1.0, 1.0], [2.0, 2.0, 2.0], "bmin"),
+        ([1.0, 1.0, 1.0], [2.0, np.inf, 2.0], "bmax"),
+        ([1.0, 1.0, 1.0], [2.0, 2.0, np.nan], "bmax"),
+    ],
+)
+def test_set_bbox_rejects_a_non_finite_corner(bmin, bmax, name):
+    """A NaN or infinite corner is named before the grid is grown to it."""
+    grid = unit_grid()
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        grid.set_bbox(bmin, bmax)
+    assert grid.bbox is None and grid.dims.tolist() == [8, 8, 8]
+
+
 def test_traverse_requires_distinct_endpoints():
     grid = unit_grid()
     with pytest.raises(ValueError):
@@ -142,68 +177,77 @@ def test_traverse_ordered_no_duplicates():
         assert np.all(np.diff(proj) > 0)
 
 
-def traversed_paths(grid, starts, deltas, t_end):
-    """traverse_rays output as one list of voxel tuples per input ray."""
-    paths = [[] for _ in range(len(starts))]
-    for rays, flat, valid in traverse_rays(grid, starts, deltas, t_end):
+def traversed_paths(grid, origin, deltas, t_end):
+    """traverse_rays output as one list of voxel tuples per row of `deltas`."""
+    paths = [[] for _ in range(len(deltas))]
+    for rays, flat, valid in traverse_rays(grid, origin, deltas, t_end):
         for ray, row, ok in zip(rays, flat, valid):
             assert ok.all() or not ok[np.argmin(ok):].any()  # valid is a prefix
             paths[ray] = [tuple(v) for v in grid.unflat(row[ok])]
     return paths
 
 
+def to_lattice(grid, points):
+    """Each point moved to its nearest voxel corner."""
+    return grid.origin + np.round((points - grid.origin) / grid.resolution) * grid.resolution
+
+
 def test_traverse_rays_matches_scalar():
-    """Voxel-for-voxel equal to traverse_ray: random segments, axis-parallel
-    rays, starts on voxel boundaries, corner-to-corner segments, t_end=inf,
-    more rays than one block."""
+    """Voxel-for-voxel equal to traverse_ray for the rays of a few origins:
+    inside the grid, outside it, on a voxel face, edge and corner; to random
+    ends, along axes and to voxel corners, so that from the corner origins
+    segments run corner to corner and crossings tie; with t_end = 1, an (N,)
+    t_end and inf; and from one origin more rays than two blocks."""
     grid = VoxelGrid(origin=np.array([-0.3, 0.2, 0.0]), resolution=0.61, dims=(9, 7, 8))
     lo, hi = grid.span
     rng = np.random.default_rng(3)
-    n = 2 * _RAY_BLOCK
-    starts = rng.uniform(lo - 2.0, hi + 2.0, (n, 3))
-    ends = rng.uniform(lo - 2.0, hi + 2.0, (n, 3))
-    axis_parallel = np.arange(n) % 4 == 1
-    for i in np.nonzero(axis_parallel)[0]:
-        others = np.arange(3) != rng.integers(3)
-        ends[i, others] = starts[i, others]
-    on_boundary = np.arange(n) % 4 >= 2  # 3: ends on voxel corners too, so crossings tie
-    starts[on_boundary] = grid.origin + np.round((starts[on_boundary] - grid.origin) / 0.61) * 0.61
-    on_corner = np.arange(n) % 4 == 3
-    ends[on_corner] = grid.origin + np.round((ends[on_corner] - grid.origin) / 0.61) * 0.61
-    deltas = ends - starts
-    ok = np.any(deltas != 0, axis=1)
-    starts, ends, deltas = starts[ok], ends[ok], deltas[ok]
+    inside = rng.uniform(lo, hi, (4, 3))
+    # k coordinates on voxel boundaries: on a face, an edge, a corner.
+    face, edge, corner = (np.where(np.arange(3) < k, to_lattice(grid, p), p) for k, p in enumerate(inside[1:], 1))
+    outside = [lo - np.array([1.0, 0.5, 2.0]), to_lattice(grid, hi + 1.3)]
+    for origin, n in zip([inside[0], face, edge, corner, *outside], [2 * _RAY_BLOCK + 64] + 5 * [256]):
+        ends = rng.uniform(lo - 2.0, hi + 2.0, (n, 3))
+        kind = np.arange(n) % 3
+        for i in np.nonzero(kind == 1)[0]:
+            others = np.arange(3) != rng.integers(3)
+            ends[i, others] = origin[others]
+        ends[kind == 2] = to_lattice(grid, ends[kind == 2])
+        ends = ends[np.any(ends != origin, axis=1)]
+        deltas = ends - origin
 
-    scalar = [[tuple(v) for v in traverse_ray(grid, s, e)] for s, e in zip(starts, ends)]
-    assert traversed_paths(grid, starts, deltas, 1.0) == scalar
-    assert traversed_paths(grid, starts, deltas, np.ones(len(starts))) == scalar
+        scalar = [[tuple(v) for v in traverse_ray(grid, origin, e)] for e in ends]
+        assert traversed_paths(grid, origin, deltas, 1.0) == scalar
+        assert traversed_paths(grid, origin, deltas, np.ones(len(deltas))) == scalar
 
-    # With t_end=inf a ray runs to the grid exit; segments long enough to
-    # pass it give the same voxels as the finite segment.
-    long_ends = starts + 10.0 * np.linalg.norm(hi - lo) * deltas / np.linalg.norm(deltas, axis=1)[:, None]
-    scalar = [[tuple(v) for v in traverse_ray(grid, s, e)] for s, e in zip(starts, long_ends)]
-    assert traversed_paths(grid, starts, long_ends - starts, np.inf) == scalar
-    assert sum(len(p) > 0 for p in scalar) > _RAY_BLOCK
+        # With t_end=inf a ray runs to the grid exit; segments long enough to
+        # pass it give the same voxels as the finite segment.
+        long_ends = origin + 10.0 * np.linalg.norm(hi - lo) * deltas / np.linalg.norm(deltas, axis=1)[:, None]
+        scalar = [[tuple(v) for v in traverse_ray(grid, origin, e)] for e in long_ends]
+        assert traversed_paths(grid, origin, long_ends - origin, np.inf) == scalar
+        if n > 2 * _RAY_BLOCK:
+            assert sum(len(p) > 0 for p in scalar) > 2 * _RAY_BLOCK
 
 
-def random_segments(rng, grid, n, lattice, axis_parallel, start=None):
-    """Segments in and around the grid, all from `start` if given; `lattice`
-    puts ends on voxel corners, edges or faces, `axis_parallel` zeroes two
-    delta components of every other segment.  Zero-length segments are
-    dropped.  Returns (starts, ends)."""
+def random_rays(rng, grid, n, lattice, axis_parallel, origin=None):
+    """An origin in and around the grid, unless given, and n ends of rays
+    from it.  `lattice` puts each coordinate of the drawn origin and the ends
+    on a voxel boundary with probability 0.7, so that points fall on voxel
+    corners, edges or faces; `axis_parallel` puts every other end on an
+    axis-parallel line through the origin.  Ends equal to the origin are
+    dropped.  Returns (origin, ends)."""
     lo, hi = grid.span
-    starts = rng.uniform(lo - 1.0, hi + 1.0, (n, 3)) if start is None else np.tile(start, (n, 1))
-    ends = rng.uniform(lo - 1.0, hi + 1.0, (n, 3))
-    if lattice:
-        snap = rng.random((2, n, 3)) < 0.7
-        for pts, on in zip((starts, ends), snap):
-            pts[on] = (grid.origin + np.round((pts - grid.origin) / grid.resolution) * grid.resolution)[on]
+
+    def draw(shape):
+        points = rng.uniform(lo - 1.0, hi + 1.0, shape)
+        return np.where(rng.random(shape) < 0.7, to_lattice(grid, points), points) if lattice else points
+
+    origin = draw(3) if origin is None else origin
+    ends = draw((n, 3))
     if axis_parallel:
         for i in range(0, n, 2):
             others = np.arange(3) != rng.integers(3)
-            ends[i, others] = starts[i, others]
-    ok = np.any(ends != starts, axis=1)
-    return starts[ok], ends[ok]
+            ends[i, others] = origin[others]
+    return origin, ends[np.any(ends != origin, axis=1)]
 
 
 def random_grid(rng, max_dim=9):
@@ -218,28 +262,44 @@ def random_grid(rng, max_dim=9):
 @settings(max_examples=40, deadline=None)
 def test_traverse_rays_per_ray_t_end(seed, lattice, axis_parallel):
     """An (N,) t_end walks each ray as the equal scalar t_end does, and a
-    shorter t_end yields a prefix of the walk to the grid exit."""
+    shorter t_end yields a prefix of the walk to the grid exit, for the rays
+    of three origins."""
     rng = np.random.default_rng(seed)
     grid = random_grid(rng)
-    starts, ends = random_segments(rng, grid, 48, lattice, axis_parallel)
-    deltas = ends - starts
-    t_end = rng.choice([0.0, 0.2, 0.5, 1.0, 3.0, np.inf], len(starts)) * rng.uniform(0.5, 1.5, len(starts))
-    paths = traversed_paths(grid, starts, deltas, t_end)
-    to_exit = traversed_paths(grid, starts, deltas, np.inf)
-    for i in range(len(starts)):
-        assert paths[i] == traversed_paths(grid, starts[i : i + 1], deltas[i : i + 1], float(t_end[i]))[0]
-        assert paths[i] == to_exit[i][: len(paths[i])]
+    for _ in range(3):
+        origin, ends = random_rays(rng, grid, 16, lattice, axis_parallel)
+        deltas = ends - origin
+        t_end = rng.choice([0.0, 0.2, 0.5, 1.0, 3.0, np.inf], len(deltas)) * rng.uniform(0.5, 1.5, len(deltas))
+        paths = traversed_paths(grid, origin, deltas, t_end)
+        to_exit = traversed_paths(grid, origin, deltas, np.inf)
+        for i in range(len(deltas)):
+            assert paths[i] == traversed_paths(grid, origin, deltas[i : i + 1], float(t_end[i]))[0]
+            assert paths[i] == to_exit[i][: len(paths[i])]
 
 
 def test_traverse_rays_miss_with_zero_component_is_silent():
     grid = unit_grid(4)
-    starts = np.array([[10.0, 1.5, 1.5], [-1.0, 1.5, 1.5]])
-    deltas = np.array([[0.0, 1.0, 0.0], [6.0, 0.0, 0.0]])
+    origin = np.array([10.0, 1.5, 1.5])
+    deltas = np.array([[0.0, 1.0, 0.0], [-11.0, 0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        paths = traversed_paths(grid, starts, deltas, 1.0)
+        paths = traversed_paths(grid, origin, deltas, 1.0)
     assert paths[0] == []
-    assert paths[1] == [tuple(v) for v in traverse_ray(grid, starts[1], starts[1] + deltas[1])]
+    assert paths[1] == [tuple(v) for v in traverse_ray(grid, origin, origin + deltas[1])]
+
+
+@pytest.mark.parametrize(
+    "x, inside", [(0.5, True), (0.0, True), (1.0, True), (-0.25, False), (1.25, False), (np.nan, False)]
+)
+def test_ray_box_range_parallel_axis(x, inside):
+    """A line parallel to x and z is bounded by y alone when its origin lies
+    in the x slab, faces included, and misses the box when it does not or
+    when its x is NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t_in, t_out = ray_box_range(np.array([x, -1.0, 0.5]), np.array([[0.0, 4.0, 0.0]]), np.zeros(3), np.ones(3))
+    expected = ([0.25], [0.5]) if inside else ([np.inf], [-np.inf])
+    np.testing.assert_array_equal((t_in, t_out), expected)
 
 
 # ---- integrate_observation --------------------------------------------------
@@ -318,7 +378,7 @@ def test_bounded_integration_matches_walk_to_exit(seed, with_bbox, lattice, axis
         grid.set_bbox(corners[0], corners[1])
     reference = copy.deepcopy(grid)
     for sensor in rng.uniform(lo - 1.0, hi + 1.0, (3, 3)):
-        _, points = random_segments(rng, grid, 60, lattice, axis_parallel, start=sensor)
+        _, points = random_rays(rng, grid, 60, lattice, axis_parallel, origin=sensor)
         if len(points) == 0:
             continue
         obs = Observation(points=points, sensor_origin=sensor)
@@ -353,7 +413,7 @@ def corner_point(rng, grid, sensor, occupied):
         own = grid.voxel_of(point)
         if not grid.in_bounds(own)[0] or np.all(point == sensor):
             continue
-        [walked] = traversed_paths(grid, sensor[None], (point - sensor)[None], np.inf)
+        [walked] = traversed_paths(grid, sensor, (point - sensor)[None], np.inf)
         if not set(walked) & (occupied | {tuple(own[0])}):
             return point
     return None
@@ -377,7 +437,7 @@ def test_integration_in_parts_matches_walk_to_exit(cpus, seed, with_bbox):
         corners = np.sort(rng.uniform(lo, hi, (2, 3)), axis=0)
         grid.set_bbox(corners[0], corners[1])
     sensor = rng.uniform(lo - 1.0, hi + 1.0)
-    _, ends = random_segments(rng, grid, 40, lattice=True, axis_parallel=False, start=sensor)
+    _, ends = random_rays(rng, grid, 40, lattice=True, axis_parallel=False, origin=sensor)
     ijk = grid.voxel_of(ends)
     corner = corner_point(rng, grid, sensor, set(map(tuple, ijk[grid.in_bounds(ijk)])))
     assume(corner is not None)
@@ -387,10 +447,11 @@ def test_integration_in_parts_matches_walk_to_exit(cpus, seed, with_bbox):
 
     split, corner_exits = [], set()
 
-    def recording_traverse(walked, starts, deltas, t_end, block):
+    def recording_traverse(walked, origin, deltas, t_end, block):
+        assert np.array_equal(origin, sensor)
         if np.all(np.isinf(t_end)) and np.all(deltas == corner - sensor, axis=1).any():
             corner_exits.add(threading.get_ident())
-        return traverse_rays(walked, starts, deltas, t_end, block)
+        return traverse_rays(walked, origin, deltas, t_end, block)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("nbvplan.voxel._usable_cpus", lambda: cpus)
