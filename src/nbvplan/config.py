@@ -76,7 +76,6 @@ class RunConfig:
             cy=self.height / 2.0,
             width=self.width,
             height=self.height,
-            working_distance=self.d_c,
             max_range=self.max_range,
         )
 

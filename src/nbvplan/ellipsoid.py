@@ -63,9 +63,7 @@ class Ellipsoid:
 
     center: np.ndarray      # (3,)
     shape: np.ndarray       # (3, 3) symmetric positive definite (1/m^2)
-    kind: str               # "occupied" | "frontier"
     member_count: int
-    cluster_index: int = 0
     quadric_inv: np.ndarray = field(init=False)  # dual quadric Q* = Q^-1
 
     def __post_init__(self):
@@ -339,8 +337,6 @@ def fit_mvee(
     points: np.ndarray,
     tol: float = 1e-3,
     inflation_radius: float | None = None,
-    kind: str = "occupied",
-    cluster_index: int = 0,
 ) -> Ellipsoid:
     """Minimum-volume enclosing ellipsoid of a point set.
 
@@ -387,13 +383,7 @@ def fit_mvee(
     worst = np.einsum("ij,jk,ik->i", d, a_mat, d).max()
     if worst > 1.0 + tol:
         a_mat = a_mat / worst  # containment guarantee for every input point
-    return Ellipsoid(
-        center=center,
-        shape=a_mat,
-        kind=kind,
-        member_count=len(pts),
-        cluster_index=cluster_index,
-    )
+    return Ellipsoid(center=center, shape=a_mat, member_count=len(pts))
 
 
 # ---- full refit of both voxel classes ---------------------------------------
@@ -408,34 +398,28 @@ def refit_all(
 ) -> tuple[list[Ellipsoid], list[Ellipsoid]]:
     """Cluster the Occupied and Frontier voxel centers, (N, 3) each, and fit each cluster.
 
-    Returns (occupied ellipsoids, frontier ellipsoids); the frontier list is
-    empty when `frontier` is.  The covariance floor and the degeneracy
-    inflation radius derive from the voxel size `resolution`; each MVEE is
-    fit to `fit_mvee`'s default tolerance.  At `t_max` 1 each class is one
-    cluster, the labels a one-component sweep gives, and no mixture is fit.
+    Returns (occupied ellipsoids, frontier ellipsoids), each in cluster
+    order (ascending label), the order the scorer breaks depth ties by; the
+    frontier list is empty when `frontier` is.  The covariance floor and the
+    degeneracy inflation radius derive from the voxel size `resolution`; each
+    MVEE is fit to `fit_mvee`'s default tolerance.  At `t_max` 1 each class
+    is one cluster, the labels a one-component sweep gives, and no mixture is
+    fit.
     """
     if len(occupied) == 0:
         raise ValueError("refit_all requires at least one Occupied voxel")
     reg_floor = (resolution / 4.0) ** 2
     inflation = resolution / 2.0
 
-    out: dict[str, list[Ellipsoid]] = {"occupied": [], "frontier": []}
-    for kind, centers, sub in (("occupied", occupied, 0), ("frontier", frontier, 1)):
+    def fit_class(centers: np.ndarray, sub: int) -> list[Ellipsoid]:
         if len(centers) == 0:
-            continue
+            return []
         if t_max == 1:  # one component leaves BIC nothing to choose
             labels = np.zeros(len(centers), dtype=np.int64)
         else:
             _, _, labels = select_components(
                 centers, t_max=t_max, seed=seed * 2 + sub, reg_floor=reg_floor
             )
-        for idx, k in enumerate(np.unique(labels)):
-            out[kind].append(
-                fit_mvee(
-                    centers[labels == k],
-                    inflation_radius=inflation,
-                    kind=kind,
-                    cluster_index=idx,
-                )
-            )
-    return out["occupied"], out["frontier"]
+        return [fit_mvee(centers[labels == k], inflation_radius=inflation) for k in np.unique(labels)]
+
+    return fit_class(occupied, 0), fit_class(frontier, 1)

@@ -26,7 +26,7 @@ ORTHONORMAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole camera parameters plus the sensor's working envelope.  Pixel
+    """Pinhole camera parameters plus the sensor's depth cutoff.  Pixel
     (r, c) looks along d = (x, y, 1) from `ray_axes`, of length `ray_length`."""
 
     fx: float
@@ -35,8 +35,7 @@ class CameraIntrinsics:
     cy: float
     width: int
     height: int
-    max_range: float               # depth cutoff (m)
-    working_distance: float = 0.4  # optimal standoff d_c (m)
+    max_range: float  # depth cutoff (m)
 
     def __post_init__(self):
         for name, value in (("fx", self.fx), ("fy", self.fy), ("max_range", self.max_range)):

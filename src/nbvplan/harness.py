@@ -132,7 +132,7 @@ def run(config: RunConfig) -> tuple[list[IterationRecord], PlannerState]:
         )
         if dumps:
             _dump_voxels(os.path.join(config.out, f"voxels_{state.iteration:02d}.ply"), state.grid)
-            _dump_ellipsoids(ellipsoids_path, state.iteration, state.e_o + state.e_f)
+            _dump_ellipsoids(ellipsoids_path, state.iteration, state.e_o, state.e_f)
 
     write_csv(os.path.join(config.out, "records.csv"), CSV_FIELDS, [rec.row() for rec in records])
     save_ply_points(os.path.join(config.out, "final.ply"), state.acquired_points)
@@ -153,16 +153,17 @@ def _dump_voxels(path: str, grid: VoxelGrid) -> None:
     save_ply_points(path, grid.voxel_centers(grid.unflat(flat)), states=grid.states[flat])
 
 
-def _dump_ellipsoids(path: str, iteration: int, ellipsoids: list[Ellipsoid]) -> None:
-    """Append a per-iteration text record of each ellipsoid."""
+def _dump_ellipsoids(path: str, iteration: int, e_o: list[Ellipsoid], e_f: list[Ellipsoid]) -> None:
+    """Append a per-iteration text record of each ellipsoid, indexed by its place in its class's list."""
     with open(path, "a") as fh:
-        for e in ellipsoids:
-            a = " ".join(f"{v:.9g}" for v in e.shape.reshape(-1))
-            c = " ".join(f"{v:.9g}" for v in e.center)
-            fh.write(
-                f"iter={iteration} kind={e.kind} index={e.cluster_index} "
-                f"members={e.member_count} center={c} shape={a}\n"
-            )
+        for kind, ellipsoids in (("occupied", e_o), ("frontier", e_f)):
+            for index, e in enumerate(ellipsoids):
+                a = " ".join(f"{v:.9g}" for v in e.shape.reshape(-1))
+                c = " ".join(f"{v:.9g}" for v in e.center)
+                fh.write(
+                    f"iter={iteration} kind={kind} index={index} "
+                    f"members={e.member_count} center={c} shape={a}\n"
+                )
 
 
 def _read_run(path: str) -> np.ndarray:

@@ -18,10 +18,12 @@ needed only where the silhouette crosses the image border.
 
 Per view, the ellipsoids are jointly depth-ranked by the camera-frame z of
 their centers; the r-th nearest gets observability weight 0.5^r (the nearest
-has rank 0, weight 1).  The list an ellipsoid arrives in decides its sign and
-its tie-break class: a view's quality F is the weighted projected area of the
-frontier ellipsoids minus that of the occupied ones, and at equal depth
-occupied ranks before frontier, then the lower cluster index first.
+has rank 0, weight 1).  The list an ellipsoid arrives in decides its sign: a
+view's quality F is the weighted projected area of the frontier ellipsoids
+minus that of the occupied ones.  Its place decides ties: the occupied list
+and then the frontier list form the columns, and at equal depth the lower
+column ranks first, so occupied before frontier, then list order, which
+`refit_all` makes cluster order.
 
 Projected area is the exact area of the ellipse inside the image rectangle:
 pi*a*b when its bounding box lies inside the image, 0 when the box lies
@@ -155,13 +157,12 @@ def project(
     return cam_z, conic, center, axes, area
 
 
-def depth_weights(cam_z: np.ndarray, n_occupied: int, cluster_index: np.ndarray) -> np.ndarray:
+def depth_weights(cam_z: np.ndarray) -> np.ndarray:
     """Weight 0.5^rank of each ellipsoid in each view's joint depth order.
 
     `cam_z` is (N,M) over the occupied ellipsoids followed by the frontier
-    ones, the first `n_occupied` columns being occupied.  Rank 0 is the
-    nearest center; equal depths rank occupied before frontier, then the
-    lower cluster index first.
+    ones.  Rank 0 is the nearest center; equal depths rank the lower column
+    first (a stable sort), so occupied before frontier, then list order.
 
     The rank follows the centers alone, so it is discontinuous: two
     ellipsoids whose centers lie 0.1 mm apart in depth swap weights 1 and
@@ -169,8 +170,7 @@ def depth_weights(cam_z: np.ndarray, n_occupied: int, cluster_index: np.ndarray)
     (`test_depth_rank_swap_flips_sign`).  This is the paper's rule and is
     kept as it is.
     """
-    klass = np.arange(cam_z.shape[1]) >= n_occupied
-    order = np.lexsort(np.broadcast_arrays(cluster_index, klass, cam_z))
+    order = np.argsort(cam_z, axis=1, kind="stable")
     rank = np.empty_like(order)
     np.put_along_axis(rank, order, np.arange(cam_z.shape[1]), axis=1)
     return 0.5**rank
@@ -195,7 +195,7 @@ def evaluate_all(
     scores = np.zeros(len(candidates))
     if ellipsoids:
         cam_z, _, _, _, area = project(candidates.rotations, candidates.positions, ellipsoids, intrinsics)
-        mass = area * depth_weights(cam_z, n, np.array([e.cluster_index for e in ellipsoids]))
+        mass = area * depth_weights(cam_z)
         scores = mass[:, n:].sum(axis=1) - mass[:, :n].sum(axis=1)
     candidates.scores[:] = scores
     return scores

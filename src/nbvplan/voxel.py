@@ -138,6 +138,11 @@ class VoxelGrid:
     def from_box(cls, box_min, box_max, resolution: float) -> "VoxelGrid":
         box_min = np.asarray(box_min, dtype=float)
         box_max = np.asarray(box_max, dtype=float)
+        for name, corner in (("box_min", box_min), ("box_max", box_max)):
+            if not np.isfinite(corner).all():
+                raise ValueError(f"{name} must be finite, got {corner}")
+        if not (np.isfinite(resolution) and resolution > 0):
+            raise ValueError(f"resolution must be positive and finite, got {resolution}")
         dims = np.maximum(np.ceil((box_max - box_min) / resolution - 1e-9), 1).astype(np.int64)
         return cls(origin=box_min, resolution=resolution, dims=tuple(dims))
 

@@ -10,7 +10,7 @@ from nbvplan.shapes import make_shape
 def intrinsics():
     return CameraIntrinsics(
         fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480,
-        working_distance=0.4, max_range=5.0,
+        max_range=5.0,
     )
 
 

@@ -313,7 +313,7 @@ def test_mvee_quadric_consistency():
 def test_ellipsoid_quadric_block_structure():
     a = np.diag([4.0, 1.0, 0.25])
     c = np.array([0.5, -1.0, 2.0])
-    ell = Ellipsoid(center=c, shape=a, kind="occupied", member_count=3)
+    ell = Ellipsoid(center=c, shape=a, member_count=3)
     q = quadric(ell)
     np.testing.assert_allclose(q[:3, :3], a)
     np.testing.assert_allclose(q[:3, 3], -a @ c)
@@ -342,7 +342,6 @@ def test_refit_blob_no_frontier():
     e_o, e_f = refit_all(*blob_centers(), 0.03, t_max=5, seed=0)
     assert len(e_o) >= 1
     assert e_f == []
-    assert all(e.kind == "occupied" for e in e_o)
 
 
 def test_refit_requires_occupied():
@@ -369,6 +368,21 @@ def _cluster(kind: str, rng) -> np.ndarray:
     return rng.normal(0.0, 1.0, (1, 3))
 
 
+def per_cluster_fits(centers, resolution, t_max, seed):
+    """`fit_mvee` of each of a class's clusters, in ascending label order."""
+    if len(centers) == 0:
+        return []
+    _, _, labels = select_components(centers, t_max=t_max, seed=seed, reg_floor=(resolution / 4.0) ** 2)
+    return [fit_mvee(centers[labels == k], inflation_radius=resolution / 2.0) for k in np.unique(labels)]
+
+
+def assert_same_ellipsoids(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.member_count == w.member_count
+        assert np.array_equal(g.center, w.center) and np.array_equal(g.shape, w.shape)
+
+
 @pytest.mark.parametrize("occupied_kind", ["random", "coplanar", "one point"])
 @pytest.mark.parametrize("frontier_kind", ["random", "coplanar", "one point", "none"])
 def test_refit_at_one_component_needs_no_sweep(occupied_kind, frontier_kind):
@@ -378,26 +392,35 @@ def test_refit_at_one_component_needs_no_sweep(occupied_kind, frontier_kind):
     occupied = _cluster(occupied_kind, rng)
     frontier = _cluster(frontier_kind, rng) if frontier_kind != "none" else np.empty((0, 3))
     resolution, seed = 0.03, 5
-    want = []
-    for kind, centers, sub in (("occupied", occupied, 0), ("frontier", frontier, 1)):
-        if len(centers) == 0:
-            continue
-        _, _, labels = select_components(
-            centers, t_max=1, seed=seed * 2 + sub, reg_floor=(resolution / 4.0) ** 2
-        )
-        assert not labels.any()
-        want.append(fit_mvee(centers[labels == 0], inflation_radius=resolution / 2.0, kind=kind))
+    want_o = per_cluster_fits(occupied, resolution, 1, seed * 2)
+    want_f = per_cluster_fits(frontier, resolution, 1, seed * 2 + 1)
 
     def no_mixture(*args, **kwargs):
         raise AssertionError("fit_gmm called at t_max = 1")
 
     with mock.patch.object(ellipsoid, "fit_gmm", no_mixture):
         e_o, e_f = refit_all(occupied, frontier, resolution, t_max=1, seed=seed)
-    got = e_o + e_f
     assert [len(e_o), len(e_f)] == [1, int(frontier_kind != "none")]
-    for g, w in zip(got, want, strict=True):
-        assert (g.kind, g.member_count, g.cluster_index) == (w.kind, w.member_count, w.cluster_index)
-        assert np.array_equal(g.center, w.center) and np.array_equal(g.shape, w.shape)
+    assert_same_ellipsoids(e_o, want_o)
+    assert_same_ellipsoids(e_f, want_f)
+
+
+def test_refit_lists_each_class_in_cluster_order():
+    """Above one component, each class's list holds one fit per cluster in
+    ascending label order: the order the scorer breaks depth ties by."""
+    grid = VoxelGrid(origin=np.zeros(3), resolution=0.03, dims=(20, 20, 20))
+    g3 = grid.grid3d()
+    g3[2:6, 2:6, 2:6] = g3[13:17, 13:17, 13:17] = VoxelState.OCCUPIED
+    g3[2:6, 13:17, 2:5] = g3[13:17, 2:6, 15:18] = VoxelState.FRONTIER
+    occupied, frontier = (
+        grid.voxel_centers(grid.unflat(grid.indices_in_state(s)))
+        for s in (VoxelState.OCCUPIED, VoxelState.FRONTIER)
+    )
+    resolution, t_max, seed = 0.03, 3, 4
+    e_o, e_f = refit_all(occupied, frontier, resolution, t_max=t_max, seed=seed)
+    assert len(e_o) >= 2 and len(e_f) >= 2
+    assert_same_ellipsoids(e_o, per_cluster_fits(occupied, resolution, t_max, seed * 2))
+    assert_same_ellipsoids(e_f, per_cluster_fits(frontier, resolution, t_max, seed * 2 + 1))
 
 
 # ---- MVEE solver convergence ------------------------------------------------

@@ -23,14 +23,8 @@ from scalar_reference import (
 )
 
 
-def sphere_ell(center, radius, kind="frontier", index=0):
-    return Ellipsoid(
-        center=np.asarray(center, dtype=float),
-        shape=np.eye(3) / radius**2,
-        kind=kind,
-        member_count=1,
-        cluster_index=index,
-    )
+def sphere_ell(center, radius):
+    return Ellipsoid(center=np.asarray(center, dtype=float), shape=np.eye(3) / radius**2, member_count=1)
 
 
 def make_view(position, target=(0, 0, 0)):
@@ -58,15 +52,13 @@ def axis_view():
 
 
 def weights_of(occupied, frontier, pose, intrinsics):
-    ells = occupied + frontier
-    cam_z = project_poses([pose], ells, intrinsics)[0]
-    index = np.array([e.cluster_index for e in ells])
-    return cam_z[0], depth_weights(cam_z, len(occupied), index)[0]
+    cam_z = project_poses([pose], occupied + frontier, intrinsics)[0]
+    return cam_z[0], depth_weights(cam_z)[0]
 
 
 def test_rank_by_depth(axis_view, intrinsics):
-    occ = [sphere_ell([0, 0, 0.5], 0.1, "occupied", 0), sphere_ell([0, 0, 1.0], 0.1, "occupied", 1)]
-    fr = [sphere_ell([0, 0, 2.0], 0.1, "frontier", 0)]
+    occ = [sphere_ell([0, 0, 0.5], 0.1), sphere_ell([0, 0, 1.0], 0.1)]
+    fr = [sphere_ell([0, 0, 2.0], 0.1)]
     cam_z, weights = weights_of(occ, fr, axis_view.pose, intrinsics)
     assert list(cam_z) == [0.5, 1.0, 2.0]
     assert list(weights) == [1.0, 0.5, 0.25]
@@ -78,22 +70,33 @@ def test_rank_single(axis_view, intrinsics):
 
 
 def test_rank_tie_break(axis_view, intrinsics):
-    # equal depth: occupied before frontier, then ascending cluster index,
-    # whatever the list order within a class
-    occ = [
-        sphere_ell([-0.2, 0, 1.0], 0.1, "occupied", 1),
-        sphere_ell([0, 0.2, 1.0], 0.1, "occupied", 0),
-    ]
-    fr = [sphere_ell([0.2, 0, 1.0], 0.1, "frontier", 0)]
+    # equal depth: occupied before frontier, then list order within a class;
+    # a nearer frontier ellipsoid still ranks first
+    occ = [sphere_ell([-0.2, 0, 1.0], 0.1), sphere_ell([0, 0.2, 1.0], 0.1)]
+    fr = [sphere_ell([0.2, 0, 1.0], 0.1), sphere_ell([0, -0.2, 0.9], 0.1), sphere_ell([0, 0, 1.0], 0.1)]
     _, weights = weights_of(occ, fr, axis_view.pose, intrinsics)
-    assert list(weights) == [0.5, 1.0, 0.25]
+    assert list(weights) == [0.5, 0.25, 0.125, 1.0, 0.0625]
+    _, weights = weights_of(occ[::-1], fr[::-1], axis_view.pose, intrinsics)
+    assert list(weights) == [0.5, 0.25, 0.125, 1.0, 0.0625]
+
+
+@pytest.mark.parametrize("depths", [(1.0, 2.0), (0.5, 1.0, 1.5)])
+def test_rank_ties_follow_the_column_order(depths):
+    """Each row ranks as Python's sort by (depth, column) does, on rows long
+    enough (48 columns) that an unstable sort reorders equal depths."""
+    cam_z = np.random.default_rng(11).choice(depths, size=(8, 48))
+    for row, weights in zip(cam_z, depth_weights(cam_z)):
+        order = sorted(range(len(row)), key=lambda j: (row[j], j))
+        want = np.empty(len(row))
+        want[order] = 0.5 ** np.arange(len(row))
+        assert np.array_equal(weights, want)
 
 
 def test_rank_weight_normalization():
     rng = np.random.default_rng(5)
     for m in (1, 2, 5, 11):
         cam_z = rng.uniform(0.5, 3.0, size=(4, m))
-        weights = depth_weights(cam_z, m // 2, np.arange(m))
+        weights = depth_weights(cam_z)
         np.testing.assert_allclose(weights.sum(axis=1), 2.0 - 0.5 ** (m - 1), atol=1e-12)
         ranks = np.log2(1.0 / weights)
         assert all(sorted(r) == list(range(m)) for r in ranks)
@@ -163,7 +166,7 @@ def test_conic_consistency_on_silhouette():
         axes = rng.uniform(0.05, 0.2, 3)
         shape = (q_rot / axes**2) @ q_rot.T
         center = rng.normal(scale=0.2, size=3) + [0, 0, 1.5]
-        ell = Ellipsoid(center=center, shape=shape, kind="occupied", member_count=1)
+        ell = Ellipsoid(center=center, shape=shape, member_count=1)
         pose = look_at(rng.normal(scale=0.1, size=3), center, [0, 0, 1])
         conic = project_one(ell, pose, intr)[1]
         if np.isnan(conic).any():
@@ -267,7 +270,7 @@ def random_pair(rng, kind, intrinsics):
             u = rng.normal(size=3)
             local = -orient @ (axes * u / np.linalg.norm(u) * rng.uniform(0.0, 0.95)) @ pose.rotation
         center = pose.camera_to_world(local)[0]
-    ell = Ellipsoid(center=center, shape=shape, kind="frontier", member_count=1)
+    ell = Ellipsoid(center=center, shape=shape, member_count=1)
     return pose, ell
 
 
@@ -307,9 +310,9 @@ def test_project_matches_lapack_reference(seed, kinds):
 
 def test_score_is_weighted_area_sum(axis_view, intrinsics):
     # three frontier spheres at distinct depths, one occupied in front
-    occ = [sphere_ell([0.1, 0, 0.7], 0.05, "occupied")]
+    occ = [sphere_ell([0.1, 0, 0.7], 0.05)]
     places = [(0, 1.0), (-0.2, 1.3), (0.3, 1.6)]
-    fr = [sphere_ell([x, 0.05, z], 0.08, "frontier", i) for i, (x, z) in enumerate(places)]
+    fr = [sphere_ell([x, 0.05, z], 0.08) for x, z in places]
     areas = project_poses([axis_view.pose], occ + fr, intrinsics)[4][0]
     f = evaluate_all(stack([axis_view]), occ, fr, intrinsics)
     expected = areas[1] * 0.5 + areas[2] * 0.25 + areas[3] * 0.125 - areas[0] * 1.0
@@ -317,7 +320,7 @@ def test_score_is_weighted_area_sum(axis_view, intrinsics):
 
 
 def test_evaluate_no_frontier_nonpositive(axis_view, intrinsics):
-    occ = [sphere_ell([0, 0, 1.0], 0.1, "occupied")]
+    occ = [sphere_ell([0, 0, 1.0], 0.1)]
     views = stack([axis_view])
     f = evaluate_all(views, occ, [], intrinsics)
     assert f[0] < 0
@@ -325,15 +328,15 @@ def test_evaluate_no_frontier_nonpositive(axis_view, intrinsics):
 
 
 def test_evaluate_single_frontier_full_weight(axis_view, intrinsics):
-    fr = sphere_ell([0, 0, 1.0], 0.1, "frontier")
+    fr = sphere_ell([0, 0, 1.0], 0.1)
     f = evaluate_all(stack([axis_view]), [], [fr], intrinsics)
     assert f[0] == pytest.approx(project_one(fr, axis_view.pose, intrinsics)[4])
 
 
 def test_occlusion_ordering_flips_sign(axis_view, intrinsics):
     # equal angular size: occupied at z=1 r=0.1, frontier at z=2 r=0.2
-    occ = sphere_ell([0, 0, 1.0], 0.1, "occupied")
-    fr = sphere_ell([0, 0, 2.0], 0.2, "frontier")
+    occ = sphere_ell([0, 0, 1.0], 0.1)
+    fr = sphere_ell([0, 0, 2.0], 0.2)
     l_area = project_one(occ, axis_view.pose, intrinsics)[4]
     f = evaluate_all(stack([axis_view]), [occ], [fr], intrinsics)[0]
     assert f == pytest.approx(l_area * 0.5 - l_area * 1.0, rel=1e-6)
@@ -346,8 +349,8 @@ def test_occlusion_ordering_flips_sign(axis_view, intrinsics):
 
 
 def test_evaluate_all_pure(axis_view, intrinsics):
-    occ = [sphere_ell([0.02, 0, 1.0], 0.1, "occupied")]
-    fr = [sphere_ell([0, 0.05, 1.5], 0.12, "frontier")]
+    occ = [sphere_ell([0.02, 0, 1.0], 0.1)]
+    fr = [sphere_ell([0, 0.05, 1.5], 0.12)]
     a = evaluate_all(stack([axis_view]), occ, fr, intrinsics)
     b = evaluate_all(stack([axis_view]), occ, fr, intrinsics)
     assert a[0] == b[0]
@@ -356,8 +359,8 @@ def test_evaluate_all_pure(axis_view, intrinsics):
 
 def test_evaluate_all_matches_sequential(intrinsics):
     rng = np.random.default_rng(3)
-    occ = [sphere_ell(rng.normal(scale=0.1, size=3), 0.05, "occupied", i) for i in range(6)]
-    fr = [sphere_ell(rng.normal(scale=0.1, size=3), 0.07, "frontier", i) for i in range(5)]
+    occ = [sphere_ell(rng.normal(scale=0.1, size=3), 0.05) for _ in range(6)]
+    fr = [sphere_ell(rng.normal(scale=0.1, size=3), 0.07) for _ in range(5)]
     views = stack([make_view(p) for p in rng.normal(scale=1.0, size=(40, 3)) + [0, 0, 2.0]])
     batch = evaluate_all(views, occ, fr, intrinsics)
     for v, f in zip(views, batch):
@@ -373,8 +376,8 @@ def test_evaluate_all_on_a_set_equals_its_records_bit_for_bit(intrinsics):
     `project` the same arrays, so they get the same F, stored in each
     set's `scores` and read back through its handles."""
     rng = np.random.default_rng(5)
-    occ = [sphere_ell(rng.normal(scale=0.08, size=3), 0.05, "occupied", i) for i in range(4)]
-    fr = [sphere_ell(rng.normal(scale=0.08, size=3), 0.09, "frontier", i) for i in range(3)]
+    occ = [sphere_ell(rng.normal(scale=0.08, size=3), 0.05) for _ in range(4)]
+    fr = [sphere_ell(rng.normal(scale=0.08, size=3), 0.09) for _ in range(3)]
     sampling = SamplingConfig(mode="full_sphere", alpha=6, n_views=150)
     cands = assign_partitions(sample_candidates(sampling, [0.01, -0.02, 0.03], 0.45), 4)
     records = stack([CandidateView(pose=v.pose, partition_index=v.partition_index) for v in cands])
@@ -394,7 +397,7 @@ def test_evaluate_all_no_ellipsoids(intrinsics):
 
 
 def test_evaluate_all_duplicates_identical(intrinsics):
-    occ = [sphere_ell([0, 0, 1.0], 0.1, "occupied")]
+    occ = [sphere_ell([0, 0, 1.0], 0.1)]
     v1 = make_view([0, 0, 2.5])
     v2 = make_view([0, 0, 2.5])
     scores = evaluate_all(stack([v1, v2]), occ, [], intrinsics)
@@ -571,11 +574,11 @@ def test_depth_rank_swap_flips_sign(axis_view, intrinsics):
     # Moving the frontier one 0.2 mm toward the camera swaps their weights
     # 1 and 0.5, and F jumps from about -A/2 to +A/2 for an area change of
     # about 4e-4 relative: the centre-depth rank is discontinuous.
-    occ = sphere_ell([-0.1, 0.0, 1.0], 0.05, "occupied")
+    occ = sphere_ell([-0.1, 0.0, 1.0], 0.05)
     area = project_one(occ, axis_view.pose, intrinsics)[4]
     scores = []
     for z in (1.0001, 0.9999):
-        fr = sphere_ell([0.1, 0.0, z], 0.05, "frontier")
+        fr = sphere_ell([0.1, 0.0, z], 0.05)
         _, weights = weights_of([occ], [fr], axis_view.pose, intrinsics)
         scores.append(evaluate_all(stack([axis_view]), [occ], [fr], intrinsics)[0])
         assert list(weights) == ([1.0, 0.5] if z > 1.0 else [0.5, 1.0])

@@ -19,7 +19,7 @@ from scalar_reference import CandidateView, stack
 
 INTRINSICS = CameraIntrinsics(
     fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480,
-    working_distance=0.4, max_range=5.0,
+    max_range=5.0,
 )
 
 SCENE_F = [
@@ -65,59 +65,57 @@ SCENE_F = [
     1604.5368726104039,
 ]
 
-# name -> (occupied [(center, semi-axes, index)], frontier [...], expected F),
+# name -> (occupied [(center, semi-axes)], frontier [...], expected F),
 # all seen by a camera at the origin looking along +z.
 CASES = {
     "fully_inside": (
         [],
-        [((0.05, -0.04, 0.8), (0.08, 0.08, 0.08), 0)],
+        [((0.05, -0.04, 0.8), (0.08, 0.08, 0.08))],
         7958.941471033334,
     ),
     "crosses_one_edge": (
-        [((0.6, 0.0, 1.0), (0.1, 0.1, 0.1), 0)],
+        [((0.6, 0.0, 1.0), (0.1, 0.1, 0.1))],
         [],
         -6265.329184961134,
     ),
     "spans_both_edges": (
         [],
-        [((0.0, 0.0, 1.0), (1.5, 0.1, 0.1), 0)],
+        [((0.0, 0.0, 1.0), (1.5, 0.1, 0.1))],
         62334.40887719596,
     ),
     "fully_outside": (
         [],
-        [((5.0, 0.0, 1.0), (0.05, 0.05, 0.05), 0)],
+        [((5.0, 0.0, 1.0), (0.05, 0.05, 0.05))],
         0.0,
     ),
     "centre_behind_camera": (
         [],
-        [((0.0, 0.0, -1.0), (0.1, 0.1, 0.1), 0)],
+        [((0.0, 0.0, -1.0), (0.1, 0.1, 0.1))],
         0.0,
     ),
     "camera_inside": (
         [],
-        [((0.0, 0.0, 0.05), (0.5, 0.5, 0.5), 0)],
+        [((0.0, 0.0, 0.05), (0.5, 0.5, 0.5))],
         0.0,
     ),
     "equal_depth_tie": (
-        [((-0.2, 0.0, 1.0), (0.1, 0.1, 0.1), 1)],
-        [((0.2, 0.0, 1.0), (0.12, 0.12, 0.12), 0)],
+        [((-0.2, 0.0, 1.0), (0.1, 0.1, 0.1))],
+        [((0.2, 0.0, 1.0), (0.12, 0.12, 0.12))],
         -2239.241830496492,
     ),
     "behind_camera_keeps_rank": (
-        [((0.0, 0.0, -1.0), (0.1, 0.1, 0.1), 0)],
-        [((0.05, -0.04, 0.8), (0.08, 0.08, 0.08), 0)],
+        [((0.0, 0.0, -1.0), (0.1, 0.1, 0.1))],
+        [((0.05, -0.04, 0.8), (0.08, 0.08, 0.08))],
         3979.470735516667,
     ),
 }
 
 
-def _ellipsoid(center, axes, kind, index):
+def _ellipsoid(center, axes):
     return Ellipsoid(
         center=np.asarray(center, dtype=float),
         shape=np.diag(1.0 / np.asarray(axes, dtype=float) ** 2),
-        kind=kind,
         member_count=1,
-        cluster_index=index,
     )
 
 
@@ -131,8 +129,8 @@ def _scores(views, occupied, frontier):
 
 def scene():
     rng = np.random.default_rng(3)
-    occ = [_ellipsoid(rng.normal(scale=0.1, size=3), [0.05] * 3, "occupied", i) for i in range(6)]
-    fr = [_ellipsoid(rng.normal(scale=0.1, size=3), [0.07] * 3, "frontier", i) for i in range(5)]
+    occ = [_ellipsoid(rng.normal(scale=0.1, size=3), [0.05] * 3) for i in range(6)]
+    fr = [_ellipsoid(rng.normal(scale=0.1, size=3), [0.07] * 3) for i in range(5)]
     positions = rng.normal(scale=1.0, size=(40, 3)) + [0, 0, 2.0]
     views = [_view(look_at(p, [0, 0, 0], [0, 0, 1])) for p in positions]
     return views, occ, fr
@@ -140,8 +138,8 @@ def scene():
 
 def case_scores(name):
     occ_spec, fr_spec, _ = CASES[name]
-    occ = [_ellipsoid(c, a, "occupied", i) for c, a, i in occ_spec]
-    fr = [_ellipsoid(c, a, "frontier", i) for c, a, i in fr_spec]
+    occ = [_ellipsoid(c, a) for c, a in occ_spec]
+    fr = [_ellipsoid(c, a) for c, a in fr_spec]
     view = _view(Pose(rotation=np.eye(3), translation=np.zeros(3)))
     return _scores([view], occ, fr)[0]
 

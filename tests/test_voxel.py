@@ -110,6 +110,22 @@ def test_grid_rejects_a_non_finite_origin_or_resolution(origin, resolution, name
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
+    "box_min, box_max, resolution, name",
+    [
+        ([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0], 0.1, "box_min"),
+        ([0.0, 0.0, 0.0], [1.0, np.inf, 1.0], 0.1, "box_max"),
+        ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], np.nan, "resolution"),
+        ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.0, "resolution"),
+    ],
+)
+def test_grid_from_box_rejects_a_non_finite_corner_or_resolution(box_min, box_max, resolution, name):
+    """The bad argument is named before the box is cut into voxels."""
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        VoxelGrid.from_box(box_min, box_max, resolution)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
     "bmin, bmax, name",
     [
         ([np.nan, 1.0, 1.0], [2.0, 2.0, 2.0], "bmin"),
