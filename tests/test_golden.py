@@ -1,7 +1,8 @@
 """Golden end-to-end runs: the planner must keep choosing the same views.
 
-The expected values were recorded once every refit was seeded with the run
-seed alone (before, the refit seed grew with the iteration).  A change that
+The expected values were recorded once each voxel cluster's ellipsoid was
+its moment ellipsoid, scaled to enclose the cluster (before, the
+minimum-volume enclosing ellipsoid).  A change that
 alters any chosen view, voxel count, ellipsoid count or coverage on these
 runs changes the planner's behaviour and must say so.
 """
@@ -19,13 +20,13 @@ from nbvplan.harness import run
 GOLDEN = {
     "u_prism": [
         (1, 0, (0.301509741594017, 0.024146153770145833, -0.7919916515095913), (464, 195, 1549, 43), 2, 3, 0.4958),
-        (2, 1, (-0.7480554643475132, 0.6739763424555131, -0.267250000642021), (618, 277, 1330, 26), 3, 3, 0.733),
-        (3, 2, (-0.9868399937947564, -0.3342211613007249, 0.05264754020700174), (1233, 359, 1189, 41), 3, 3, 0.7937),
+        (2, 1, (-0.47211484815995497, 0.7042655029479176, -0.5646641645291256), (796, 295, 1366, 22), 3, 3, 0.7348),
+        (3, 2, (-0.9910236134031558, -0.3209560661644325, 0.053504488425006075), (1241, 371, 1220, 44), 3, 3, 0.8307),
     ],
     "torus": [
-        (1, 2, (-0.30412376511206685, -0.19685656922597905, -0.9032444252816223), (643, 181, 1043, 63), 1, 2, 0.7564),
-        (2, 3, (0.42485311349642696, -0.4113483356699422, -0.5447937598134973), (762, 183, 1180, 78), 1, 3, 0.7833),
-        (3, 1, (-0.2602407267914888, 0.7048982214884449, 0.36592690545407763), (973, 197, 1178, 74), 3, 3, 0.9308),
+        (1, 1, (-0.3203769880531244, 0.16747276658576046, -0.9032444252816223), (647, 178, 1054, 66), 1, 3, 0.7592),
+        (2, 0, (0.6400354144639283, 0.12049493317996912, -0.25054810181263676), (709, 181, 1573, 72), 1, 3, 0.7842),
+        (3, 2, (-0.6885678831119822, -0.09707695334877671, 0.6091232093387859), (850, 197, 1674, 86), 1, 3, 0.9425),
     ],
 }
 

@@ -1,7 +1,9 @@
 """Pinned voxel states and oracle counts: ray traversal must not move them.
 
 The expected values were recorded from the per-step batch walk that
-preceded the array traversal.  Each case initializes a 1 cm grid on a
+preceded the array traversal, and re-recorded once each voxel cluster's
+ellipsoid was its moment ellipsoid: that changes the view the one planner
+iteration chooses, and so the states it integrates.  Each case initializes a 1 cm grid on a
 builtin shape with a small camera, runs one planner iteration, and pins a
 digest of every voxel state and the ray-casting oracle's counts for 8 fixed
 views at stride 4.
@@ -22,12 +24,12 @@ from scalar_reference import CandidateView
 # shape -> (sha256 of dims + states, [(visible_frontier, visible_occupied)] * 8)
 PINNED = {
     "u_prism": (
-        "b9754096aa4f976341b94a9222e06bab2d864976444d1252ec7c3e93e92a447d",
-        [(14, 398), (46, 281), (7, 243), (7, 257), (35, 265), (58, 260), (43, 300), (51, 207)],
+        "81bddb4eda273fb6908112185c97121d70520f6735bd150241609ab09572ae11",
+        [(11, 427), (46, 422), (49, 391), (61, 291), (20, 330), (145, 295), (111, 362), (251, 398)],
     ),
     "torus": (
-        "55de952f4342aaab6adc5108e3d293a5c3764123abe22729480d9afb161d5308",
-        [(28, 270), (43, 202), (37, 197), (35, 249), (82, 173), (92, 194), (93, 199), (99, 176)],
+        "0f44f5c51f75d3a2a94bc265bb0a9f82d396e8b2f4f9d4dabb07314da00ce173",
+        [(86, 261), (224, 272), (291, 268), (162, 263), (87, 236), (199, 221), (225, 210), (144, 228)],
     ),
 }
 
