@@ -423,7 +423,7 @@ def voxel_cluster(layout: str, n: int, rng: np.random.Generator, res: float) -> 
     if layout == "single":
         ijk = np.zeros((1, 3), dtype=np.int64)
     elif layout == "collinear":
-        ijk = np.outer(rng.permutation(n), rng.integers(-2, 3, 3) | [1, 0, 0])
+        ijk = np.outer(rng.permutation(n), [1, *rng.integers(-2, 3, 2)])
     else:
         ijk = rng.integers(0, int(rng.integers(2, 9)), (n, 3))
         if layout == "coplanar":

@@ -12,7 +12,6 @@ has at most 1.5 times the reference's volume.
 
 import numpy as np
 import pytest
-
 from scalar_reference import mvee
 
 from nbvplan.ellipsoid import fit_mvee
