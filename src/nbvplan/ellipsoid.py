@@ -236,9 +236,9 @@ def fit_mvee(points: np.ndarray, inflation_radius: float | None = None) -> Ellip
     surface and every point has form <= 1, exactly rather than to a
     tolerance.  Degenerate inputs (fewer than 4 points or affine rank < 3)
     are first inflated by +-inflation_radius offsets along each axis; without
-    a radius such inputs raise.  The fit is not the minimum-volume enclosing
-    ellipsoid the name says: the name stays because the benchmark wraps
-    `fit_mvee` by name, and a revision of the benchmark may rename it.
+    a positive finite radius they raise.  The fit is not the minimum-volume
+    enclosing ellipsoid the name says: the name stays because the benchmark
+    wraps `fit_mvee` by name, and a revision of the benchmark may rename it.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
@@ -246,9 +246,9 @@ def fit_mvee(points: np.ndarray, inflation_radius: float | None = None) -> Ellip
 
     work = pts
     if len(work) < 4 or _points_rank(work) < 3:
-        if inflation_radius is None or inflation_radius <= 0:
+        if inflation_radius is None or not (np.isfinite(inflation_radius) and inflation_radius > 0):
             raise ValueError(
-                "degenerate point set: supply inflation_radius to repair rank"
+                f"degenerate point set: inflation_radius must be positive and finite to repair rank, got {inflation_radius}"
             )
         work = _inflate_degenerate(work, inflation_radius)
 

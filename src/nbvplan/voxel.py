@@ -2,12 +2,15 @@
 
 Voxel states: None (untouched), Empty (observed free), Occupied (surface
 evidence), Unknown (occluded), Frontier (Unknown with both Empty and Occupied
-in its 26-neighborhood).  Update rules per observation:
+in its 26-neighborhood).  A sensor-to-point ray's hit is its first Occupied
+voxel or the voxel where its walk reaches its point, whichever comes first,
+so a ray that passes its point's voxel by an edge or a corner clears nothing
+behind it.  Update rules per observation:
 
   1. the voxel containing a measured point becomes Occupied;
-  2. None voxels pierced behind the first Occupied voxel on a sensor-to-point
-     ray become Unknown, but only inside the current bounding box;
-  3. voxels pierced before the first Occupied voxel become Empty.
+  2. None voxels pierced behind a ray's hit become Unknown, but only inside
+     the current bounding box;
+  3. voxels pierced before a ray's hit become Empty.
 
 Occupied is never demoted.  Unknown/Frontier voxels may later be observed
 directly and flip to Empty or Occupied; without that the frontier could
@@ -17,23 +20,21 @@ Occupied cells, and then the observation is integrated once.
 
 Rule 1 runs first and rules 2-3 never write or clear Occupied, so the result
 does not depend on the order in which rays or their voxels are visited: a
-voxel ends Empty if some ray crosses it before that ray's first Occupied
-voxel; otherwise it ends Unknown if it was None, its centre lies in the box
-and some ray crosses it behind that ray's first Occupied voxel; otherwise it
-keeps its state.
+voxel ends Empty if some ray crosses it before that ray's hit; otherwise it
+ends Unknown if it was None, its centre lies in the box and some ray crosses
+it behind that ray's hit; otherwise it keeps its state.
 
 Because of that order independence, all rays of a frame are walked at once
-as arrays, in two passes: each ray to the bound `integrate_observation`
-states, then the rays that met no Occupied voxel by then on to the grid exit.
-A frame with more than _RAY_BLOCK rays is split once into two contiguous
+as arrays, each ray once, to the bound `integrate_observation` states.  A
+frame with more than _RAY_BLOCK rays is split once into two contiguous
 halves when the process may run on two CPUs: the calling thread walks one
 and a worker thread the other (numpy releases the interpreter lock in its
-array loops), each through both passes and into its own masks, ORed after
-the join.  Otherwise the frame is one part, walked on the calling thread,
-and no thread starts.  Each half walks blocks of _RAY_BLOCK // 2 rays, so
-the padded (rays, voxels) arrays in flight, which set the walk's peak
-memory, stay those of one block; the split adds the worker's masks and what
-its allocator keeps.  The states do not depend on the split.
+array loops), each into its own masks, ORed after the join.  Otherwise the
+frame is one part, walked on the calling thread, and no thread starts.  Each
+half walks blocks of _RAY_BLOCK // 2 rays, so the padded (rays, voxels)
+arrays in flight, which set the walk's peak memory, stay those of one block;
+the split adds the worker's masks and what its allocator keeps.  The states
+do not depend on the split.
 
 Storage is a dense state array indexed x + y*nx + z*nx*ny; the grid grows by
 `np.pad` when the bounding box outruns its span.
@@ -355,16 +356,23 @@ def first_hits(hit: np.ndarray) -> np.ndarray:
     return np.where(hit.any(axis=1), hit.argmax(axis=1), hit.shape[1])[:, None]
 
 
+def point_columns(grid: VoxelGrid, own: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Column (N, 1) at which each walk, a row of `flat`, reaches the voxel
+    `own` (N, 3) of its ray's point or passes it by an edge or a corner:
+    |own - start|_1, since a walk steps one axis one voxel at a time."""
+    return np.abs(own - grid.unflat(flat[:, 0])).sum(axis=1, keepdims=True)
+
+
 # ---- observation integration ---------------------------------------------
 
 
-def mark_occupied(grid: VoxelGrid, points: np.ndarray) -> np.ndarray:
-    """Rule 1: point evidence wins from any state.  Returns the mask of the
-    points inside the grid."""
+def mark_occupied(grid: VoxelGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rule 1: point evidence wins from any state.  Returns each point's
+    voxel and the mask of the points inside the grid."""
     ijk = grid.voxel_of(points)
     ok = grid.in_bounds(ijk)
     grid.states[grid.flat_index(ijk[ok])] = int(VoxelState.OCCUPIED)
-    return ok
+    return ijk, ok
 
 
 def _usable_cpus() -> int:
@@ -392,26 +400,23 @@ def _walk_pool() -> ThreadPoolExecutor:
 def integrate_observation(grid: VoxelGrid, obs: Observation) -> None:
     """Apply update rules 1-3 for one observation.
 
-    Rule 1 runs first, then all rays are walked at once.  A voxel crossed
-    before some ray's first Occupied voxel becomes Empty; otherwise a None
-    voxel crossed behind one becomes Unknown if its centre lies in the
-    bounding box (never while no box is set).
+    Rule 1 runs first, then all rays are walked at once, each once.  A voxel
+    crossed before some ray's hit (module docstring) becomes Empty;
+    otherwise a None voxel crossed behind one becomes Unknown if its centre
+    lies in the bounding box (never while no box is set).
 
     A ray is walked only as far as it can change the result: past its own
-    point's voxel, which is Occupied, and past the bounding box padded by one
-    voxel, outside which rule 2 writes nothing.  A ray that has met no
-    Occupied voxel by then, which happens when it passes its point's voxel by
-    an edge or a corner, is walked again to the grid exit.  The states are
-    those of walking every ray to the grid exit.  The module docstring says
-    how a frame's rays are split into parts and blocks.
+    point, where its hit lies at the latest, and past the bounding box
+    padded by one voxel, outside which rule 2 writes nothing.  The module
+    docstring says how a frame's rays are split into parts and blocks.
     """
     if len(obs.points) == 0:
         raise ValueError("integrate_observation requires a nonempty observation")
-    ok = mark_occupied(grid, obs.points)
+    own, ok = mark_occupied(grid, obs.points)
     origin = obs.sensor_origin
     deltas = obs.points[ok] - origin
     norms = np.linalg.norm(deltas, axis=1)
-    deltas, norms = deltas[norms > 1e-12], norms[norms > 1e-12]
+    deltas, norms, own = deltas[norms > 1e-12], norms[norms > 1e-12], own[ok][norms > 1e-12]
     # The point sits at t = 1; res/|d| of slack covers rounding at its voxel.
     t_end = 1.0 + grid.resolution / norms
     if grid.bbox is not None:
@@ -422,24 +427,17 @@ def integrate_observation(grid: VoxelGrid, obs: Observation) -> None:
     block = _RAY_BLOCK // len(parts)
 
     def walk(part: slice, in_front: np.ndarray, behind: np.ndarray) -> tuple[int, int]:
-        """Walk the rays of `part` in blocks to `t_end`, then those that met
-        no Occupied voxel on to the grid exit, setting in `in_front` the
-        voxels each crosses before its first Occupied voxel and in `behind`
-        those after it.  Returns the rays walked and the voxel visits."""
+        """Walk the rays of `part` to `t_end`, setting in `in_front` the
+        voxels each crosses before its hit and in `behind` those after it.
+        Returns the rays that meet the grid and the voxel visits."""
         walks = visits = 0
-        todo = deltas[part]
-        for bound in (t_end[part], np.inf):
-            unblocked = [np.empty(0, dtype=np.int64)]
-            for rays, flat, valid in traverse_rays(grid, origin, todo, bound, block):
-                hit = valid & occupied[flat]
-                first = first_hits(hit)
-                col = np.arange(flat.shape[1])
-                in_front[flat[valid & (col < first)]] = True
-                behind[flat[valid & (col > first)]] = True
-                unblocked.append(rays[~hit.any(axis=1)])
-                walks += len(rays)
-                visits += int(np.count_nonzero(valid))
-            todo = todo[np.concatenate(unblocked)]
+        for rays, flat, valid in traverse_rays(grid, origin, deltas[part], t_end[part], block):
+            first = np.minimum(first_hits(valid & occupied[flat]), point_columns(grid, own[part][rays], flat))
+            col = np.arange(flat.shape[1])
+            in_front[flat[valid & (col < first)]] = True
+            behind[flat[valid & (col > first)]] = True
+            walks += len(rays)
+            visits += int(np.count_nonzero(valid))
         return walks, visits
 
     # Each part walks into its own (in_front, behind) masks, ORed after the join.

@@ -36,7 +36,8 @@ over every point's cell key, built by `np.ravel_multi_index` over the
 cells' box, the sort that the one over the starts of runs of equal keys
 replaces; the kept points and their order must be equal.
 `traverse_ray` is the scalar Amanatides-Woo walk that `voxel.traverse_rays`
-must match voxel for voxel.  `integrate_walk_to_exit` and
+must match voxel for voxel, and where it visits a point's voxel, at the
+column `voxel.point_columns` gives.  `integrate_walk_to_exit` and
 `oracle_walk_to_exit` walk every ray to the grid exit (the oracle's to
 `max_range`); the bounded walks of `integrate_observation` and
 `oracle_evaluate` must give the same states and the same counts.  `neighbor_any` is
@@ -89,7 +90,7 @@ from nbvplan.planner import InfeasiblePartitionError, PartitionLedger, admissibl
 from nbvplan.projection import _border_area
 from nbvplan.render import BARY_EPS, DET_EPS, T_MIN
 from nbvplan.views import _GOLDEN_ANGLE, UP, Candidates, SamplingConfig, _parallel_counts
-from nbvplan.voxel import Observation, VoxelGrid, VoxelState, first_hits, mark_occupied, traverse_rays
+from nbvplan.voxel import Observation, VoxelGrid, VoxelState, first_hits, mark_occupied, point_columns, traverse_rays
 
 
 def look_at(position, target, up) -> Pose:
@@ -488,15 +489,17 @@ def traverse_ray(grid: VoxelGrid, start, end) -> np.ndarray:
 
 
 def integrate_walk_to_exit(grid: VoxelGrid, obs: Observation) -> None:
-    """`integrate_observation` with every ray walked to the grid exit."""
-    ok = mark_occupied(grid, obs.points)
+    """`integrate_observation` with every ray walked to the grid exit; each
+    ray's hit is still its first Occupied voxel or its point column."""
+    own, ok = mark_occupied(grid, obs.points)
     deltas = obs.points[ok] - obs.sensor_origin
-    deltas = deltas[np.linalg.norm(deltas, axis=1) > 1e-12]
+    moving = np.linalg.norm(deltas, axis=1) > 1e-12
+    deltas, own = deltas[moving], own[ok][moving]
     occupied = grid.states == int(VoxelState.OCCUPIED)
     in_front = np.zeros(grid.n_voxels, dtype=bool)
     behind = np.zeros(grid.n_voxels, dtype=bool)
-    for _, flat, valid in traverse_rays(grid, obs.sensor_origin, deltas, np.inf):
-        first = first_hits(valid & occupied[flat])
+    for rays, flat, valid in traverse_rays(grid, obs.sensor_origin, deltas, np.inf):
+        first = np.minimum(first_hits(valid & occupied[flat]), point_columns(grid, own[rays], flat))
         col = np.arange(flat.shape[1])
         in_front[flat[valid & (col < first)]] = True
         behind[flat[valid & (col > first)]] = True

@@ -1,4 +1,5 @@
 import logging
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -244,9 +245,13 @@ def test_mvee_identical_points_inflated_ball():
 
 
 def test_mvee_degenerate_without_radius_raises():
+    """A degenerate cluster needs a positive finite inflation radius; any
+    other raises a ValueError naming it, with no numpy warning first."""
     pts = np.tile([0.0, 0.0, 0.0], (5, 1))
-    with pytest.raises(ValueError):
-        fit_mvee(pts)
+    for radius in [None, np.nan, np.inf, 0.0, -1.0]:
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="inflation_radius"):
+            warnings.simplefilter("error")
+            fit_mvee(pts, inflation_radius=radius)
 
 
 def test_mvee_empty_raises():

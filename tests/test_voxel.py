@@ -23,6 +23,7 @@ from nbvplan.voxel import (
     initial_bbox,
     integrate_observation,
     mark_occupied,
+    point_columns,
     preprocess_points,
     ray_box_range,
     traverse_rays,
@@ -249,18 +250,23 @@ def test_traverse_rays_matches_scalar():
             assert sum(len(p) > 0 for p in scalar) > 2 * _RAY_BLOCK
 
 
+def near_lattice(rng, grid, low, high, shape):
+    """Uniform points in [low, high) with each coordinate moved to a voxel
+    boundary with probability 0.7, so that points fall on voxel corners,
+    edges or faces."""
+    points = rng.uniform(low, high, shape)
+    return np.where(rng.random(shape) < 0.7, to_lattice(grid, points), points)
+
+
 def random_rays(rng, grid, n, lattice, axis_parallel, origin=None):
     """An origin in and around the grid, unless given, and n ends of rays
-    from it.  `lattice` puts each coordinate of the drawn origin and the ends
-    on a voxel boundary with probability 0.7, so that points fall on voxel
-    corners, edges or faces; `axis_parallel` puts every other end on an
-    axis-parallel line through the origin.  Ends equal to the origin are
-    dropped.  Returns (origin, ends)."""
+    from it.  `lattice` draws the origin and the ends `near_lattice`;
+    `axis_parallel` puts every other end on an axis-parallel line through
+    the origin.  Ends equal to the origin are dropped.  Returns (origin, ends)."""
     lo, hi = grid.span
 
     def draw(shape):
-        points = rng.uniform(lo - 1.0, hi + 1.0, shape)
-        return np.where(rng.random(shape) < 0.7, to_lattice(grid, points), points) if lattice else points
+        return near_lattice(rng, grid, lo - 1.0, hi + 1.0, shape) if lattice else rng.uniform(lo - 1.0, hi + 1.0, shape)
 
     origin = draw(3) if origin is None else origin
     ends = draw((n, 3))
@@ -408,10 +414,11 @@ def test_bounded_integration_matches_walk_to_exit(seed, with_bbox, lattice, axis
         np.testing.assert_array_equal(grid.states, reference.states)
 
 
-def test_ray_passing_its_point_by_a_corner_is_walked_to_the_exit():
+def test_ray_passing_its_point_by_a_corner_stops_at_its_point():
     """The ray to a point on a voxel corner can pass the point's voxel by
-    that corner and meet no Occupied voxel; it then marks Empty up to the
-    grid exit, far behind its point, as the walk to the grid exit does."""
+    that corner and meet no Occupied voxel; its free segment still ends at
+    its point: the voxels it crosses before the point end Empty, and a
+    voxel far behind the point does not."""
     grid = VoxelGrid(origin=np.array([0.0, -4.0, 0.0]), resolution=1.0, dims=(8, 10, 1))
     grid.set_bbox(np.zeros(3), np.array([8.0, 6.0, 1.0]))
     sensor, point = np.array([0.5, 4.5, 0.5]), np.array([1.0, 1.0, 0.5])
@@ -421,14 +428,54 @@ def test_ray_passing_its_point_by_a_corner_is_walked_to_the_exit():
     integrate_observation(grid, obs)
     integrate_walk_to_exit(reference, obs)
     np.testing.assert_array_equal(grid.states, reference.states)
-    assert grid.states[grid.flat_index(grid.voxel_of([1.1, -3.5, 0.5]))[0]] == VoxelState.EMPTY
+    assert grid.states[grid.flat_index(grid.voxel_of([1.1, -3.5, 0.5]))[0]] != VoxelState.EMPTY
+    before = traverse_ray(grid, sensor, sensor + 0.9 * (point - sensor))
+    assert len(before) == 4
+    assert (grid.states[grid.flat_index(before)] == VoxelState.EMPTY).all()
+
+
+@given(seed=st.integers(0, 2**32 - 1), entry=st.sampled_from(["lattice", "axis", "face", "edge", "corner"]))
+@settings(max_examples=60, deadline=None)
+def test_a_walk_visits_its_points_voxel_at_the_point_column(seed, entry):
+    """Where the scalar walk of a ray through its point visits the point's
+    voxel, it does so at the column point_columns gives for the batched walk
+    of that ray: for lattice points from lattice sensors in and around the
+    grid, for axis-parallel rays, and for sensors outside the grid whose
+    rays enter it through a face, an edge or a corner."""
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng)
+    lo, hi = grid.span
+    visited = 0
+    for point in near_lattice(rng, grid, lo, hi, (64, 3)):
+        if entry == "lattice":
+            sensor = near_lattice(rng, grid, lo - 1.0, hi + 1.0, 3)
+        elif entry == "axis":
+            sensor = point.copy()
+            sensor[rng.integers(3)] = near_lattice(rng, grid, lo - 1.0, hi + 1.0, 3)[0]
+        else:
+            # The ray enters through the point `on` of the grid's surface,
+            # on the bound of one axis (a face), two (an edge) or three (a corner).
+            on = near_lattice(rng, grid, lo, hi, 3)
+            bounds = rng.permutation(3)[: ["face", "edge", "corner"].index(entry) + 1]
+            on[bounds] = np.where(rng.random(3) < 0.5, lo, hi)[bounds]
+            sensor = on + rng.uniform(0.2, 2.0) * (on - point)
+        if np.all(sensor == point):
+            continue
+        own = grid.voxel_of(point)
+        end = 2 * point - sensor
+        path = [tuple(v) for v in traverse_ray(grid, sensor, end)]
+        if tuple(own[0]) in path:
+            [(_, flat, _)] = traverse_rays(grid, sensor, (end - sensor)[None], 1.0)
+            assert path.index(tuple(own[0])) == point_columns(grid, own, flat)[0, 0]
+            visited += 1
+    assert visited > 0
 
 
 def corner_point(rng, grid, sensor, occupied):
     """A lattice corner of the grid whose ray from `sensor`, walked to the
     grid exit, misses the corner's own voxel and every voxel in `occupied`,
-    so that integrate_observation walks it again to the grid exit; None if
-    none of 200 drawn corners does."""
+    so that only its point column ends its free segment; None if none of 200
+    drawn corners does."""
     for k in np.stack([rng.integers(0, d + 1, 200) for d in grid.dims], axis=1):
         point = grid.origin + k * grid.resolution
         own = grid.voxel_of(point)
@@ -447,8 +494,8 @@ def test_integration_in_parts_matches_walk_to_exit(cpus, seed, with_bbox):
     """More than _RAY_BLOCK rays, to lattice ends and to a corner whose ray
     passes its voxel by that corner, give the states of walking
     every ray to the grid exit on one CPU and on two.  The frame is split
-    once; on two CPUs each half, one per thread, walks some of the corner's
-    rays again to the grid exit."""
+    once, and each part is walked by one traverse_rays call, on its own
+    thread on two CPUs."""
     rng = np.random.default_rng(seed)
     grid = random_grid(rng, max_dim=12)
     earlier = [VoxelState.NONE, VoxelState.EMPTY, VoxelState.UNKNOWN, VoxelState.FRONTIER]
@@ -466,12 +513,11 @@ def test_integration_in_parts_matches_walk_to_exit(cpus, seed, with_bbox):
     reference = copy.deepcopy(grid)
     obs = Observation(points=rng.permutation(points), sensor_origin=sensor)
 
-    split, corner_exits = [], set()
+    split, walkers = [], []
 
     def recording_traverse(walked, origin, deltas, t_end, block):
         assert np.array_equal(origin, sensor)
-        if np.all(np.isinf(t_end)) and np.all(deltas == corner - sensor, axis=1).any():
-            corner_exits.add(threading.get_ident())
+        walkers.append(threading.get_ident())
         return traverse_rays(walked, origin, deltas, t_end, block)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -483,7 +529,7 @@ def test_integration_in_parts_matches_walk_to_exit(cpus, seed, with_bbox):
     np.testing.assert_array_equal(grid.states, reference.states)
     [(rays, parts)] = split
     assert rays > _RAY_BLOCK and parts == cpus
-    assert len(corner_exits) == cpus
+    assert len(walkers) == len(set(walkers)) == cpus
 
 
 def test_one_cpu_or_a_small_frame_starts_no_thread(monkeypatch):
@@ -520,7 +566,9 @@ def test_integration_logs_its_walk_at_debug(caplog):
 def test_mark_occupied_is_rule_one_alone():
     grid = unit_grid()
     pts = np.array([[1.5, 1.5, 1.5], [1.7, 1.2, 1.9], [6.5, 2.5, 0.5], [9.5, 0.5, 0.5]])
-    np.testing.assert_array_equal(mark_occupied(grid, pts), [True, True, True, False])
+    ijk, ok = mark_occupied(grid, pts)
+    np.testing.assert_array_equal(ijk, [[1, 1, 1], [1, 1, 1], [6, 2, 0], [9, 0, 0]])
+    np.testing.assert_array_equal(ok, [True, True, True, False])
     assert np.bincount(grid.states, minlength=len(VoxelState)).tolist() == [8**3 - 2, 0, 2, 0, 0]
     mark_occupied(grid, pts)
     assert np.bincount(grid.states, minlength=len(VoxelState)).tolist() == [8**3 - 2, 0, 2, 0, 0]
